@@ -31,10 +31,9 @@
    latency percentiles, and --check-against diffs the deterministic
    fields against the committed baseline.
 
-   The [incr] selection is the compositional/incremental smoke test: a
-   cold compositional solve checked byte-identical to the monolithic one,
-   a warm re-solve of the unchanged program from cached summaries, and a
-   warm re-solve after a one-method monotone edit — gated to re-derive
+   The [incr] selection is the incremental smoke test: a cold solve, a
+   warm re-solve of the unchanged program that must re-derive nothing, and
+   a warm re-solve after a one-method monotone edit — gated to re-derive
    less than 25% of what the cold solve of the edited program derives.
    The deterministic counters land in BENCH_incr.json; --check-against
    diffs them leniently (fields absent from the committed baseline are
@@ -44,15 +43,9 @@
    benchmarks and writes the per-rule wall-clocks and finding counts to
    BENCH_lint.json.
 
-   The [solver] selection (also folded into [figs]/[all]) measures
-   intra-solve scaling: the same solve sharded across --shards K domains on
-   the cyclic benchmarks, with a built-in assertion that every sharded
-   solution is byte-identical to the sequential one. The scaling rows land
-   in BENCH_solver.json under "solver_scaling" with a speedup_vs_1 column.
-
    Usage:
-     main.exe [fig1|fig4|fig5|fig6|fig7|figs|ablation|cache|query|serve|demand|incr|lint|solver|micro|all]
-              [--scale S] [--budget N] [--jobs N] [--shards K1,K2,...]
+     main.exe [fig1|fig4|fig5|fig6|fig7|figs|ablation|cache|query|serve|demand|incr|lint|micro|all]
+              [--scale S] [--budget N] [--jobs N]
               [--clients N1,N2,...] [--cache-dir DIR] [--check-against FILE]
 *)
 
@@ -61,7 +54,7 @@ module Experiments = Ipa_harness.Experiments
 
 let usage () =
   prerr_endline
-    "usage: main.exe [fig1|fig4|fig5|fig6|fig7|figs|ablation|cache|query|serve|demand|incr|lint|solver|micro|all] [--scale S] [--budget N] [--jobs N] [--shards K1,K2,...] [--clients N1,N2,...] [--cache-dir DIR] [--check-against FILE]";
+    "usage: main.exe [fig1|fig4|fig5|fig6|fig7|figs|ablation|cache|query|serve|demand|incr|lint|micro|all] [--scale S] [--budget N] [--jobs N] [--clients N1,N2,...] [--cache-dir DIR] [--check-against FILE]";
   exit 2
 
 type selection =
@@ -76,7 +69,6 @@ type selection =
   | Demand_bench
   | Incr_bench
   | Lint_bench
-  | Solver_scaling
   | Micro
   | All
 
@@ -85,7 +77,6 @@ let parse_args () =
   let cfg = ref Ipa_harness.Config.default in
   let cache_dir = ref "_ipa_cache" in
   let check_against = ref None in
-  let shards_list = ref [ 1; 2; 4; 8 ] in
   let clients_list = ref [ 1; 2; 4; 8 ] in
   let rec go = function
     | [] -> ()
@@ -140,15 +131,6 @@ let parse_args () =
     | "lint" :: rest ->
       selection := Lint_bench;
       go rest
-    | "solver" :: rest ->
-      selection := Solver_scaling;
-      go rest
-    | "--shards" :: v :: rest ->
-      let ks = List.map int_of_string_opt (String.split_on_char ',' v) in
-      if ks <> [] && List.for_all (function Some k -> k >= 1 | None -> false) ks then
-        shards_list := List.filter_map Fun.id ks
-      else usage ();
-      go rest
     | "micro" :: rest ->
       selection := Micro;
       go rest
@@ -173,120 +155,7 @@ let parse_args () =
     | _ -> usage ()
   in
   go (List.tl (Array.to_list Sys.argv));
-  (!selection, !cfg, !cache_dir, !check_against, !shards_list, !clients_list)
-
-(* ---------- intra-solve scaling: the sharded solver curve ---------- *)
-
-(* The tentpole measurement: the same solve at 1, 2, 4, ... worklist shards
-   on the benchmarks whose copy graphs are cyclic enough to stress the
-   partitioner (jython, bloat, xalan) under the two context-sensitive
-   flavors with the heaviest propagation. Every K > 1 run is asserted
-   byte-identical to the sequential solve — zeroing only the K-dependent
-   counters — before its wall-clock is trusted. *)
-
-type scaling_row = {
-  shards : int;
-  speedup_vs_1 : float;
-  run : Experiments.run;
-}
-
-let scaling_specs () =
-  List.filter_map Ipa_synthetic.Dacapo.find [ "jython"; "bloat"; "xalan" ]
-
-let scaling_flavors =
-  [ Flavors.Object_sens { depth = 2; heap = 1 }; Flavors.Call_site { depth = 2; heap = 1 } ]
-
-let canonical_bytes program (s : Ipa_core.Solution.t) =
-  let module Snapshot = Ipa_core.Snapshot in
-  Snapshot.encode
-    {
-      Snapshot.key = "scaling";
-      program_digest = Snapshot.digest_program program;
-      label = "scaling";
-      seconds = 0.0;
-      solution = { s with counters = Ipa_core.Solution.zero_counters };
-      metrics = None;
-    }
-
-let compute_scaling (cfg : Ipa_harness.Config.t) shards_list =
-  (* The baseline always runs, whether or not 1 is in the requested list. *)
-  let ks = List.sort_uniq compare (1 :: shards_list) in
-  List.concat_map
-    (fun (spec : Ipa_synthetic.Dacapo.spec) ->
-      let program = Ipa_synthetic.Dacapo.build ~scale:cfg.scale spec in
-      List.concat_map
-        (fun flavor ->
-          let solve shards : Ipa_core.Analysis.result =
-            let config =
-              Ipa_core.Solver.plain program ~budget:cfg.budget ~shards
-                (Flavors.strategy program flavor)
-            in
-            Ipa_core.Analysis.run_config program ~label:(Flavors.to_string flavor) config
-          in
-          let base = solve 1 in
-          let base_bytes = canonical_bytes program base.solution in
-          List.map
-            (fun k ->
-              let r = if k = 1 then base else solve k in
-              if
-                k > 1
-                && (r.solution.derivations <> base.solution.derivations
-                   || not (String.equal (canonical_bytes program r.solution) base_bytes))
-              then begin
-                prerr_endline
-                  (Printf.sprintf
-                     "scaling FAILED: %s %s at %d shard(s) differs from the sequential solve"
-                     spec.name (Flavors.to_string flavor) k);
-                exit 1
-              end;
-              {
-                shards = k;
-                speedup_vs_1 = (if r.seconds > 0.0 then base.seconds /. r.seconds else 0.0);
-                run = Experiments.of_result spec.name r;
-              })
-            ks)
-        scaling_flavors)
-    (scaling_specs ())
-
-let print_scaling rows =
-  print_endline "== Intra-solve scaling: one solve sharded across domains ==";
-  Printf.printf "cores available to this process: %d\n" (Domain.recommended_domain_count ());
-  let row (s : scaling_row) =
-    let r = s.run in
-    let dps = if r.seconds > 0.0 then float_of_int r.derivations /. r.seconds else 0.0 in
-    [
-      r.bench;
-      r.analysis;
-      string_of_int s.shards;
-      (if r.timed_out then Ipa_harness.Config.timeout_label else Printf.sprintf "%.2f" r.seconds);
-      Printf.sprintf "%.2fx" s.speedup_vs_1;
-      Printf.sprintf "%.0f" dps;
-      Printf.sprintf "%.0f" (dps /. float_of_int s.shards);
-      string_of_int r.counters.sync_rounds;
-      string_of_int r.counters.deltas_exchanged;
-    ]
-  in
-  Ipa_support.Ascii_table.print
-    ~header:
-      [
-        "benchmark"; "analysis"; "shards"; "time(s)"; "speedup"; "derivs/s"; "derivs/s/shard";
-        "sync rounds"; "deltas";
-      ]
-    (List.map row rows);
-  print_endline
-    "(identity gate: every sharded row above was checked byte-identical to its shards=1 row)";
-  print_newline ()
-
-(* One JSON object per line so the --check-against scan can match a row by
-   its (bench, analysis, shards) prefix and compare the rest textually. *)
-let scaling_row_json (s : scaling_row) =
-  let r = s.run in
-  let c = r.counters in
-  Printf.sprintf
-    {|    {"bench": "%s", "analysis": "%s", "shards": %d, "seconds": %.6f, "speedup_vs_1": %.3f, "derivations": %d, "timed_out": %b, "sync_rounds": %d, "deltas_exchanged": %d, "cross_shard_edges": %d, "batch_objs": %d, "cycles_collapsed": %d, "repropagations_avoided": %d}|}
-    r.bench r.analysis s.shards r.seconds s.speedup_vs_1 r.derivations r.timed_out c.sync_rounds
-    c.deltas_exchanged c.cross_shard_edges c.batch_objs c.cycles_collapsed
-    c.repropagations_avoided
+  (!selection, !cfg, !cache_dir, !check_against, !clients_list)
 
 (* ---------- BENCH_solver.json ---------- *)
 
@@ -296,12 +165,12 @@ let run_json (r : Experiments.run) =
   let c = r.counters in
   Printf.sprintf
     {|    {"bench": "%s", "analysis": "%s", "seconds": %.6f, "derivations": %d, "timed_out": %b,
-     "counters": {"edges_added": %d, "edges_deduped": %d, "batches": %d, "batch_objs": %d, "max_batch": %d, "set_promotions": %d, "cycles_collapsed": %d, "nodes_merged": %d, "repropagations_avoided": %d, "shards": %d, "sync_rounds": %d, "deltas_exchanged": %d, "cross_shard_edges": %d}}|}
+     "counters": {"edges_added": %d, "edges_deduped": %d, "batches": %d, "batch_objs": %d, "max_batch": %d, "set_promotions": %d, "cycles_collapsed": %d, "nodes_merged": %d, "repropagations_avoided": %d}}|}
     r.bench r.analysis r.seconds r.derivations r.timed_out c.edges_added c.edges_deduped c.batches
     c.batch_objs c.max_batch c.set_promotions c.cycles_collapsed c.nodes_merged
-    c.repropagations_avoided c.shards c.sync_rounds c.deltas_exchanged c.cross_shard_edges
+    c.repropagations_avoided
 
-let write_json ?(scaling = []) (cfg : Ipa_harness.Config.t) (report : Experiments.report) =
+let write_json (cfg : Ipa_harness.Config.t) (report : Experiments.report) =
   let runs =
     report.fig1 @ report.fig5 @ report.fig6 @ report.fig7 @ report.taint
   in
@@ -319,13 +188,6 @@ let write_json ?(scaling = []) (cfg : Ipa_harness.Config.t) (report : Experiment
           cycles_collapsed = acc.cycles_collapsed + c.cycles_collapsed;
           nodes_merged = acc.nodes_merged + c.nodes_merged;
           repropagations_avoided = acc.repropagations_avoided + c.repropagations_avoided;
-          shards = max acc.shards c.shards;
-          sync_rounds = acc.sync_rounds + c.sync_rounds;
-          deltas_exchanged = acc.deltas_exchanged + c.deltas_exchanged;
-          cross_shard_edges = acc.cross_shard_edges + c.cross_shard_edges;
-          sccs_summarized = acc.sccs_summarized + c.sccs_summarized;
-          summaries_reused = acc.summaries_reused + c.summaries_reused;
-          sccs_resolved = acc.sccs_resolved + c.sccs_resolved;
         })
       Ipa_core.Solution.zero_counters runs
   in
@@ -341,14 +203,6 @@ let write_json ?(scaling = []) (cfg : Ipa_harness.Config.t) (report : Experiment
   let section name rs =
     Printf.sprintf "  \"%s\": [\n%s\n  ]" name (String.concat ",\n" (List.map run_json rs))
   in
-  let scaling_section =
-    if scaling = [] then []
-    else
-      [
-        Printf.sprintf "  \"solver_scaling\": [\n%s\n  ]"
-          (String.concat ",\n" (List.map scaling_row_json scaling));
-      ]
-  in
   let body =
     String.concat ",\n"
       ([
@@ -362,18 +216,16 @@ let write_json ?(scaling = []) (cfg : Ipa_harness.Config.t) (report : Experiment
          section "fig7" report.fig7;
          section "taint" report.taint;
        ]
-      @ scaling_section
       @ [
           Printf.sprintf
             "  \"totals\": {\"runs\": %d, \"derivations\": %d, \"edges_added\": %d, \
              \"edges_deduped\": %d, \"batches\": %d, \"batch_objs\": %d, \"max_batch\": %d, \
              \"set_promotions\": %d, \"cycles_collapsed\": %d, \"nodes_merged\": %d, \
-             \"repropagations_avoided\": %d, \"sync_rounds\": %d, \"deltas_exchanged\": %d, \
-             \"derivations_per_second\": %.1f}"
+             \"repropagations_avoided\": %d, \"derivations_per_second\": %.1f}"
             (List.length runs) total_derivations totals.edges_added totals.edges_deduped
             totals.batches totals.batch_objs totals.max_batch totals.set_promotions
             totals.cycles_collapsed totals.nodes_merged totals.repropagations_avoided
-            totals.sync_rounds totals.deltas_exchanged derivations_per_second;
+            derivations_per_second;
         ])
   in
   Out_channel.with_open_text json_path (fun oc ->
@@ -461,89 +313,11 @@ let check_against ~file (report : Experiments.report) =
   check "batch_objs" fresh_batch_objs base_batch_objs batch_objs_tolerance;
   print_endline "bench check OK: totals within tolerance of committed baseline"
 
-(* Scaling rows carry wall-clock, which legitimately drifts between
-   machines and runs; every other field is a deterministic counter. The
-   comparison strips the timing fields from both sides and demands the rest
-   match exactly — counter drift at any shard count is a solver change. *)
-let strip_scaling_timing line =
-  let strip field line =
-    match find_substring line (Printf.sprintf "\"%s\":" field) 0 with
-    | None -> line
-    | Some at ->
-      let len = String.length line in
-      let j = ref at in
-      while !j < len && line.[!j] <> ',' && line.[!j] <> '}' do
-        incr j
-      done;
-      let stop = if !j < len && line.[!j] = ',' then !j + 1 else !j in
-      let stop = if stop < len && line.[stop] = ' ' then stop + 1 else stop in
-      String.sub line 0 at ^ String.sub line stop (len - stop)
-  in
-  strip "seconds" (strip "speedup_vs_1" line)
-
-let check_scaling_against ~file rows =
-  let contents =
-    match In_channel.with_open_text file In_channel.input_all with
-    | s -> s
-    | exception Sys_error msg ->
-      prerr_endline ("bench check FAILED: cannot read baseline: " ^ msg);
-      exit 1
-  in
-  match find_substring contents "\"solver_scaling\"" 0 with
-  | None ->
-    print_endline
-      "bench check: baseline has no solver_scaling section (pre-sharding baseline); skipping"
-  | Some section_at ->
-    let missing = ref 0 in
-    List.iter
-      (fun (s : scaling_row) ->
-        let key =
-          Printf.sprintf {|{"bench": "%s", "analysis": "%s", "shards": %d,|} s.run.bench
-            s.run.analysis s.shards
-        in
-        match find_substring contents key section_at with
-        | None -> incr missing
-        | Some at ->
-          let line_end =
-            match String.index_from_opt contents at '\n' with
-            | Some i -> i
-            | None -> String.length contents
-          in
-          let committed = String.trim (String.sub contents at (line_end - at)) in
-          let committed =
-            let n = String.length committed in
-            if n > 0 && committed.[n - 1] = ',' then String.sub committed 0 (n - 1)
-            else committed
-          in
-          let fresh = String.trim (scaling_row_json s) in
-          if strip_scaling_timing fresh <> strip_scaling_timing committed then begin
-            prerr_endline
-              (Printf.sprintf
-                 "bench check FAILED: solver_scaling counters drifted for %s %s at %d shard(s)\n\
-                 \  committed: %s\n\
-                 \  fresh:     %s"
-                 s.run.bench s.run.analysis s.shards
-                 (strip_scaling_timing committed) (strip_scaling_timing fresh));
-            exit 1
-          end)
-      rows;
-    if !missing > 0 then
-      Printf.printf
-        "bench check: %d scaling row(s) absent from baseline (new configuration); skipped\n%!"
-        !missing;
-    print_endline "bench check OK: solver_scaling counters match the committed baseline"
-
-let run_figs ?baseline ~shards_list cfg =
+let run_figs ?baseline cfg =
   let report = Experiments.compute_report cfg in
   Experiments.print_report cfg report;
-  let scaling = compute_scaling cfg shards_list in
-  print_scaling scaling;
-  write_json ~scaling cfg report;
-  match baseline with
-  | None -> ()
-  | Some file ->
-    check_against ~file report;
-    check_scaling_against ~file scaling
+  write_json cfg report;
+  Option.iter (fun file -> check_against ~file report) baseline
 
 (* ---------- BENCH_cache.json: cold vs warm differential ---------- *)
 
@@ -1248,7 +1022,7 @@ let run_demand_bench (cfg : Ipa_harness.Config.t) ~baseline =
   print_endline
     "demand bench OK: every demand answer byte-identical to the unbudgeted full solve"
 
-(* ---------- BENCH_incr.json: compositional + incremental re-analysis ---------- *)
+(* ---------- BENCH_incr.json: incremental re-analysis ---------- *)
 
 let incr_json_path = "BENCH_incr.json"
 
@@ -1299,59 +1073,47 @@ let check_incr_against ~file fields =
   if !checked = 0 then fail "no field matched the committed baseline";
   print_endline "bench check OK: incremental counters match the committed baseline"
 
+(* Snapshot bytes with the propagation counters and the derivation count
+   zeroed. A warm solution differs from a cold one only in this phase
+   accounting: seeding re-asserts the baseline facts without counting them,
+   so those figures describe the incremental work, not the fixpoint.
+   Identity is judged on everything else. *)
+let canonical_warm program (s : Ipa_core.Solution.t) =
+  let module Snapshot = Ipa_core.Snapshot in
+  Snapshot.encode
+    {
+      Snapshot.key = "incr";
+      program_digest = Snapshot.digest_program program;
+      label = "incr";
+      seconds = 0.0;
+      solution = { s with counters = Ipa_core.Solution.zero_counters; derivations = 0 };
+      metrics = None;
+    }
+
 let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
   let module Solution = Ipa_core.Solution in
   let module Analysis = Ipa_core.Analysis in
+  let module Comp = Ipa_core.Compositional_solver in
   let module Edits = Ipa_synthetic.Edits in
   let flavor = Flavors.Insensitive in
   let spec = List.hd Ipa_synthetic.Dacapo.all in
   let program = Ipa_synthetic.Dacapo.build ~scale:cfg.scale spec in
-  (* Summaries go through an in-memory store: the bench measures reuse
-     accounting and re-derivation cost, not disk traffic. *)
-  let tbl = Hashtbl.create 64 in
-  let store =
-    {
-      Ipa_core.Compositional_solver.find_bytes = (fun key -> Hashtbl.find_opt tbl key);
-      put_bytes =
-        (fun key bytes -> if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key bytes);
-    }
-  in
-  (* A warm solution differs from a cold one only in the phase accounting:
-     seeding re-asserts the baseline facts without counting them, so the
-     derivation count and propagation counters describe the incremental
-     work, not the fixpoint. Identity is judged on everything else. *)
-  let canonical_warm program (s : Solution.t) =
-    canonical_bytes program { s with Solution.derivations = 0 }
-  in
-  (* 1. Cold compositional solve == monolithic solve, byte for byte
-     (modulo the compositional counters the monolithic solve cannot
-     carry — canonical_bytes zeroes all counters). *)
-  let mono = Analysis.run_plain ~budget:0 program flavor in
-  let cold, cold_report = Analysis.run_compositional ~store ~budget:0 program flavor in
-  if
-    cold.solution.Solution.derivations <> mono.solution.Solution.derivations
-    || not
-         (String.equal
-            (canonical_bytes program cold.solution)
-            (canonical_bytes program mono.solution))
-  then failwith "incr bench: compositional solve differs from the monolithic solve";
-  Printf.printf "incr bench: %s at scale %g, %s: %d derivations, %d component(s)\n%!"
-    spec.name cfg.scale mono.label mono.solution.Solution.derivations
-    cold_report.Ipa_core.Compositional_solver.n_sccs;
-  (* 2. Warm re-solve of the unchanged program: every summary hits the
-     store, nothing is dirty, and the seeded solve re-derives nothing. *)
+  (* 1. Cold solve of the base program. *)
+  let cold = Analysis.run_plain program flavor in
+  (* 2. Warm re-solve of the unchanged program: nothing is dirty, and the
+     seeded solve re-derives nothing. *)
   let same, same_report =
-    Analysis.run_incremental ~store program ~base_program:program
-      ~base_solution:cold.solution flavor
+    Analysis.run_incremental program ~base_program:program ~base_solution:cold.solution flavor
   in
-  if not same_report.Ipa_core.Compositional_solver.incremental then
+  if same_report.Comp.fallback <> None then
     failwith "incr bench: unchanged-program re-solve fell back to a cold solve";
+  if same_report.Comp.dirty_sccs <> [] then
+    failwith "incr bench: unchanged-program re-solve found dirty components";
   if not (String.equal (canonical_warm program same.solution) (canonical_warm program cold.solution))
   then failwith "incr bench: unchanged-program re-solve differs from the cold solve";
-  Printf.printf "incr warm (unchanged): %d derivations, %d summaries reused, %d dirty\n%!"
-    same.solution.Solution.derivations
-    same_report.Ipa_core.Compositional_solver.summaries_reused
-    (List.length same_report.Ipa_core.Compositional_solver.dirty_sccs);
+  Printf.printf "incr bench: %s at scale %g, %s: %d derivations, %d component(s)\n%!"
+    spec.name cfg.scale cold.label cold.solution.Solution.derivations same_report.Comp.n_sccs;
+  Printf.printf "incr warm (unchanged): %d derivations\n%!" same.solution.Solution.derivations;
   (* 3. One-method monotone edit: warm re-solve from the baseline vs a
      cold solve of the edited program. The gate is the acceptance bar —
      the warm solve must re-derive under a quarter of the cold solve. *)
@@ -1360,12 +1122,11 @@ let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
   | [ e ] -> Printf.printf "incr edit: %s\n%!" (Edits.describe program e)
   | _ -> failwith "incr bench: expected exactly one edit");
   let edited = Edits.apply_all program edits in
-  let edited_cold = Analysis.run_plain ~budget:0 edited flavor in
+  let edited_cold = Analysis.run_plain edited flavor in
   let warm, warm_report =
-    Analysis.run_incremental ~store edited ~base_program:program
-      ~base_solution:cold.solution flavor
+    Analysis.run_incremental edited ~base_program:program ~base_solution:cold.solution flavor
   in
-  (match warm_report.Ipa_core.Compositional_solver.fallback with
+  (match warm_report.Comp.fallback with
   | None -> ()
   | Some reason -> failwith ("incr bench: edited re-solve fell back cold: " ^ reason));
   if not (String.equal (canonical_warm edited warm.solution) (canonical_warm edited edited_cold.solution))
@@ -1378,22 +1139,16 @@ let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
          "incr bench: warm re-solve derived %d of %d — not under the 25%% gate"
          warm_derivations cold_derivations);
   let ratio = float_of_int warm_derivations /. float_of_int cold_derivations in
-  Printf.printf
-    "incr warm (1 edit): %d derivations vs %d cold (%.3fx), %d reused, %d re-solved of %d\n%!"
+  Printf.printf "incr warm (1 edit): %d derivations vs %d cold (%.3fx), %d of %d sccs dirty\n%!"
     warm_derivations cold_derivations ratio
-    warm_report.Ipa_core.Compositional_solver.summaries_reused
-    warm_report.Ipa_core.Compositional_solver.sccs_resolved
-    warm_report.Ipa_core.Compositional_solver.n_sccs;
+    (List.length warm_report.Comp.dirty_sccs)
+    warm_report.Comp.n_sccs;
   let fields =
     [
-      ("n_sccs", cold_report.Ipa_core.Compositional_solver.n_sccs);
-      ("cold_derivations", mono.solution.Solution.derivations);
-      ("cold_summarized", cold_report.Ipa_core.Compositional_solver.sccs_summarized);
+      ("n_sccs", same_report.Comp.n_sccs);
+      ("cold_derivations", cold.solution.Solution.derivations);
       ("warm_same_derivations", same.solution.Solution.derivations);
-      ("warm_same_reused", same_report.Ipa_core.Compositional_solver.summaries_reused);
-      ("edit_dirty_sccs", List.length warm_report.Ipa_core.Compositional_solver.dirty_sccs);
-      ("edit_reused", warm_report.Ipa_core.Compositional_solver.summaries_reused);
-      ("edit_resolved", warm_report.Ipa_core.Compositional_solver.sccs_resolved);
+      ("edit_dirty_sccs", List.length warm_report.Comp.dirty_sccs);
       ("edit_cold_derivations", cold_derivations);
       ("edit_warm_derivations", warm_derivations);
     ]
@@ -1405,7 +1160,7 @@ let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
            [
              Printf.sprintf "  \"scale\": %g" cfg.scale;
              Printf.sprintf "  \"bench\": \"%s\"" spec.name;
-             Printf.sprintf "  \"analysis\": \"%s\"" mono.label;
+             Printf.sprintf "  \"analysis\": \"%s\"" cold.label;
            ];
            List.map (fun (k, v) -> Printf.sprintf "  \"%s\": %d" k v) fields;
            [
@@ -1634,14 +1389,14 @@ let run_bechamel () =
     tests
 
 let () =
-  let selection, cfg, cache_dir, baseline, shards_list, clients_list = parse_args () in
+  let selection, cfg, cache_dir, baseline, clients_list = parse_args () in
   (match selection with
   | Fig1 -> Experiments.Fig1.print cfg
   | Fig4 -> Experiments.Fig4.print cfg
   | Fig flavor -> Experiments.Figs567.print cfg flavor
-  | Figs -> run_figs ?baseline ~shards_list cfg
+  | Figs -> run_figs ?baseline cfg
   | All ->
-    run_figs ?baseline ~shards_list cfg;
+    run_figs ?baseline cfg;
     Ipa_harness.Ablation.print_all cfg
   | Ablation -> Ipa_harness.Ablation.print_all cfg
   | Cache_smoke -> run_cache_smoke cfg ~dir:cache_dir
@@ -1650,9 +1405,5 @@ let () =
   | Demand_bench -> run_demand_bench cfg ~baseline
   | Incr_bench -> run_incr_bench cfg ~baseline
   | Lint_bench -> run_lint_bench cfg
-  | Solver_scaling ->
-    let rows = compute_scaling cfg shards_list in
-    print_scaling rows;
-    (match baseline with None -> () | Some file -> check_scaling_against ~file rows)
   | Micro -> ());
   match selection with Micro | All -> run_bechamel () | _ -> ()

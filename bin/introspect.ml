@@ -68,15 +68,6 @@ let budget_arg =
     & info [ "budget" ] ~docv:"N"
         ~doc:"Derivation budget (deterministic timeout); 0 means unlimited.")
 
-let shards_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "shards" ] ~docv:"K"
-        ~doc:
-          "Worklist shards (domains) within each solve. Results are byte-identical at any \
-           shard count; only wall-clock varies. Default 1 (sequential).")
-
 let scale_arg =
   Arg.(
     value
@@ -127,16 +118,16 @@ let print_result ~verbose p (r : Ipa_core.Analysis.result) =
   end
 
 let analyze_cmd =
-  let run path flavor heuristic budget shards verbose =
+  let run path flavor heuristic budget verbose =
     match load_program path with
     | Error msg ->
       prerr_endline msg;
       1
     | Ok p ->
       (match heuristic with
-      | None -> print_result ~verbose p (Ipa_core.Analysis.run_plain ~budget ~shards p flavor)
+      | None -> print_result ~verbose p (Ipa_core.Analysis.run_plain ~budget p flavor)
       | Some h ->
-        let ir = Ipa_core.Analysis.run_introspective ~budget ~shards p flavor h in
+        let ir = Ipa_core.Analysis.run_introspective ~budget p flavor h in
         Printf.printf "first pass    %s  %.3fs  (%d derivations)\n" ir.base.label ir.base.seconds
           ir.base.solution.derivations;
         Printf.printf "selection     %d/%d sites and %d/%d objects kept context-insensitive\n"
@@ -150,14 +141,14 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run a points-to analysis on a .jir program.")
-    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ shards_arg $ verbose_arg)
+    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ verbose_arg)
 
 (* ---------- client-analysis commands ---------- *)
 
 (* Run the configured analysis and hand its solution to a report printer.
    [to_stderr] moves the analysis banner off stdout so machine-readable
    reports (--json) stay parseable. *)
-let with_solution ?(to_stderr = false) path flavor heuristic budget shards k =
+let with_solution ?(to_stderr = false) path flavor heuristic budget k =
   match load_program path with
   | Error msg ->
     prerr_endline msg;
@@ -165,8 +156,8 @@ let with_solution ?(to_stderr = false) path flavor heuristic budget shards k =
   | Ok p ->
     let result =
       match heuristic with
-      | None -> Ipa_core.Analysis.run_plain ~budget ~shards p flavor
-      | Some h -> (Ipa_core.Analysis.run_introspective ~budget ~shards p flavor h).second
+      | None -> Ipa_core.Analysis.run_plain ~budget p flavor
+      | Some h -> (Ipa_core.Analysis.run_introspective ~budget p flavor h).second
     in
     if result.timed_out then begin
       Printf.eprintf "%s exceeded its derivation budget; results are partial\n" result.label;
@@ -182,11 +173,11 @@ let with_solution ?(to_stderr = false) path flavor heuristic budget shards k =
     end
 
 let client_cmd name ~doc k =
-  let run path flavor heuristic budget shards =
-    with_solution path flavor heuristic budget shards k
+  let run path flavor heuristic budget =
+    with_solution path flavor heuristic budget k
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ shards_arg)
+    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg)
 
 let client_json_arg =
   Arg.(
@@ -195,8 +186,8 @@ let client_json_arg =
         ~doc:"Emit one JSON object per finding (the lint jsonl format) instead of text.")
 
 let devirt_cmd =
-  let run path flavor heuristic budget shards json =
-    with_solution ~to_stderr:json path flavor heuristic budget shards (fun _ s ->
+  let run path flavor heuristic budget json =
+    with_solution ~to_stderr:json path flavor heuristic budget (fun _ s ->
         let summary = Ipa_clients.Devirtualize.summarize s in
         (* Threshold 2 = every polymorphic site, as the old report showed. *)
         let ds =
@@ -213,12 +204,12 @@ let devirt_cmd =
   Cmd.v
     (Cmd.info "devirt" ~doc:"Report devirtualizable and polymorphic call sites.")
     Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ shards_arg
+      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg
       $ client_json_arg)
 
 let casts_cmd =
-  let run path flavor heuristic budget shards json =
-    with_solution ~to_stderr:json path flavor heuristic budget shards (fun _ s ->
+  let run path flavor heuristic budget json =
+    with_solution ~to_stderr:json path flavor heuristic budget (fun _ s ->
         let ds =
           List.sort_uniq Ipa_ir.Diagnostic.compare (Ipa_lint.Semantic.may_fail_cast s)
         in
@@ -231,7 +222,7 @@ let casts_cmd =
   Cmd.v
     (Cmd.info "casts" ~doc:"Report casts that may fail under the analysis.")
     Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ shards_arg
+      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg
       $ client_json_arg)
 
 let exceptions_cmd =
@@ -244,8 +235,8 @@ let hotspots_cmd =
       Ipa_core.Diagnostics.print s)
 
 let callgraph_cmd =
-  let run path flavor heuristic budget shards output =
-    with_solution path flavor heuristic budget shards (fun _ s ->
+  let run path flavor heuristic budget output =
+    with_solution path flavor heuristic budget (fun _ s ->
         match output with
         | Some out ->
           Ipa_clients.Callgraph_export.write_dot s ~path:out;
@@ -258,10 +249,10 @@ let callgraph_cmd =
   in
   Cmd.v
     (Cmd.info "callgraph" ~doc:"Export the collapsed call graph as Graphviz DOT.")
-    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ shards_arg $ output_arg)
+    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ output_arg)
 
 let taint_cmd =
-  let run path flavor heuristic budget shards spec_path =
+  let run path flavor heuristic budget spec_path =
     let spec =
       match spec_path with
       | None -> Ok Ipa_clients.Taint.default_spec
@@ -272,7 +263,7 @@ let taint_cmd =
       prerr_endline msg;
       1
     | Ok spec ->
-      with_solution path flavor heuristic budget shards (fun p s ->
+      with_solution path flavor heuristic budget (fun p s ->
           (match Ipa_core.Solution.self_check s with
           | [] -> Printf.printf "self-check: ok\n"
           | errs ->
@@ -323,7 +314,7 @@ let taint_cmd =
   Cmd.v
     (Cmd.info "taint"
        ~doc:"Report source-to-sink taint flows over the solution's value-flow graph.")
-    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ shards_arg $ spec_arg)
+    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ spec_arg)
 
 let compare_cmd =
   let run path coarse fine budget =
@@ -361,8 +352,8 @@ let compare_cmd =
     Term.(const run $ file_arg $ coarse_arg $ fine_arg $ budget_arg)
 
 let dump_cmd =
-  let run path flavor heuristic budget shards full output =
-    with_solution path flavor heuristic budget shards (fun _ s ->
+  let run path flavor heuristic budget full output =
+    with_solution path flavor heuristic budget (fun _ s ->
         match output with
         | Some out ->
           Ipa_clients.Facts_dump.write ~full s ~path:out;
@@ -381,7 +372,7 @@ let dump_cmd =
   Cmd.v
     (Cmd.info "dump" ~doc:"Dump the computed relations as diffable text facts.")
     Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ shards_arg $ full_arg
+      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ full_arg
       $ output_arg)
 
 (* ---------- metrics ---------- *)
@@ -434,7 +425,7 @@ let gen_cmd =
            (List.map (fun (s : Ipa_synthetic.Dacapo.spec) -> s.name) Ipa_synthetic.Dacapo.all));
       1
     | Some spec -> (
-      let spec = match seed with None -> spec | Some s -> { spec with seed = s } in
+      let seed = Option.value seed ~default:spec.seed in
       let kinds =
         match kinds_str with
         | "all" -> Ok Ipa_synthetic.Edits.all_kinds
@@ -458,10 +449,9 @@ let gen_cmd =
         let p =
           if edits <= 0 then p
           else begin
-            (* The picker is seeded by the same value that seeded generation,
-               so one --seed pins the whole edited program. Descriptions go
-               to stderr: stdout may be the program text itself. *)
-            let picked = Ipa_synthetic.Edits.pick ~kinds ~seed:spec.seed ~n:edits p in
+            (* Descriptions go to stderr: stdout may be the program text
+               itself. *)
+            let picked = Ipa_synthetic.Edits.pick ~kinds ~seed ~n:edits p in
             List.iter
               (fun e -> Printf.eprintf "edit: %s\n" (Ipa_synthetic.Edits.describe p e))
               picked;
@@ -501,8 +491,9 @@ let gen_cmd =
       & opt (some int) None
       & info [ "seed" ] ~docv:"SEED"
           ~doc:
-            "Override the benchmark's generation seed; also seeds the $(b,--edit) delta picker, \
-             so equal seeds yield byte-identical edited programs.")
+            "Seed the $(b,--edit) delta picker (default: a fixed per-benchmark seed), so equal \
+             seeds yield byte-identical edited programs. Generation itself takes no seed: the \
+             base program depends only on the benchmark and $(b,--scale).")
   in
   let edit_kinds_arg =
     Arg.(
@@ -577,16 +568,14 @@ module Snapshot = Ipa_core.Snapshot
 
 let solve_cmd =
   let print_report (r : Ipa_core.Compositional_solver.report) =
-    Printf.printf "components    %d (%d summarized, %d reused from cache, %d (re-)solved)\n"
-      r.n_sccs r.sccs_summarized r.summaries_reused r.sccs_resolved;
+    Printf.printf "components    %d\n" r.n_sccs;
     match r.fallback with
-    | Some reason -> Printf.printf "fallback      cold compositional solve (%s)\n" reason
+    | Some reason -> Printf.printf "fallback      cold solve (%s)\n" reason
     | None ->
-      if r.incremental then
-        Printf.printf "dirty sccs    [%s]\n"
-          (String.concat "; " (List.map string_of_int r.dirty_sccs))
+      Printf.printf "dirty sccs    [%s]\n"
+        (String.concat "; " (List.map string_of_int r.dirty_sccs))
   in
-  let run path flavor heuristic budget shards save load compositional edit_from cache_dir jobs =
+  let run path flavor heuristic budget save load edit_from =
     match load with
     | Some snap_path -> (
       (* Load a previously saved snapshot instead of solving. *)
@@ -623,109 +612,58 @@ let solve_cmd =
               Printf.printf "self-check    %d violation(s)\n" (List.length errs);
               List.iter print_endline errs;
               1))))
-    | None when compositional || edit_from <> None -> (
-      match load_program path with
-      | Error msg ->
-        prerr_endline msg;
-        1
-      | Ok p when heuristic <> None ->
-        ignore p;
-        prerr_endline
-          "--compositional and --edit-from run a single-pass analysis; drop --heuristic";
-        1
-      | Ok p -> (
-        let store =
-          Option.map
-            (fun d -> Ipa_harness.Cache.summary_store (Ipa_harness.Cache.create ~dir:d ()))
-            cache_dir
-        in
-        let solved =
-          match edit_from with
-          | None -> Ok (p, Ipa_core.Analysis.run_compositional ?store ~jobs ~budget p flavor)
-          | Some base_path -> (
-            (* [path] is the edited program, [base_path] the baseline it
-               (presumably) extends; the baseline is solved cold here, then
-               the edited program warm-starts from it. Parsed ids are
-               file-order artifacts, so the edited program is first
-               realigned onto the baseline's ids by entity name; an
-               unalignable delta simply fails the monotonicity check and
-               solves cold. *)
-            match load_program base_path with
-            | Error msg -> Error msg
-            | Ok base_program ->
-              let p =
-                match Ipa_core.Summary.align ~old_p:base_program ~new_p:p with
-                | Some aligned -> aligned
-                | None -> p
-              in
-              let base, base_report =
-                Ipa_core.Analysis.run_compositional ?store ~jobs base_program flavor
-              in
-              Printf.printf "baseline      %s  %.3fs  (%d derivations, %d sccs summarized)\n"
-                base.label base.seconds base.solution.derivations
-                base_report.sccs_summarized;
-              Ok
-                ( p,
-                  Ipa_core.Analysis.run_incremental ?store ~jobs p ~base_program
-                    ~base_solution:base.solution flavor ))
-        in
-        match solved with
-        | Error msg ->
-          prerr_endline msg;
-          1
-        | Ok (p, (result, report)) ->
-          print_result ~verbose:false p result;
-          print_report report;
-          (match save with
-          | None -> ()
-          | Some out ->
-            let program_digest = Snapshot.digest_program p in
-            let config = Ipa_core.Solver.plain p (Ipa_core.Flavors.strategy p flavor) in
-            let key = Snapshot.config_key ~program_digest config in
-            let snap =
-              {
-                Snapshot.key;
-                program_digest;
-                label = result.label;
-                seconds = result.seconds;
-                solution = result.solution;
-                metrics = Some (Ipa_core.Introspection.compute result.solution);
-              }
-            in
-            let bytes = Snapshot.encode snap in
-            Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc bytes);
-            Printf.printf "saved         %s (%d bytes, key %s)\n" out (String.length bytes) key);
-          0))
     | None -> (
-      match load_program path with
+      let ( let* ) = Result.bind in
+      let solved =
+        let* p = load_program path in
+        match (edit_from, heuristic) with
+        | Some _, Some _ -> Error "--edit-from runs a single-pass analysis; drop --heuristic"
+        | Some base_path, None ->
+          (* [path] is the edited program, [base_path] the baseline it
+             (presumably) extends; the baseline is solved cold here, then
+             the edited program warm-starts from it. Parsed ids are
+             file-order artifacts, so the edited program is first realigned
+             onto the baseline's ids by entity name; an unalignable delta
+             simply fails the monotonicity check and solves cold. *)
+          let* base_program = load_program base_path in
+          let p =
+            Option.value ~default:p (Ipa_core.Summary.align ~old_p:base_program ~new_p:p)
+          in
+          let base = Ipa_core.Analysis.run_plain base_program flavor in
+          Printf.printf "baseline      %s  %.3fs  (%d derivations)\n" base.label base.seconds
+            base.solution.derivations;
+          let result, report =
+            Ipa_core.Analysis.run_incremental p ~base_program ~base_solution:base.solution flavor
+          in
+          let config = Ipa_core.Solver.plain p (Ipa_core.Flavors.strategy p flavor) in
+          Ok (p, result, config, Some report)
+        | None, None ->
+          let config = Ipa_core.Solver.plain p ~budget (Ipa_core.Flavors.strategy p flavor) in
+          let result = Ipa_core.Analysis.run_config p ~label:(Flavors.to_string flavor) config in
+          Ok (p, result, config, None)
+        | None, Some h ->
+          let ir = Ipa_core.Analysis.run_introspective ~budget p flavor h in
+          Printf.printf "first pass    %s  %.3fs  (%d derivations)\n" ir.base.label
+            ir.base.seconds ir.base.solution.derivations;
+          let config = Ipa_core.Analysis.second_pass_config ~budget p flavor ir.refine in
+          Ok (p, ir.second, config, None)
+      in
+      match solved with
       | Error msg ->
         prerr_endline msg;
         1
-      | Ok p ->
-        let result, key =
-          let program_digest = Snapshot.digest_program p in
-          match heuristic with
-          | None ->
-            let flavor_strategy = Ipa_core.Flavors.strategy p flavor in
-            let config = Ipa_core.Solver.plain p ~budget ~shards flavor_strategy in
-            ( Ipa_core.Analysis.run_config p ~label:(Flavors.to_string flavor) config,
-              Snapshot.config_key ~program_digest config )
-          | Some h ->
-            let ir = Ipa_core.Analysis.run_introspective ~budget ~shards p flavor h in
-            Printf.printf "first pass    %s  %.3fs  (%d derivations)\n" ir.base.label
-              ir.base.seconds ir.base.solution.derivations;
-            ( ir.second,
-              Snapshot.config_key ~program_digest
-                (Ipa_core.Analysis.second_pass_config ~budget ~shards p flavor ir.refine) )
-        in
+      | Ok (p, result, config, report) ->
         print_result ~verbose:false p result;
+        Option.iter print_report report;
         (match save with
         | None -> ()
         | Some out ->
+          let program_digest = Snapshot.digest_program p in
+          let key = Snapshot.config_key ~program_digest config in
           let snap =
             {
               Snapshot.key;
-              program_digest = Snapshot.digest_program p;
+              program_digest;
               label = result.label;
               seconds = result.seconds;
               solution = result.solution;
@@ -753,15 +691,6 @@ let solve_cmd =
             "Load a snapshot saved with $(b,--save-solution) instead of solving; the program \
              must be the same one the snapshot was computed from.")
   in
-  let compositional_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "compositional" ]
-          ~doc:
-            "Solve per call-graph SCC with content-addressed boundary summaries. The solution \
-             is byte-identical to the monolithic solve; the summary counters are reported.")
-  in
   let edit_from_arg =
     Arg.(
       value
@@ -772,28 +701,12 @@ let solve_cmd =
              baseline, and re-solve the edit warm from its fixpoint — only digest-changed \
              components and their consequences are re-derived.")
   in
-  let solve_cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Content-addressed cache for SCC summaries (with $(b,--compositional) or \
-             $(b,--edit-from)); unchanged components are reused across runs.")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:"Domains for parallel summary extraction (default 1, sequential).")
-  in
   Cmd.v
     (Cmd.info "solve"
        ~doc:"Run an analysis and save the solution as a snapshot, or reload a saved one.")
     Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ shards_arg $ save_arg
-      $ load_arg $ compositional_arg $ edit_from_arg $ solve_cache_dir_arg $ jobs_arg)
+      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ save_arg $ load_arg
+      $ edit_from_arg)
 
 (* ---------- cache maintenance ---------- *)
 
@@ -839,7 +752,6 @@ let cache_stats_cmd =
         [
           Some Ipa_harness.Cache.Snapshot_entry;
           Some Ipa_harness.Cache.Demand_entry;
-          Some Ipa_harness.Cache.Summary_entry;
           None;
         ]
       in
@@ -866,31 +778,18 @@ let cache_stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"List the cached entries: analysis snapshots, demand slices, and SCC summaries.")
+       ~doc:"List the cached entries: analysis snapshots and demand slices.")
     Term.(const run $ cache_dir_arg)
 
 let cache_kind_arg =
-  let kind_conv =
-    let parse s =
-      match s with
-      | "snapshot" -> Ok Ipa_harness.Cache.Snapshot_entry
-      | "demand-slice-v1" -> Ok Ipa_harness.Cache.Demand_entry
-      | "summary-v1" -> Ok Ipa_harness.Cache.Summary_entry
-      | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown cache entry kind %S (expected %s)" s
-               "snapshot, demand-slice-v1, or summary-v1"))
-    in
-    Arg.conv (parse, fun ppf k -> Format.pp_print_string ppf (Ipa_harness.Cache.kind_name k))
-  in
+  let kinds = Ipa_harness.Cache.[ Snapshot_entry; Demand_entry ] in
   Arg.(
     value
-    & opt (some kind_conv) None
+    & opt (some (enum (List.map (fun k -> (Ipa_harness.Cache.kind_name k, k)) kinds))) None
     & info [ "kind" ] ~docv:"KIND"
         ~doc:
-          "Only remove entries of this kind: $(b,snapshot), $(b,demand-slice-v1), or \
-           $(b,summary-v1). Default: every kind.")
+          "Only remove entries of this kind: $(b,snapshot) or $(b,demand-slice-v1). Default: \
+           every kind.")
 
 let cache_clear_cmd =
   let run dir kind =
@@ -917,7 +816,7 @@ let cache_cmd =
 (* The initial solution of a query session: a saved snapshot when
    --load-solution is given, otherwise a solve of the configured analysis
    (through the snapshot cache when the server has one). *)
-let obtain_solution ?cache path flavor heuristic budget shards load =
+let obtain_solution ?cache path flavor heuristic budget load =
   match load_program path with
   | Error msg -> Error msg
   | Ok p -> (
@@ -934,21 +833,21 @@ let obtain_solution ?cache path flavor heuristic budget shards load =
       | None ->
         let r =
           match heuristic with
-          | None -> Ipa_core.Analysis.run_plain ~budget ~shards p flavor
-          | Some h -> (Ipa_core.Analysis.run_introspective ~budget ~shards p flavor h).second
+          | None -> Ipa_core.Analysis.run_plain ~budget p flavor
+          | Some h -> (Ipa_core.Analysis.run_introspective ~budget p flavor h).second
         in
         Ok (p, r.label, r.solution)
       | Some cache -> (
         match heuristic with
         | None ->
-          let config = Ipa_core.Solver.plain p ~budget ~shards (Flavors.strategy p flavor) in
+          let config = Ipa_core.Solver.plain p ~budget (Flavors.strategy p flavor) in
           let r, _ = Ipa_harness.Cache.solve cache p ~label:(Flavors.to_string flavor) config in
           Ok (p, r.label, r.solution)
         | Some h ->
           let base, metrics = Ipa_harness.Cache.base_pass cache ~budget p in
           let refine = Heuristics.select base.solution metrics h in
           let label = Flavors.to_string flavor ^ "-" ^ Heuristics.name h in
-          let config = Ipa_core.Analysis.second_pass_config ~budget ~shards p flavor refine in
+          let config = Ipa_core.Analysis.second_pass_config ~budget p flavor refine in
           let r, _ = Ipa_harness.Cache.solve cache p ~label config in
           Ok (p, r.label, r.solution))))
 
@@ -997,11 +896,11 @@ let make_demand ?cache ~warm p flavor mode =
          config)
 
 let query_cmd =
-  let run path flavor heuristic budget shards load queries json timings demand_mode timeout =
+  let run path flavor heuristic budget load queries json timings demand_mode timeout =
     match
       match timeout with
       | Some s when s <= 0.0 -> Error "query: --timeout must be > 0"
-      | _ -> obtain_solution path flavor heuristic budget shards load
+      | _ -> obtain_solution path flavor heuristic budget load
     with
     | Error msg ->
       prerr_endline msg;
@@ -1040,12 +939,12 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:"Answer points-to queries (pts, alias, callees, reach, taint, ...) over a solution.")
     Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ shards_arg
+      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg
       $ load_solution_arg $ queries_arg $ json_arg $ timings_arg $ demand_mode_arg
       $ timeout_arg)
 
 let serve_cmd =
-  let run path flavor heuristic budget shards load cache_dir mem_budget jobs json timings socket
+  let run path flavor heuristic budget load cache_dir mem_budget jobs json timings socket
       log_path read_timeout max_line max_queries demand_mode =
     let ( let* ) r k =
       match r with
@@ -1065,7 +964,7 @@ let serve_cmd =
         Error "--mem-budget requires --cache-dir (it bounds the snapshot cache)"
       else Ok ()
     in
-    let* p, label, sol = obtain_solution ?cache path flavor heuristic budget shards load in
+    let* p, label, sol = obtain_solution ?cache path flavor heuristic budget load in
     let limits =
       {
         Ipa_query.Server.max_line;
@@ -1178,7 +1077,7 @@ let serve_cmd =
          "Run a persistent query session: answers queries line by line, hot-loads snapshots \
           with $(b,load path/key), reports $(b,metrics), ends at $(b,quit) or end of input.")
     Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ shards_arg
+      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg
       $ load_solution_arg $ serve_cache_dir_arg $ mem_budget_arg $ jobs_arg $ json_arg
       $ timings_arg $ socket_arg $ log_arg $ read_timeout_arg $ max_line_arg $ max_queries_arg
       $ demand_mode_arg)
@@ -1186,7 +1085,7 @@ let serve_cmd =
 (* ---------- lint ---------- *)
 
 let lint_cmd =
-  let run path flavor heuristic budget shards rules_spec no_solve format output baseline_path
+  let run path flavor heuristic budget rules_spec no_solve format output baseline_path
       update_baseline jobs mega taint_spec_path =
     let ( let* ) r k =
       match r with
@@ -1207,8 +1106,8 @@ let lint_cmd =
       else begin
         let r =
           match heuristic with
-          | None -> Ipa_core.Analysis.run_plain ~budget ~shards p flavor
-          | Some h -> (Ipa_core.Analysis.run_introspective ~budget ~shards p flavor h).second
+          | None -> Ipa_core.Analysis.run_plain ~budget p flavor
+          | Some h -> (Ipa_core.Analysis.run_introspective ~budget p flavor h).second
         in
         if r.timed_out then
           Printf.eprintf
@@ -1335,7 +1234,7 @@ let lint_cmd =
          "Run the diagnostics suite: syntactic rules plus solution-backed rules grounded in a \
           points-to analysis.")
     Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ shards_arg $ rules_arg
+      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ rules_arg
       $ no_solve_arg $ format_arg $ output_arg $ baseline_arg $ update_baseline_arg $ jobs_arg
       $ mega_arg $ taint_spec_arg)
 

@@ -29,7 +29,7 @@ let report (r : Ipa_core.Analysis.result) =
   List.length res.findings
 
 let () =
-  let w = Ipa_synthetic.World.create ~seed:7 in
+  let w = Ipa_synthetic.World.create () in
   Ipa_synthetic.Motifs.taint_pipes ~sanitized:2 w ~n:6;
   let p = Ipa_synthetic.World.finish w in
   let insens = report (Ipa_core.Analysis.run_plain p Ipa_core.Flavors.Insensitive) in

@@ -11,13 +11,13 @@ let run_config p ~label config =
   let solution, seconds = Timer.time (fun () -> Solver.run p config) in
   { label; solution; seconds; timed_out = solution.Solution.outcome = Budget_exceeded }
 
-let run_plain ?(budget = 0) ?(shards = 1) p flavor =
+let run_plain ?(budget = 0) p flavor =
   let strategy = Flavors.strategy p flavor in
-  run_config p ~label:(Flavors.to_string flavor) (Solver.plain p ~budget ~shards strategy)
+  run_config p ~label:(Flavors.to_string flavor) (Solver.plain p ~budget strategy)
 
 (* The configuration of every second pass: context-insensitive constructors
    by default, the requested flavor's constructors on refined elements. *)
-let second_pass_config ?(budget = 0) ?(shards = 1) p flavor refine =
+let second_pass_config ?(budget = 0) p flavor refine =
   {
     Solver.default_strategy = Flavors.strategy p Flavors.Insensitive;
     refined_strategy = Flavors.strategy p flavor;
@@ -26,7 +26,6 @@ let second_pass_config ?(budget = 0) ?(shards = 1) p flavor refine =
     order = Solver.Topo;
     collapse_cycles = true;
     field_sensitive = true;
-    shards;
   }
 
 type introspective = {
@@ -38,18 +37,18 @@ type introspective = {
   second : result;
 }
 
-let run_introspective_from_base ?(budget = 0) ?(shards = 1) p ~base ~metrics flavor heuristic =
+let run_introspective_from_base ?(budget = 0) p ~base ~metrics flavor heuristic =
   let refine = Heuristics.select base.solution metrics heuristic in
   let selection = Heuristics.selection_stats base.solution refine in
-  let config = second_pass_config ~budget ~shards p flavor refine in
+  let config = second_pass_config ~budget p flavor refine in
   let label = Printf.sprintf "%s-%s" (Flavors.to_string flavor) (Heuristics.name heuristic) in
   let second = run_config p ~label config in
   { base; metrics; heuristic; refine; selection; second }
 
-let run_introspective ?(budget = 0) ?(shards = 1) p flavor heuristic =
-  let base = run_plain ~budget ~shards p Flavors.Insensitive in
+let run_introspective ?(budget = 0) p flavor heuristic =
+  let base = run_plain ~budget p Flavors.Insensitive in
   let metrics = Introspection.compute base.solution in
-  run_introspective_from_base ~budget ~shards p ~base ~metrics flavor heuristic
+  run_introspective_from_base ~budget p ~base ~metrics flavor heuristic
 
 type client_driven = {
   cd_base : result;
@@ -57,40 +56,29 @@ type client_driven = {
   cd_second : result;
 }
 
-let run_client_driven_from_base ?(budget = 0) ?(shards = 1) p ~base flavor query =
+let run_client_driven_from_base ?(budget = 0) p ~base flavor query =
   let cd_refine = Client_driven.select base.solution query in
-  let config = second_pass_config ~budget ~shards p flavor cd_refine in
+  let config = second_pass_config ~budget p flavor cd_refine in
   let label = Printf.sprintf "%s-query" (Flavors.to_string flavor) in
   let cd_second = run_config p ~label config in
   { cd_base = base; cd_refine; cd_second }
 
-let run_client_driven ?(budget = 0) ?(shards = 1) p flavor query =
-  let base = run_plain ~budget ~shards p Flavors.Insensitive in
-  run_client_driven_from_base ~budget ~shards p ~base flavor query
+let run_client_driven ?(budget = 0) p flavor query =
+  let base = run_plain ~budget p Flavors.Insensitive in
+  run_client_driven_from_base ~budget p ~base flavor query
 
-let run_compositional ?store ?(jobs = 1) ?(budget = 0) p flavor =
-  let strategy = Flavors.strategy p flavor in
-  let config = Solver.plain p ~budget strategy in
-  let (solution, report), seconds =
-    Timer.time (fun () -> Compositional_solver.solve ?store ~jobs p config)
-  in
-  let label = Printf.sprintf "%s-compositional" (Flavors.to_string flavor) in
-  ( { label; solution; seconds; timed_out = solution.Solution.outcome = Budget_exceeded },
-    report )
-
-let run_incremental ?store ?(jobs = 1) p ~base_program ~base_solution flavor =
+let run_incremental p ~base_program ~base_solution flavor =
   let strategy = Flavors.strategy p flavor in
   let config = Solver.plain p strategy in
   let (solution, report), seconds =
     Timer.time (fun () ->
-        Compositional_solver.solve_incremental ?store ~jobs ~base_program ~base_solution p
-          config)
+        Compositional_solver.solve_incremental ~base_program ~base_solution p config)
   in
   let label = Printf.sprintf "%s-incremental" (Flavors.to_string flavor) in
   ( { label; solution; seconds; timed_out = solution.Solution.outcome = Budget_exceeded },
     report )
 
-let run_mixed ?(budget = 0) ?(shards = 1) p ~default ~refined ~refine =
+let run_mixed ?(budget = 0) p ~default ~refined ~refine =
   let config =
     {
       Solver.default_strategy = Flavors.strategy p default;
@@ -100,8 +88,7 @@ let run_mixed ?(budget = 0) ?(shards = 1) p ~default ~refined ~refine =
       order = Solver.Topo;
       collapse_cycles = true;
       field_sensitive = true;
-      shards;
-    }
+      }
   in
   let label = Printf.sprintf "%s+%s" (Flavors.to_string default) (Flavors.to_string refined) in
   run_config p ~label config

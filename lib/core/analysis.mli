@@ -21,10 +21,8 @@ type result = {
   timed_out : bool;  (** derivation budget exceeded; tables are partial *)
 }
 
-val run_plain : ?budget:int -> ?shards:int -> Ipa_ir.Program.t -> Flavors.spec -> result
-(** [budget] is the maximum number of derivations (default unlimited);
-    [shards] splits the solve across that many domains (default 1,
-    sequential) with byte-identical results — see {!Solver.run}. *)
+val run_plain : ?budget:int -> Ipa_ir.Program.t -> Flavors.spec -> result
+(** [budget] is the maximum number of derivations (default unlimited). *)
 
 val run_config : Ipa_ir.Program.t -> label:string -> Solver.config -> result
 (** Run an arbitrary solver configuration, timing it and stamping the
@@ -33,7 +31,7 @@ val run_config : Ipa_ir.Program.t -> label:string -> Solver.config -> result
     keyed). *)
 
 val second_pass_config :
-  ?budget:int -> ?shards:int -> Ipa_ir.Program.t -> Flavors.spec -> Refine.t -> Solver.config
+  ?budget:int -> Ipa_ir.Program.t -> Flavors.spec -> Refine.t -> Solver.config
 (** The configuration of an introspective (or client-driven) second pass:
     context-insensitive constructors by default, [flavor]'s constructors on
     the elements selected by [refine], LIFO worklist, field-sensitive.
@@ -49,14 +47,14 @@ type introspective = {
 }
 
 val run_introspective :
-  ?budget:int -> ?shards:int -> Ipa_ir.Program.t -> Flavors.spec -> Heuristics.t -> introspective
+  ?budget:int -> Ipa_ir.Program.t -> Flavors.spec -> Heuristics.t -> introspective
 (** The [budget] applies to each pass separately. If the first pass itself
     exceeds the budget (which defeats the technique's premise), the
     heuristics run on its partial results and [base.timed_out] is set. *)
 
 val run_introspective_from_base :
   ?budget:int ->
-  ?shards:int ->
+ 
   Ipa_ir.Program.t ->
   base:result ->
   metrics:Introspection.t ->
@@ -79,7 +77,7 @@ type client_driven = {
 
 val run_client_driven :
   ?budget:int ->
-  ?shards:int ->
+ 
   Ipa_ir.Program.t ->
   Flavors.spec ->
   Client_driven.query ->
@@ -90,7 +88,7 @@ val run_client_driven :
 
 val run_client_driven_from_base :
   ?budget:int ->
-  ?shards:int ->
+ 
   Ipa_ir.Program.t ->
   base:result ->
   Flavors.spec ->
@@ -99,24 +97,9 @@ val run_client_driven_from_base :
 (** {!run_client_driven} with the caller-supplied (possibly cached)
     context-insensitive first pass. *)
 
-(** {1 Compositional and incremental solving} *)
-
-val run_compositional :
-  ?store:Compositional_solver.store ->
-  ?jobs:int ->
-  ?budget:int ->
-  Ipa_ir.Program.t ->
-  Flavors.spec ->
-  result * Compositional_solver.report
-(** [run_plain] via {!Compositional_solver.solve}: summaries are published
-    to (and reused from) [store], component digesting and boundary
-    computation fan out over [jobs] domains, and the solution is
-    byte-identical to the monolithic run except the compositional counters.
-    The label is suffixed ["-compositional"]. *)
+(** {1 Incremental solving} *)
 
 val run_incremental :
-  ?store:Compositional_solver.store ->
-  ?jobs:int ->
   Ipa_ir.Program.t ->
   base_program:Ipa_ir.Program.t ->
   base_solution:Solution.t ->
@@ -132,7 +115,7 @@ val run_incremental :
 
 val run_mixed :
   ?budget:int ->
-  ?shards:int ->
+ 
   Ipa_ir.Program.t ->
   default:Flavors.spec ->
   refined:Flavors.spec ->

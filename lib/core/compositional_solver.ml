@@ -1,142 +1,37 @@
-module Domain_pool = Ipa_support.Domain_pool
 module Program = Ipa_ir.Program
 
-type store = {
-  find_bytes : string -> string option;
-  put_bytes : string -> string -> unit;
-}
+type report = { n_sccs : int; dirty_sccs : int list; fallback : string option }
 
-type report = {
-  n_sccs : int;
-  sccs_summarized : int;
-  summaries_reused : int;
-  sccs_resolved : int;
-  dirty_sccs : int list;
-  incremental : bool;
-  fallback : string option;
-}
+let digests p (cond : Summary.condensation) =
+  Array.init (Array.length cond.sccs) (Summary.digest p cond)
 
-(* Mirrors the demand-slice key discipline (demand-slice-v1): a plain hex
-   MD5 over a kind tag, the configuration fingerprint, and the component's
-   content digest. The program digest is deliberately absent — that is the
-   whole point: a component whose slice did not change keeps its key across
-   program edits. *)
-let summary_key ~fingerprint digest =
-  Digest.to_hex (Digest.string (Printf.sprintf "summary-v1\n%s\n%s" fingerprint digest))
+let cold_fallback p cfg reason =
+  let n_sccs = Array.length (Summary.condense p).sccs in
+  (Solver.run p cfg, { n_sccs; dirty_sccs = []; fallback = Some reason })
 
-let member_names p (scc : Summary.scc) =
-  Array.to_list (Array.map (Program.meth_full_name p) scc.members)
-
-(* Digest every component (parallel), probe the store sequentially so hit
-   and miss counts are deterministic, then compute boundaries for the
-   misses (parallel) and publish them sequentially. Returns the per-scc
-   digests plus (freshly summarized, reused) counts. *)
-let extract ?store ~jobs p cfg (cond : Summary.condensation) =
-  let fingerprint = Snapshot.config_fingerprint cfg in
-  let n = Array.length cond.sccs in
-  let ids = Array.init n (fun i -> i) in
-  let digests =
-    Domain_pool.with_pool ~jobs (fun pool ->
-        Domain_pool.map pool (fun sid -> Summary.digest p cond sid) ids)
-  in
-  match store with
-  | None ->
-    (* No store: every component is (re)summarized implicitly by the solve
-       itself; nothing is cached, nothing is reused. *)
-    (digests, n, 0)
-  | Some store ->
-    let misses = ref [] in
-    let reused = ref 0 in
-    Array.iter
-      (fun sid ->
-        let key = summary_key ~fingerprint digests.(sid) in
-        match store.find_bytes key with
-        | Some bytes -> (
-          match Summary.decode_blob bytes with
-          | Some (d, _, _) when d = digests.(sid) -> incr reused
-          | Some _ | None ->
-            (* Foreign, corrupt, or colliding entry: recompute. *)
-            misses := sid :: !misses)
-        | None -> misses := sid :: !misses)
-      ids;
-    let misses = Array.of_list (List.rev !misses) in
-    let boundaries =
-      Domain_pool.with_pool ~jobs (fun pool ->
-          Domain_pool.map pool (fun sid -> Summary.boundary p cond sid) misses)
-    in
-    Array.iteri
-      (fun i sid ->
-        let blob =
-          Summary.encode_blob ~digest:digests.(sid)
-            (member_names p cond.sccs.(sid))
-            boundaries.(i)
-        in
-        store.put_bytes (summary_key ~fingerprint digests.(sid)) blob)
-      misses;
-    (digests, Array.length misses, !reused)
-
-let patch_counters (sol : Solution.t) ~sccs_summarized ~summaries_reused ~sccs_resolved =
-  {
-    sol with
-    Solution.counters =
-      { sol.Solution.counters with sccs_summarized; summaries_reused; sccs_resolved };
-  }
-
-let solve ?store ?(jobs = 1) p cfg =
-  let cond = Summary.condense p in
-  let n_sccs = Array.length cond.sccs in
-  let _digests, summarized, reused = extract ?store ~jobs p cfg cond in
-  (* The solve replays each body's compiled constraint module instead of
-     walking instructions: the constraint stream is identical by
-     construction, so the solution — counters, derivations, tables — is
-     byte-identical to the monolithic [Solver.run]. *)
-  let sol = Solver.run ~replay:(Summary.compile p) p cfg in
-  let sol =
-    patch_counters sol ~sccs_summarized:summarized ~summaries_reused:reused
-      ~sccs_resolved:n_sccs
-  in
-  ( sol,
-    {
-      n_sccs;
-      sccs_summarized = summarized;
-      summaries_reused = reused;
-      sccs_resolved = n_sccs;
-      dirty_sccs = [];
-      incremental = false;
-      fallback = None;
-    } )
-
-let cold_fallback ?store ?jobs p cfg reason =
-  let sol, r = solve ?store ?jobs p cfg in
-  (sol, { r with fallback = Some reason })
-
-let solve_incremental ?store ?(jobs = 1) ~base_program ~base_solution p cfg =
+let solve_incremental ~base_program ~base_solution p cfg =
   if cfg.Solver.budget > 0 then
     (* A budget aborts mid-fixpoint at a derivation count the warm phase
        cannot reproduce (its seeds spend nothing): warm and cold would
        diverge. Incremental solving is for unbudgeted runs. *)
-    cold_fallback ?store ~jobs p cfg "budgeted"
+    cold_fallback p cfg "budgeted"
   else if base_solution.Solution.outcome <> Solution.Complete then
-    cold_fallback ?store ~jobs p cfg "partial baseline"
+    cold_fallback p cfg "partial baseline"
   else if not (Summary.extends ~old_p:base_program ~new_p:p) then
     (* Seeding is sound only under a monotone, id-stable extension: the
        base fixpoint must be a subset of the edited program's. *)
-    cold_fallback ?store ~jobs p cfg "non-monotone delta"
+    cold_fallback p cfg "non-monotone delta"
   else begin
-    let cond_old = Summary.condense base_program in
     let cond = Summary.condense p in
     let n_sccs = Array.length cond.sccs in
-    let digests, summarized, reused = extract ?store ~jobs p cfg cond in
-    let old_ids = Array.init (Array.length cond_old.sccs) (fun i -> i) in
-    let old_digests =
-      Domain_pool.with_pool ~jobs (fun pool ->
-          Domain_pool.map pool (fun sid -> Summary.digest base_program cond_old sid) old_ids)
-    in
-    let old_set = Hashtbl.create (max 16 (Array.length old_digests)) in
-    Array.iter (fun d -> Hashtbl.replace old_set d ()) old_digests;
+    let new_digests = digests p cond in
+    let old_set = Hashtbl.create 64 in
+    Array.iter
+      (fun d -> Hashtbl.replace old_set d ())
+      (digests base_program (Summary.condense base_program));
     let dirty0 = ref [] in
     for sid = n_sccs - 1 downto 0 do
-      if not (Hashtbl.mem old_set digests.(sid)) then dirty0 := sid :: !dirty0
+      if not (Hashtbl.mem old_set new_digests.(sid)) then dirty0 := sid :: !dirty0
     done;
     let dirty = Summary.dirty_closure cond !dirty0 in
     let dirty_sccs = ref [] in
@@ -156,23 +51,6 @@ let solve_incremental ?store ?(jobs = 1) ~base_program ~base_solution p cfg =
     for m = Program.n_meths base_program to Program.n_meths p - 1 do
       defer.(m) <- true
     done;
-    let sol =
-      Solver.run_incremental ~replay:(Summary.compile p)
-        ~seed:{ Solver.base = base_solution; defer }
-        p cfg
-    in
-    let sccs_resolved = List.length !dirty_sccs in
-    let sol =
-      patch_counters sol ~sccs_summarized:summarized ~summaries_reused:reused ~sccs_resolved
-    in
-    ( sol,
-      {
-        n_sccs;
-        sccs_summarized = summarized;
-        summaries_reused = reused;
-        sccs_resolved;
-        dirty_sccs = !dirty_sccs;
-        incremental = true;
-        fallback = None;
-      } )
+    let sol = Solver.run_incremental ~seed:{ Solver.base = base_solution; defer } p cfg in
+    (sol, { n_sccs; dirty_sccs = !dirty_sccs; fallback = None })
   end

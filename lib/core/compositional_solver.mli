@@ -1,67 +1,24 @@
-(** Compositional solving over the call-graph condensation, and incremental
-    re-analysis after program edits.
+(** Incremental re-analysis after program edits.
 
-    A {e compositional} solve processes the program per strongly connected
-    component of the (CHA-approximated) call graph, bottom-up: each
-    component is digested, its boundary summary is looked up in — or
-    published to — a content-addressed store ({!Summary}), and the solve
-    itself replays the components' compiled constraint modules instead of
-    walking method bodies. The constraint stream is identical by
-    construction, so the returned {!Solution.t} is byte-identical to the
-    monolithic {!Solver.run} for the same configuration (asserted by
-    differential tests), with the compositional counters patched in.
-
-    An {e incremental} solve additionally diffs the component digests
-    against a baseline program, closes the dirty set over transitive
-    callers, and warm-starts {!Solver.run_incremental} from the baseline
-    solution with only the digest-changed bodies deferred — so the warm
-    derivation count measures the edit, not the program. When the edit is
-    not a monotone extension (or the config is budgeted, or the baseline
-    incomplete), it falls back to a cold compositional solve and says so in
-    the report. *)
-
-(** A content-addressed byte store — in practice [Harness.Cache.summary_store],
-    but any keyed blob store works (tests use an in-memory table). *)
-type store = {
-  find_bytes : string -> string option;
-  put_bytes : string -> string -> unit;
-}
+    An incremental solve condenses the (CHA-approximated) call graph of
+    both programs into strongly connected components ({!Summary}), diffs
+    their content digests, closes the dirty set over transitive callers,
+    and warm-starts {!Solver.run_incremental} from the baseline solution
+    with only the digest-changed bodies deferred — so the warm derivation
+    count measures the edit, not the program. When the edit is not a
+    monotone extension (or the config is budgeted, or the baseline
+    incomplete), it falls back to a cold {!Solver.run} and says so in the
+    report. *)
 
 type report = {
   n_sccs : int;  (** components in the condensation of the solved program *)
-  sccs_summarized : int;  (** boundary summaries computed and published *)
-  summaries_reused : int;  (** store hits: components whose digest matched *)
-  sccs_resolved : int;
-      (** components (re-)solved: all of them on a cold solve, the dirty
-          closure on an incremental one *)
-  dirty_sccs : int list;  (** ascending; empty on a cold solve *)
-  incremental : bool;  (** whether the warm path actually ran *)
-  fallback : string option;
-      (** why the warm path was refused, when it was ([incremental = false]
-          and a baseline was offered) *)
+  dirty_sccs : int list;
+      (** ascending: digest-changed components plus their transitive
+          callers; empty on a fallback *)
+  fallback : string option;  (** why the warm path was refused, when it was *)
 }
 
-val summary_key : fingerprint:string -> string -> string
-(** [summary_key ~fingerprint digest] is the store key of a component
-    summary: hex MD5 over the [summary-v1] tag, the
-    {!Snapshot.config_fingerprint}, and the component's content digest. No
-    program digest — an unchanged component keeps its key across edits. *)
-
-val solve :
-  ?store:store ->
-  ?jobs:int ->
-  Ipa_ir.Program.t ->
-  Solver.config ->
-  Solution.t * report
-(** Cold compositional solve. Digests components and computes missing
-    boundary summaries in parallel ([jobs] domains; store probes and
-    publishes stay sequential, so reuse counts are deterministic), then
-    solves by replay. The solution equals [Solver.run p cfg] byte-for-byte
-    except the three compositional counters. *)
-
 val solve_incremental :
-  ?store:store ->
-  ?jobs:int ->
   base_program:Ipa_ir.Program.t ->
   base_solution:Solution.t ->
   Ipa_ir.Program.t ->
@@ -71,6 +28,6 @@ val solve_incremental :
     must be the solve of [base_program] under the same [cfg]). The solution
     is byte-identical to a cold solve of the edited program modulo counters
     and derivation count; [Solution.derivations] counts only edit-enabled
-    work. Falls back to {!solve} — reporting [fallback = Some reason] —
+    work. Falls back to {!Solver.run} — reporting [fallback = Some reason] —
     when [cfg] is budgeted, the baseline is not [Complete], or the edit is
     not a monotone extension ({!Summary.extends}). *)

@@ -103,25 +103,6 @@ let print_counters (s : Solution.t) =
         string_of_int c.repropagations_avoided;
         pct c.repropagations_avoided s.derivations ^ " of derivations";
       ];
-      [ "solver shards"; string_of_int c.shards; (if c.shards <= 1 then "sequential" else "") ];
-      [ "sync rounds"; string_of_int c.sync_rounds; "cross-shard barriers" ];
-      [
-        "deltas exchanged";
-        string_of_int c.deltas_exchanged;
-        pct c.deltas_exchanged c.batch_objs ^ " of batch objects";
-      ];
-      [ "cross-shard edges"; string_of_int c.cross_shard_edges; "in the last partition" ];
-      [ "sccs summarized"; string_of_int c.sccs_summarized; "compositional solve" ];
-      [
-        "summaries reused";
-        string_of_int c.summaries_reused;
-        pct c.summaries_reused (c.sccs_summarized + c.summaries_reused) ^ " of components";
-      ];
-      [
-        "sccs re-solved";
-        string_of_int c.sccs_resolved;
-        "dirty closure on an incremental solve";
-      ];
     ]
 
 let top_methods ?(limit = 15) s = take limit (compute s).methods

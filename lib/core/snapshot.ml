@@ -9,16 +9,14 @@ module Program = Ipa_ir.Program
    (cycles_collapsed, nodes_merged, repropagations_avoided), and the
    configuration key grew the worklist order's [Topo] case plus the
    [collapse_cycles] flag.
-   Version 3: sharded-solve counters joined [Solution.counters] (shards,
-   sync_rounds, deltas_exchanged, cross_shard_edges). The configuration key
-   deliberately does NOT include the shard count: a sharded solve is
-   byte-identical to a sequential one, so both share a cache entry.
-   Version 4: compositional-solve counters joined [Solution.counters]
-   (sccs_summarized, summaries_reused, sccs_resolved). Like the shard
-   count, they are bookkeeping about how the fixpoint was reached, not part
-   of it, so the configuration key is unchanged in structure (only the
-   version constant above rotates the key space). *)
-let version = 4
+   Version 3: four sharded-solve counters joined [Solution.counters]; the
+   configuration key left out the shard count, since a sharded solve was
+   byte-identical to a sequential one.
+   Version 4: three compositional-solve counters joined
+   [Solution.counters], again outside the configuration key.
+   Version 5: sharded solving and the compositional summary store were
+   removed, and with them the seven counters of versions 3 and 4. *)
+let version = 5
 let magic = "IPSN"
 let trailer = "NSPI"
 
@@ -190,12 +188,6 @@ let config_key ~program_digest (c : Solver.config) =
   Writer.bool w c.field_sensitive;
   Digest.to_hex (Digest.string (Writer.contents w))
 
-(* The program-independent part of [config_key]: what must match between
-   two solves for one's summaries (or fixpoint seeds) to be meaningful to
-   the other. Incremental re-analysis compares fingerprints, not keys — the
-   program digest necessarily differs across an edit. *)
-let config_fingerprint c = config_key ~program_digest:"" c
-
 (* ---------- solution ---------- *)
 
 let encode_pair_tbl w tbl =
@@ -254,14 +246,7 @@ let encode_solution w (s : Solution.t) =
   Writer.uint w c.set_promotions;
   Writer.uint w c.cycles_collapsed;
   Writer.uint w c.nodes_merged;
-  Writer.uint w c.repropagations_avoided;
-  Writer.uint w c.shards;
-  Writer.uint w c.sync_rounds;
-  Writer.uint w c.deltas_exchanged;
-  Writer.uint w c.cross_shard_edges;
-  Writer.uint w c.sccs_summarized;
-  Writer.uint w c.summaries_reused;
-  Writer.uint w c.sccs_resolved
+  Writer.uint w c.repropagations_avoided
 
 let decode_solution r program : Solution.t =
   let ctxs = decode_ctxs r in
@@ -295,13 +280,6 @@ let decode_solution r program : Solution.t =
   let cycles_collapsed = Reader.uint r in
   let nodes_merged = Reader.uint r in
   let repropagations_avoided = Reader.uint r in
-  let shards = Reader.uint r in
-  let sync_rounds = Reader.uint r in
-  let deltas_exchanged = Reader.uint r in
-  let cross_shard_edges = Reader.uint r in
-  let sccs_summarized = Reader.uint r in
-  let summaries_reused = Reader.uint r in
-  let sccs_resolved = Reader.uint r in
   {
     Solution.program;
     ctxs;
@@ -324,13 +302,6 @@ let decode_solution r program : Solution.t =
         cycles_collapsed;
         nodes_merged;
         repropagations_avoided;
-        shards;
-        sync_rounds;
-        deltas_exchanged;
-        cross_shard_edges;
-        sccs_summarized;
-        summaries_reused;
-        sccs_resolved;
       };
     collapsed_vpt_cache = None;
     collapsed_fpt_cache = None;

@@ -66,11 +66,6 @@ val config_key :
     field sensitivity — everything that determines a solve's outcome. Used
     as the cache address and stored inside the snapshot. *)
 
-val config_fingerprint : Solver.config -> string
-(** {!config_key} minus the program digest: the configuration identity that
-    must match for per-SCC summaries or fixpoint seeds produced under one
-    program to be reusable under an edited one. *)
-
 type error =
   | Bad_magic  (** not a snapshot at all *)
   | Version_mismatch of { found : int; expected : int }

@@ -15,13 +15,6 @@ type counters = {
   cycles_collapsed : int;
   nodes_merged : int;
   repropagations_avoided : int;
-  shards : int;
-  sync_rounds : int;
-  deltas_exchanged : int;
-  cross_shard_edges : int;
-  sccs_summarized : int;
-  summaries_reused : int;
-  sccs_resolved : int;
 }
 
 let zero_counters =
@@ -35,13 +28,6 @@ let zero_counters =
     cycles_collapsed = 0;
     nodes_merged = 0;
     repropagations_avoided = 0;
-    shards = 0;
-    sync_rounds = 0;
-    deltas_exchanged = 0;
-    cross_shard_edges = 0;
-    sccs_summarized = 0;
-    summaries_reused = 0;
-    sccs_resolved = 0;
   }
 
 type t = {

@@ -33,21 +33,6 @@ type counters = {
   repropagations_avoided : int;
       (** semantic insertions that needed no physical pending push — work the
           collapse saved relative to an uncollapsed solve *)
-  shards : int;
-      (** worklist shards the solve ran with; 1 for a sequential solve *)
-  sync_rounds : int;
-      (** cross-shard synchronization barriers (0 when [shards = 1]) *)
-  deltas_exchanged : int;
-      (** (target-node, object) deltas delivered through shard outboxes *)
-  cross_shard_edges : int;
-      (** copy edges crossing a shard boundary in the last partition *)
-  sccs_summarized : int;
-      (** call-graph components freshly summarized by a compositional solve *)
-  summaries_reused : int;
-      (** components whose summary came out of the content-addressed cache *)
-  sccs_resolved : int;
-      (** components (re-)solved: all of them on a cold compositional solve,
-          only the dirty closure on an incremental one *)
 }
 
 val zero_counters : counters

@@ -3,7 +3,6 @@ module Pair_tbl = Ipa_support.Pair_tbl
 module Dynarr = Ipa_support.Dynarr
 module Union_find = Ipa_support.Union_find
 module Int_heap = Ipa_support.Int_heap
-module Domain_pool = Ipa_support.Domain_pool
 module Program = Ipa_ir.Program
 module Node = Solution.Node
 
@@ -17,10 +16,9 @@ type config = {
   order : worklist_order;
   collapse_cycles : bool;
   field_sensitive : bool;
-  shards : int;
 }
 
-let plain _p ?(budget = 0) ?(shards = 1) strategy =
+let plain _p ?(budget = 0) strategy =
   {
     default_strategy = strategy;
     refined_strategy = strategy;
@@ -29,7 +27,6 @@ let plain _p ?(budget = 0) ?(shards = 1) strategy =
     order = Topo;
     collapse_cycles = true;
     field_sensitive = true;
-    shards;
   }
 
 exception Out_of_budget
@@ -157,15 +154,11 @@ type state = {
   cg_seen : Int_set.t; (* packed (caller-pair, reach-pair) *)
   base_uses : use list array;
   filters : Filters.t;
-  (* Compositional solving. [replay] substitutes compiled per-method
-     constraint modules for the instruction walk of [process_body] (same
-     stream, same order — byte-identity is preserved). The incremental mode
-     seeds the state from a baseline fixpoint: while [seeding] is set,
-     [spend] neither counts nor enforces the budget (the facts are not new),
-     and bodies of methods marked in [defer_body] — the dirty components of
-     an edit — are postponed, along with the base-use consumptions of their
-     variables, to the counted phase that follows. *)
-  replay : Summary.ops option;
+  (* Incremental solving seeds the state from a baseline fixpoint: while
+     [seeding] is set, [spend] neither counts nor enforces the budget (the
+     facts are not new), and bodies of methods marked in [defer_body] — the
+     dirty components of an edit — are postponed, along with the base-use
+     consumptions of their variables, to the counted phase that follows. *)
   mutable seeding : bool;
   defer_body : bool array;
   deferred_bodies : int Dynarr.t; (* reach ids whose body processing waits *)
@@ -184,9 +177,6 @@ type state = {
   mutable cycles_collapsed : int;
   mutable nodes_merged : int;
   mutable repropagations_avoided : int;
-  mutable sync_rounds : int;
-  mutable deltas_exchanged : int;
-  mutable cross_shard_edges : int;
 }
 
 let compute_base_uses (p : Program.t) : use list array =
@@ -208,11 +198,10 @@ let compute_base_uses (p : Program.t) : use list array =
   done;
   uses
 
-let create ?replay ?defer p cfg =
+let create ?defer p cfg =
   {
     p;
     cfg;
-    replay;
     seeding = false;
     defer_body =
       (match defer with
@@ -255,9 +244,6 @@ let create ?replay ?defer p cfg =
     cycles_collapsed = 0;
     nodes_merged = 0;
     repropagations_avoided = 0;
-    sync_rounds = 0;
-    deltas_exchanged = 0;
-    cross_shard_edges = 0;
   }
 
 let ensure_node st n =
@@ -637,50 +623,6 @@ and ensure_reachable st meth ctx =
     id
 
 and process_body st meth ctx ~reach_id =
-  match st.replay with
-  | Some ops -> replay_body st ops.(meth) meth ctx ~reach_id
-  | None -> process_body_instrs st meth ctx ~reach_id
-
-(* Replay a compiled constraint module: the exact constraint stream of
-   [process_body_instrs], in the same order (loads, stores and virtual
-   calls emit nothing there either — they are base-use-driven). *)
-and replay_body st ops meth ctx ~reach_id =
-  Array.iter
-    (fun (op : Summary.op) ->
-      match op with
-      | Summary.O_alloc { target; heap } ->
-        let strat =
-          if Refine.refine_object st.cfg.refine heap then st.cfg.refined_strategy
-          else st.cfg.default_strategy
-        in
-        let hctx = strat.record st.ctxs ~heap ~ctx in
-        let obj = Pair_tbl.intern st.objs heap hctx in
-        add_obj st (var_node st target ctx) obj ~spec:Filters.none
-      | Summary.O_copy { target; source } ->
-        add_edge st ~src:(var_node st source ctx) ~dst:(var_node st target ctx)
-          ~spec:Filters.none
-      | Summary.O_cast { target; source; cast_to } ->
-        add_edge st ~src:(var_node st source ctx) ~dst:(var_node st target ctx)
-          ~spec:(cast_spec st cast_to)
-      | Summary.O_load_static { target; field } ->
-        add_edge st ~src:(Node.of_static_fld field) ~dst:(var_node st target ctx)
-          ~spec:Filters.none
-      | Summary.O_store_static { field; source } ->
-        add_edge st ~src:(var_node st source ctx) ~dst:(Node.of_static_fld field)
-          ~spec:Filters.none
-      | Summary.O_scall { invo; callee } ->
-        let strat =
-          if Refine.refine_site st.cfg.refine ~invo ~meth:callee then st.cfg.refined_strategy
-          else st.cfg.default_strategy
-        in
-        let callee_ctx = strat.merge_static st.ctxs ~invo ~caller:ctx in
-        add_cg_edge st ~invo ~caller_ctx:ctx ~meth:callee ~callee_ctx
-      | Summary.O_throw { source } ->
-        route_exceptions st ~src:(var_node st source ctx) ~handler:meth ~ctx
-          ~handler_reach_id:reach_id)
-    ops
-
-and process_body_instrs st meth ctx ~reach_id =
   let mi = Program.meth_info st.p meth in
   Array.iter
     (fun (i : Program.instr) ->
@@ -988,340 +930,6 @@ let sweep st =
   st.gains_since_sweep <- 0
 
 (* ------------------------------------------------------------------ *)
-(* Sharded solving. A solve with [shards = K >= 2] alternates two phases:
-
-   - a sequential *grow* phase that runs the ordinary machinery (entry
-     processing, base uses, call dispatch, merges) and may create nodes and
-     edges; and
-   - a parallel *propagate* phase that closes the points-to sets over the
-     copy graph frozen at the round boundary. Each shard drains its own
-     topology-aware worklist on a pooled domain, delivering to locally-owned
-     nodes directly and to foreign nodes through per-destination outboxes
-     that the coordinator exchanges at synchronization sub-rounds, always in
-     (source-shard, send-sequence) order. Propagation fires no base uses:
-     (node, object) consumptions that would fire uses are logged, and the
-     merged log — sorted, so the order is canonical and independent of K —
-     drives the next grow phase.
-
-   Tarjan sweeps and rank recomputation run on the merged global graph at
-   round boundaries only, never per shard, so the per-round state sequence
-   (and with it derivations, cycles_collapsed, repropagations_avoided,
-   batch_objs) is a pure function of the program, not of K. Together with
-   the canonical materialization this makes shards=K solutions byte-identical
-   to shards=1. *)
-
-(* Assign [weights] (one per position, in topological order) to [shards]
-   contiguous blocks: position [i] goes to shard [prefix(i) * shards / total].
-   Each shard's summed weight is at most ceil(total/shards) + max weight, and
-   a position (= one SCC representative) is never split. *)
-let partition_blocks ~weights ~shards =
-  if shards < 1 then invalid_arg "Solver.partition_blocks: shards must be >= 1";
-  let total =
-    Array.fold_left
-      (fun acc w ->
-        if w <= 0 then invalid_arg "Solver.partition_blocks: weights must be positive";
-        acc + w)
-      0 weights
-  in
-  let assign = Array.make (Array.length weights) 0 in
-  let prefix = ref 0 in
-  Array.iteri
-    (fun i w ->
-      assign.(i) <- min (shards - 1) (!prefix * shards / max 1 total);
-      prefix := !prefix + w)
-    weights;
-  assign
-
-type shard = {
-  sid : int;
-  shard_heap : Int_heap.t; (* local worklist over owned representatives *)
-  inbox : int Dynarr.t; (* flattened (node, obj) deltas to apply *)
-  outboxes : int Dynarr.t array; (* per-destination flattened (node, obj) *)
-  use_log : int Dynarr.t; (* flattened (node, obj) consumptions with uses *)
-  (* Per-shard counter deltas, merged into [state] in shard order at each
-     synchronization barrier. *)
-  mutable s_attempts : int;
-  mutable s_gains : int;
-  mutable s_derivations : int;
-  mutable s_reprop : int;
-  mutable s_batches : int;
-  mutable s_batch_objs : int;
-  mutable s_max_batch : int;
-  mutable s_deltas : int;
-  mutable s_promotions : int;
-}
-
-let make_shard ~sid ~shards =
-  {
-    sid;
-    shard_heap = Int_heap.create ~capacity:256 ();
-    inbox = Dynarr.create ~capacity:64 ~dummy:0 ();
-    outboxes = Array.init shards (fun _ -> Dynarr.create ~capacity:64 ~dummy:0 ());
-    use_log = Dynarr.create ~capacity:64 ~dummy:0 ();
-    s_attempts = 0;
-    s_gains = 0;
-    s_derivations = 0;
-    s_reprop = 0;
-    s_batches = 0;
-    s_batch_objs = 0;
-    s_max_batch = 0;
-    s_deltas = 0;
-    s_promotions = 0;
-  }
-
-(* The copy graph frozen at a round boundary: [repof] is the union-find
-   image of every node (the parallel phase must never call [find] itself —
-   path compression mutates), [owner] maps every node to its shard. *)
-type frozen_partition = { owner : int array; repof : int array }
-
-(* Partition the frozen graph: SCC representatives sorted by (reverse-
-   postorder rank, id) — so each shard's block is contiguous in topological
-   order — weighted by 1 + out-degree + |pts|, cut into [shards] blocks.
-   Also pre-ensures every possible delivery target (node slots must not grow
-   mid-parallel-phase), seeds the per-shard heaps from the on-list flags,
-   and counts cross-shard copy edges. *)
-let partition_state st shs =
-  let shards = Array.length shs in
-  let n0 = Dynarr.length st.pts in
-  let max_node = ref (n0 - 1) in
-  for n = 0 to n0 - 1 do
-    match Dynarr.get st.edges n with
-    | None -> ()
-    | Some es ->
-      Dynarr.iter
-        (fun packed ->
-          let d = edge_dst packed in
-          if d > !max_node then max_node := d)
-        es
-  done;
-  if !max_node >= 0 then ensure_node st !max_node;
-  let n_nodes = Dynarr.length st.pts in
-  let repof = Array.init n_nodes (fun n -> Union_find.find st.uf n) in
-  let reps = Dynarr.create ~capacity:(max 16 n_nodes) ~dummy:0 () in
-  for n = 0 to n_nodes - 1 do
-    if repof.(n) = n then Dynarr.push reps n
-  done;
-  let reps = Dynarr.to_array reps in
-  Array.sort
-    (fun a b ->
-      let ra = Dynarr.get st.rank a and rb = Dynarr.get st.rank b in
-      if ra <> rb then compare ra rb else compare a b)
-    reps;
-  let weights =
-    Array.map
-      (fun n ->
-        let deg = match Dynarr.get st.edges n with None -> 0 | Some es -> Dynarr.length es in
-        let card = match Dynarr.get st.pts n with None -> 0 | Some s -> Int_set.cardinal s in
-        1 + deg + card)
-      reps
-  in
-  let assign = partition_blocks ~weights ~shards in
-  let owner = Array.make (max 1 n_nodes) 0 in
-  Array.iteri (fun i n -> owner.(n) <- assign.(i)) reps;
-  for n = 0 to n_nodes - 1 do
-    owner.(n) <- owner.(repof.(n))
-  done;
-  let cross = ref 0 in
-  Array.iter
-    (fun n ->
-      match Dynarr.get st.edges n with
-      | None -> ()
-      | Some es ->
-        Dynarr.iter
-          (fun packed ->
-            let d = repof.(edge_dst packed) in
-            if d <> n && owner.(d) <> owner.(n) then incr cross)
-          es)
-    reps;
-  st.cross_shard_edges <- !cross;
-  Array.iter
-    (fun n ->
-      if Dynarr.get st.on_list n then
-        Int_heap.push shs.(owner.(n)).shard_heap (heap_key ~rank:(Dynarr.get st.rank n) ~node:n))
-    reps;
-  Int_heap.clear st.heap;
-  { owner; repof }
-
-(* Deliver [obj] to the locally-owned representative [node]. The mirror of
-   [add_obj]'s fresh-insertion branch, with the same derivation attribution
-   ([member_count] per fresh object), accumulated shard-locally. *)
-let shard_deliver st sh node obj =
-  let s = node_pts st node in
-  if Int_set.add s obj then begin
-    sh.s_gains <- sh.s_gains + 1;
-    let k = Dynarr.get st.member_count node in
-    sh.s_derivations <- sh.s_derivations + k;
-    sh.s_reprop <- sh.s_reprop + k - 1;
-    Dynarr.push (node_pending st node) obj;
-    if not (Dynarr.get st.on_list node) then begin
-      Dynarr.set st.on_list node true;
-      Int_heap.push sh.shard_heap (heap_key ~rank:(Dynarr.get st.rank node) ~node)
-    end
-  end
-
-(* [process_node] without the graph-growing parts: propagate the pending
-   batch along the frozen edges (filters evaluated at the source), routing
-   foreign destinations through the outboxes, and log the consumptions whose
-   base uses must fire in the next sequential grow phase. *)
-let shard_process_node st part sh n =
-  Dynarr.set st.on_list n false;
-  let pending = node_pending st n in
-  let n_batch = Dynarr.length pending in
-  sh.s_batches <- sh.s_batches + 1;
-  sh.s_batch_objs <- sh.s_batch_objs + n_batch;
-  if n_batch > sh.s_max_batch then sh.s_max_batch <- n_batch;
-  (match Dynarr.get st.edges n with
-  | None -> ()
-  | Some es ->
-    let n_edges = Dynarr.length es in
-    for e = 0 to n_edges - 1 do
-      let packed = Dynarr.get es e in
-      let dst = part.repof.(edge_dst packed) in
-      let spec = edge_spec packed in
-      if dst <> n then
-        Dynarr.iter_prefix
-          (fun obj ->
-            sh.s_attempts <- sh.s_attempts + 1;
-            if Filters.passes st.filters st.p spec (heap_class st (Pair_tbl.fst st.objs obj))
-            then begin
-              let o = part.owner.(dst) in
-              if o = sh.sid then shard_deliver st sh dst obj
-              else begin
-                let ob = sh.outboxes.(o) in
-                Dynarr.push ob dst;
-                Dynarr.push ob obj
-              end
-            end)
-          pending ~n:n_batch
-    done);
-  let has_uses =
-    (match Node.kind n with Node.Var_node vn -> var_has_uses st vn | _ -> false)
-    || match Dynarr.get st.use_members n with Some ms -> Dynarr.length ms > 0 | None -> false
-  in
-  if has_uses then
-    Dynarr.iter_prefix
-      (fun obj ->
-        Dynarr.push sh.use_log n;
-        Dynarr.push sh.use_log obj)
-      pending ~n:n_batch;
-  Dynarr.drop_prefix pending n_batch
-
-(* One shard's work in one synchronization sub-round: apply the inbox (the
-   concatenation of every shard's outbox for us, in source-shard order),
-   then drain the local worklist to empty. Runs on a pooled domain; touches
-   only owned node slots plus frozen shared state. *)
-let shard_task st part sh =
-  let promotions0 = Int_set.promotion_count () in
-  let len = Dynarr.length sh.inbox in
-  let i = ref 0 in
-  while !i < len do
-    let node = Dynarr.get sh.inbox !i in
-    let obj = Dynarr.get sh.inbox (!i + 1) in
-    i := !i + 2;
-    sh.s_deltas <- sh.s_deltas + 1;
-    shard_deliver st sh node obj
-  done;
-  Dynarr.clear sh.inbox;
-  let exhausted = ref false in
-  while not !exhausted do
-    match Int_heap.pop_min sh.shard_heap with
-    | None -> exhausted := true
-    | Some key ->
-      let n = heap_node key in
-      if Dynarr.get st.on_list n then shard_process_node st part sh n
-  done;
-  sh.s_promotions <- sh.s_promotions + (Int_set.promotion_count () - promotions0)
-
-(* Move every outbox into its destination inbox, in (source-shard, send
-   sequence) order — the delta-application order is therefore deterministic.
-   Returns whether anything moved (i.e. another sub-round is needed). *)
-let exchange_outboxes shs =
-  let k = Array.length shs in
-  let any = ref false in
-  for dst = 0 to k - 1 do
-    let inbox = shs.(dst).inbox in
-    for src = 0 to k - 1 do
-      let ob = shs.(src).outboxes.(dst) in
-      if Dynarr.length ob > 0 then begin
-        any := true;
-        Dynarr.iter (fun v -> Dynarr.push inbox v) ob;
-        Dynarr.clear ob
-      end
-    done
-  done;
-  !any
-
-(* Fold the per-shard counter deltas into the solver state, in shard order.
-   The budget is deliberately not checked here: sharded propagation settles
-   accounts at round boundaries (see [run_sharded]). *)
-let merge_shard_counters st shs extra_promotions =
-  Array.iter
-    (fun sh ->
-      st.derivations <- st.derivations + sh.s_derivations;
-      st.batches <- st.batches + sh.s_batches;
-      st.batch_objs <- st.batch_objs + sh.s_batch_objs;
-      if sh.s_max_batch > st.max_batch then st.max_batch <- sh.s_max_batch;
-      st.repropagations_avoided <- st.repropagations_avoided + sh.s_reprop;
-      st.attempts_since_sweep <- st.attempts_since_sweep + sh.s_attempts;
-      st.gains_since_sweep <- st.gains_since_sweep + sh.s_gains;
-      st.deltas_exchanged <- st.deltas_exchanged + sh.s_deltas;
-      extra_promotions := !extra_promotions + sh.s_promotions;
-      sh.s_attempts <- 0;
-      sh.s_gains <- 0;
-      sh.s_derivations <- 0;
-      sh.s_reprop <- 0;
-      sh.s_batches <- 0;
-      sh.s_batch_objs <- 0;
-      sh.s_max_batch <- 0;
-      sh.s_deltas <- 0;
-      sh.s_promotions <- 0)
-    shs
-
-(* Apply the round's use log sequentially. The log is sorted, so the grow
-   phase consumes a canonical sequence: each (node, obj) pair was consumed
-   exactly once globally during propagation (points-to sets are monotone and
-   an object enters a pending batch only on first insertion), making the
-   sorted log — and hence everything the grow phase does — independent of
-   the shard count. Nodes are re-resolved through the union-find because an
-   earlier entry of the same grow phase may have merged them; uses already
-   fired over the full union at merge time are no-ops here. *)
-let apply_use_log st shs =
-  let total = Array.fold_left (fun acc sh -> acc + (Dynarr.length sh.use_log / 2)) 0 shs in
-  if total > 0 then begin
-    let entries = Array.make total (0, 0) in
-    let j = ref 0 in
-    Array.iter
-      (fun sh ->
-        let log = sh.use_log in
-        let len = Dynarr.length log in
-        let i = ref 0 in
-        while !i < len do
-          entries.(!j) <- (Dynarr.get log !i, Dynarr.get log (!i + 1));
-          incr j;
-          i := !i + 2
-        done;
-        Dynarr.clear log)
-      shs;
-    Array.sort compare entries;
-    Array.iter
-      (fun (node, obj) ->
-        let node = Union_find.find st.uf node in
-        (match Node.kind node with
-        | Node.Var_node vn when var_has_uses st vn -> apply_var_uses st vn obj
-        | _ -> ());
-        match Dynarr.get st.use_members node with
-        | None -> ()
-        | Some ms ->
-          Dynarr.iter
-            (fun m ->
-              match Node.kind m with
-              | Node.Var_node vn -> apply_var_uses st vn obj
-              | _ -> assert false)
-            ms)
-      entries
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Materialization. Collapse (and the worklist discipline) must be invisible
    above the solver, bit for bit: the solution is renumbered into a
    canonical order — contexts by their element sequences, pair tables by
@@ -1482,15 +1090,6 @@ let materialize st outcome ~set_promotions =
         cycles_collapsed = st.cycles_collapsed;
         nodes_merged = st.nodes_merged;
         repropagations_avoided = st.repropagations_avoided;
-        shards = max 1 st.cfg.shards;
-        sync_rounds = st.sync_rounds;
-        deltas_exchanged = st.deltas_exchanged;
-        cross_shard_edges = st.cross_shard_edges;
-        (* Owned by Compositional_solver, which patches them onto the
-           returned solution; a direct solve reports zeros. *)
-        sccs_summarized = 0;
-        summaries_reused = 0;
-        sccs_resolved = 0;
       };
     collapsed_vpt_cache = None;
     collapsed_fpt_cache = None;
@@ -1594,8 +1193,8 @@ let apply_seeds st (base : Solution.t) =
         (Int_set.to_sorted_list s)
   done
 
-let run_sequential ?replay ?seed p cfg =
-  let st = create ?replay ?defer:(Option.map (fun s -> s.defer) seed) p cfg in
+let solve ?seed p cfg =
+  let st = create ?defer:(Option.map (fun s -> s.defer) seed) p cfg in
   let promotions_before = Int_set.promotion_count () in
   let outcome =
     try
@@ -1635,61 +1234,5 @@ let run_sequential ?replay ?seed p cfg =
   let set_promotions = Int_set.promotion_count () - promotions_before in
   materialize st outcome ~set_promotions
 
-(* The bulk-synchronous sharded solve. The sequential path above is left
-   completely untouched (it is the semantics reference — byte-identical
-   output is the contract, and its budget abort point is pinned by tests);
-   this path alternates sequential grow phases with parallel propagation
-   rounds as described at [partition_blocks]. The worklist [order] knob is
-   ignored: sharded propagation is always topology-aware per shard. *)
-let run_sharded ?replay p cfg =
-  let shards = cfg.shards in
-  let st = create ?replay p { cfg with order = Topo } in
-  let promotions_before = Int_set.promotion_count () in
-  let extra_promotions = ref 0 in
-  let outcome =
-    try
-      (* The solve owns a pool scoped to its own lifetime: harness-level
-         pools fan out whole solves, and a worker of one pool must not block
-         waiting on tasks queued to the same pool (nested-map deadlock). The
-         domains are reused across every sub-round of the solve. *)
-      Domain_pool.with_pool ~jobs:shards (fun pool ->
-          List.iter (fun m -> ignore (ensure_reachable st m Ctx.empty)) (Program.entries p);
-          let shs = Array.init shards (fun sid -> make_shard ~sid ~shards) in
-          let running = ref true in
-          while !running do
-            (* Round boundary: Tarjan collapse + rank recomputation on the
-               merged global graph — never per shard, so the collapse
-               counters do not depend on the shard count. *)
-            sweep st;
-            if Int_heap.is_empty st.heap then running := false
-            else begin
-              let part = partition_state st shs in
-              let draining = ref true in
-              while !draining do
-                ignore (Domain_pool.run_shards pool ~shards (fun sid -> shard_task st part shs.(sid)));
-                st.sync_rounds <- st.sync_rounds + 1;
-                merge_shard_counters st shs extra_promotions;
-                draining := exchange_outboxes shs
-              done;
-              (* Propagation spends at the barrier rather than per insertion;
-                 a sharded solve can therefore overshoot the budget within a
-                 round, but the abort point is still deterministic and
-                 independent of the shard count (rounds are). *)
-              if st.cfg.budget > 0 && st.derivations > st.cfg.budget then raise Out_of_budget;
-              apply_use_log st shs
-            end
-          done);
-      Solution.Complete
-    with Out_of_budget -> Solution.Budget_exceeded
-  in
-  let set_promotions = Int_set.promotion_count () - promotions_before + !extra_promotions in
-  materialize st outcome ~set_promotions
-
-let run ?replay p cfg =
-  if cfg.shards > 1 then run_sharded ?replay p cfg else run_sequential ?replay p cfg
-
-(* Incremental solving is sequential: the sharded path is a bulk-synchronous
-   refactoring of the same fixpoint and would accept seeds just as well, but
-   the warm phase is small by construction (that is the point), so the
-   orchestration lives above, in [Compositional_solver]. *)
-let run_incremental ?replay ~seed p cfg = run_sequential ?replay ~seed p cfg
+let run p cfg = solve p cfg
+let run_incremental ~seed p cfg = solve ~seed p cfg

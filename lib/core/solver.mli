@@ -28,24 +28,7 @@
 
     A configurable derivation budget bounds the number of tuple insertions;
     exceeding it aborts with [Solution.Budget_exceeded] — our deterministic
-    substitute for the paper's 90-minute wall-clock timeout.
-
-    {b Sharded solving.} With [shards = K >= 2] a single solve is split
-    across [K] OCaml domains. Constraint nodes are partitioned by copy-graph
-    SCC condensation: union-find representatives, sorted by reverse-postorder
-    rank, are cut into [K] contiguous blocks balanced by estimated weight
-    (1 + out-degree + points-to cardinality), so an SCC is never split and
-    intra-shard propagation follows the topological order. Each shard drains
-    its own priority worklist; values crossing a shard boundary travel in
-    per-destination outboxes of (target-node, object) deltas exchanged at
-    synchronization sub-rounds in (source-shard, send-sequence) order.
-    Graph growth (base uses, call dispatch, merges) is deferred to sequential
-    grow phases between propagation rounds, driven by a sorted consumption
-    log, and Tarjan sweeps run on the merged global graph at round boundaries
-    only — so the solve is deterministic and the returned solution (tables,
-    snapshots, cache keys, query answers) is byte-identical to [shards = 1].
-    Budget-limited runs abort at round rather than insertion granularity, so
-    only {e complete} sharded runs are bit-comparable to sequential ones. *)
+    substitute for the paper's 90-minute wall-clock timeout. *)
 
 (** Worklist discipline. The computed fixpoint is identical in all cases
     (asserted by property tests); only the visit order — and hence wall-clock
@@ -67,26 +50,14 @@ type config = {
       (** [false] degrades field handling to a field-based analysis (all base
           objects of a field collapse) — an ablation of a design choice the
           paper's model takes for granted. *)
-  shards : int;
-      (** number of solver shards (domains) for this single solve; [<= 1]
-          runs the sequential solver. When [>= 2], [order] is ignored —
-          sharded propagation is always topology-aware per shard. *)
 }
 
-val plain : Ipa_ir.Program.t -> ?budget:int -> ?shards:int -> Strategy.t -> config
+val plain : Ipa_ir.Program.t -> ?budget:int -> Strategy.t -> config
 (** A non-introspective configuration: [strategy] everywhere, empty refine
-    sets, topological worklist, cycle elimination on, field-sensitive,
-    [shards] worklist shards (default 1, i.e. sequential). *)
+    sets, topological worklist, cycle elimination on, field-sensitive. *)
 
-val run : ?replay:Summary.ops -> Ipa_ir.Program.t -> config -> Solution.t
-(** Run to fixpoint (or budget exhaustion) from the program's entry points.
-
-    With [?replay], method bodies are not walked: each body's constraints
-    come from the given compiled module stream (see {!Summary.compile}),
-    which emits the exact same constraints in the exact same order — the
-    solve is byte-identical, including counters and derivation counts. The
-    hook exists so {!Compositional_solver} can drive the solve from cached
-    per-SCC artifacts without re-touching program bodies. *)
+val run : Ipa_ir.Program.t -> config -> Solution.t
+(** Run to fixpoint (or budget exhaustion) from the program's entry points. *)
 
 (** A warm-start seed for {!run_incremental}: a previously materialized
     complete solution of a program that the current one monotonically
@@ -96,8 +67,7 @@ val run : ?replay:Summary.ops -> Ipa_ir.Program.t -> config -> Solution.t
     program). *)
 type seed = { base : Solution.t; defer : bool array }
 
-val run_incremental :
-  ?replay:Summary.ops -> seed:seed -> Ipa_ir.Program.t -> config -> Solution.t
+val run_incremental : seed:seed -> Ipa_ir.Program.t -> config -> Solution.t
 (** Re-solve after an edit, warm-starting from [seed.base]. Phase 1 replays
     the base solution into fresh solver state without counting: contexts,
     objects and reachable pairs are re-interned (context elements name
@@ -108,19 +78,9 @@ val run_incremental :
     then processes the buffered work with counting on, so [derivations]
     measures only what the edit enabled. The returned solution is
     byte-identical to a cold solve of the edited program (modulo counters
-    and the derivation count — asserted by differential tests). Always
-    sequential; requires an unbudgeted config and a [Complete] base (the
-    caller — {!Compositional_solver} — falls back to a cold solve
-    otherwise). *)
-
-val partition_blocks : weights:int array -> shards:int -> int array
-(** The sharded solver's pure partitioner, exposed for tests. Assigns each
-    position of [weights] (positive, in topological order; one position per
-    SCC representative, so components are never split) to a shard: the
-    result is monotone non-decreasing position-to-shard, values in
-    [\[0, shards)], and each shard's summed weight is at most
-    [ceil(total / shards) + max weight]. Raises [Invalid_argument] on
-    [shards < 1] or a non-positive weight. *)
+    and the derivation count — asserted by differential tests). Requires an
+    unbudgeted config and a [Complete] base (the caller —
+    {!Compositional_solver} — falls back to a cold solve otherwise). *)
 
 (** {1 Packed copy-edge representation}
 

@@ -1,7 +1,4 @@
 module Dynarr = Ipa_support.Dynarr
-module Codec = Ipa_support.Codec
-module Writer = Codec.Writer
-module Reader = Codec.Reader
 module Program = Ipa_ir.Program
 
 (* ---------- call-graph condensation ---------- *)
@@ -239,247 +236,6 @@ let digest p cond sid =
     names;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* ---------- boundary abstraction ---------- *)
-
-type boundary = {
-  b_formals : int;  (** formal/this parameters crossing into the component *)
-  b_returns : int;  (** members returning a value to callers *)
-  b_catches : int;  (** catch clauses guarding member bodies *)
-  b_escaping_throws : int;  (** throw sites whose object can leave the component *)
-  b_escaping_loads : int;  (** loads whose base may hold a non-local object *)
-  b_escaping_stores : int;  (** stores whose base may hold a non-local object *)
-  b_local_loads : int;
-  b_local_stores : int;
-  b_allocs : int;
-  b_virtual_sites : int;  (** dispatch sites — context-selection boundary *)
-  b_external_calls : int;  (** static calls leaving the component *)
-}
-
-(* A small intra-component may-escape analysis over the member bodies:
-   a variable is [local] while every value it can hold was allocated inside
-   the component and never passed through the heap, a call boundary, or a
-   formal. Loads and stores on a local base are invisible to callers; the
-   rest are the component's escaping heap effect. Fixpoint over the
-   members' copy edges (order-insensitive: the lattice is two-valued). *)
-let boundary p cond sid =
-  let members = cond.sccs.(sid).members in
-  let in_scc m = m < Array.length cond.scc_of_meth && cond.scc_of_meth.(m) = sid in
-  let local : (int, bool) Hashtbl.t = Hashtbl.create 64 in
-  let is_local v = match Hashtbl.find_opt local v with Some b -> b | None -> true in
-  let changed = ref true in
-  let taint v = if is_local v then (Hashtbl.replace local v false; changed := true) in
-  (* Sources of external values. *)
-  Array.iter
-    (fun m ->
-      let mi = Program.meth_info p m in
-      (match mi.this_var with Some v -> taint v | None -> ());
-      Array.iter taint mi.formals;
-      Array.iter (fun (c : Program.catch_clause) -> taint c.catch_var) mi.catches)
-    members;
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun m ->
-        let mi = Program.meth_info p m in
-        Array.iter
-          (fun (i : Program.instr) ->
-            match i with
-            | Move { target; source } | Cast { target; source; _ } ->
-              if not (is_local source) then taint target
-            | Load { target; _ } | Load_static { target; _ } ->
-              (* heap-mediated: another component may have stored there *)
-              taint target
-            | Call invo -> (
-              let ii = Program.invo_info p invo in
-              let internal =
-                match ii.call with
-                | Static { callee } -> in_scc callee
-                | Virtual _ -> false
-              in
-              match ii.recv with
-              | Some r when not internal -> taint r
-              | Some r -> (
-                (* intra-component call: the result is local iff the callee
-                   only returns local values *)
-                match ii.call with
-                | Static { callee } -> (
-                  match (Program.meth_info p callee).ret_var with
-                  | Some rv when not (is_local rv) -> taint r
-                  | _ -> ())
-                | Virtual _ -> taint r)
-              | None -> ())
-            | Alloc _ | Store _ | Store_static _ | Return _ | Throw _ -> ())
-          mi.body)
-      members
-  done;
-  let b_formals = ref 0
-  and b_returns = ref 0
-  and b_catches = ref 0
-  and b_escaping_throws = ref 0
-  and b_escaping_loads = ref 0
-  and b_escaping_stores = ref 0
-  and b_local_loads = ref 0
-  and b_local_stores = ref 0
-  and b_allocs = ref 0
-  and b_virtual_sites = ref 0
-  and b_external_calls = ref 0 in
-  Array.iter
-    (fun m ->
-      let mi = Program.meth_info p m in
-      b_formals :=
-        !b_formals + Array.length mi.formals + (match mi.this_var with Some _ -> 1 | None -> 0);
-      if mi.ret_var <> None then incr b_returns;
-      b_catches := !b_catches + Array.length mi.catches;
-      Array.iter
-        (fun (i : Program.instr) ->
-          match i with
-          | Alloc _ -> incr b_allocs
-          | Load { base; _ } ->
-            if is_local base then incr b_local_loads else incr b_escaping_loads
-          | Store { base; _ } ->
-            if is_local base then incr b_local_stores else incr b_escaping_stores
-          | Load_static _ -> incr b_escaping_loads
-          | Store_static _ -> incr b_escaping_stores
-          | Throw _ ->
-            (* routed through the member's catch chain; it escapes unless a
-               clause catches everything — conservatively always boundary *)
-            incr b_escaping_throws
-          | Call invo -> (
-            match (Program.invo_info p invo).call with
-            | Virtual _ -> incr b_virtual_sites
-            | Static { callee } -> if not (in_scc callee) then incr b_external_calls)
-          | Move _ | Cast _ | Return _ -> ())
-        mi.body)
-    members;
-  {
-    b_formals = !b_formals;
-    b_returns = !b_returns;
-    b_catches = !b_catches;
-    b_escaping_throws = !b_escaping_throws;
-    b_escaping_loads = !b_escaping_loads;
-    b_escaping_stores = !b_escaping_stores;
-    b_local_loads = !b_local_loads;
-    b_local_stores = !b_local_stores;
-    b_allocs = !b_allocs;
-    b_virtual_sites = !b_virtual_sites;
-    b_external_calls = !b_external_calls;
-  }
-
-type t = { summary_scc : int; summary_digest : string; summary_boundary : boundary }
-
-(* ---------- cache blob codec ---------- *)
-
-(* Distinct magic from snapshots ("IPSN") and a trailing copy of the digest
-   so the cache can classify and audit entries without decoding. *)
-let blob_magic = "IPSM"
-let blob_version = 1
-
-let encode_blob ~digest:dg members_names b =
-  let w = Writer.create ~capacity:256 () in
-  Writer.raw w blob_magic;
-  Writer.uint w blob_version;
-  Writer.string w dg;
-  Writer.uint w (List.length members_names);
-  List.iter (Writer.string w) members_names;
-  Writer.uint w b.b_formals;
-  Writer.uint w b.b_returns;
-  Writer.uint w b.b_catches;
-  Writer.uint w b.b_escaping_throws;
-  Writer.uint w b.b_escaping_loads;
-  Writer.uint w b.b_escaping_stores;
-  Writer.uint w b.b_local_loads;
-  Writer.uint w b.b_local_stores;
-  Writer.uint w b.b_allocs;
-  Writer.uint w b.b_virtual_sites;
-  Writer.uint w b.b_external_calls;
-  Writer.contents w
-
-let decode_blob bytes =
-  let n = String.length blob_magic in
-  if String.length bytes < n || String.sub bytes 0 n <> blob_magic then None
-  else
-    try
-      let r = Reader.of_string ~pos:n bytes in
-      let v = Reader.uint r in
-      if v <> blob_version then None
-      else begin
-        let dg = Reader.string r in
-        let n_members = Reader.uint r in
-        let members = List.init n_members (fun _ -> Reader.string r) in
-        let b_formals = Reader.uint r in
-        let b_returns = Reader.uint r in
-        let b_catches = Reader.uint r in
-        let b_escaping_throws = Reader.uint r in
-        let b_escaping_loads = Reader.uint r in
-        let b_escaping_stores = Reader.uint r in
-        let b_local_loads = Reader.uint r in
-        let b_local_stores = Reader.uint r in
-        let b_allocs = Reader.uint r in
-        let b_virtual_sites = Reader.uint r in
-        let b_external_calls = Reader.uint r in
-        Some
-          ( dg,
-            members,
-            {
-              b_formals;
-              b_returns;
-              b_catches;
-              b_escaping_throws;
-              b_escaping_loads;
-              b_escaping_stores;
-              b_local_loads;
-              b_local_stores;
-              b_allocs;
-              b_virtual_sites;
-              b_external_calls;
-            } )
-      end
-    with Codec.Corrupt _ -> None
-
-(* ---------- compiled constraint modules ---------- *)
-
-(* One op per constraint-emitting instruction, in body order. Replaying a
-   module produces the exact call sequence [Solver.process_body] makes for
-   the instruction walk: [Load]/[Store]/virtual [Call] emit nothing (they
-   are driven by base-variable points-to growth), [Return] compiles to the
-   copy onto the method's canonical return variable. *)
-type op =
-  | O_alloc of { target : int; heap : int }
-  | O_copy of { target : int; source : int }
-  | O_cast of { target : int; source : int; cast_to : int }
-  | O_load_static of { target : int; field : int }
-  | O_store_static of { field : int; source : int }
-  | O_scall of { invo : int; callee : int }
-  | O_throw of { source : int }
-
-type ops = op array array
-
-let compile_meth p m : op array =
-  let mi = Program.meth_info p m in
-  let acc = Dynarr.create ~capacity:(Array.length mi.body) ~dummy:(O_throw { source = 0 }) () in
-  Array.iter
-    (fun (i : Program.instr) ->
-      match i with
-      | Alloc { target; heap } -> Dynarr.push acc (O_alloc { target; heap })
-      | Move { target; source } -> Dynarr.push acc (O_copy { target; source })
-      | Cast { target; source; cast_to } -> Dynarr.push acc (O_cast { target; source; cast_to })
-      | Load _ | Store _ -> ()
-      | Load_static { target; field } -> Dynarr.push acc (O_load_static { target; field })
-      | Store_static { field; source } -> Dynarr.push acc (O_store_static { field; source })
-      | Call invo -> (
-        match (Program.invo_info p invo).call with
-        | Virtual _ -> ()
-        | Static { callee } -> Dynarr.push acc (O_scall { invo; callee }))
-      | Return { source } -> (
-        match mi.ret_var with
-        | Some ret -> Dynarr.push acc (O_copy { target = ret; source })
-        | None -> assert false (* ruled out by Wf *))
-      | Throw { source } -> Dynarr.push acc (O_throw { source }))
-    mi.body;
-  Dynarr.to_array acc
-
-let compile p : ops = Array.init (Program.n_meths p) (compile_meth p)
-
 (* ---------- monotone-extension check ---------- *)
 
 (* [extends ~old_p ~new_p] holds when [new_p] is a structural superset of
@@ -581,7 +337,7 @@ let align ~old_p ~new_p =
         let nm = old_name i in
         if Hashtbl.mem tbl nm then dup := true else Hashtbl.add tbl nm i
       done;
-      let map = Array.make (max 1 n_new) (-1) in
+      let map = Array.make n_new (-1) in
       let next = ref n_old in
       let matched = ref 0 in
       let seen = Hashtbl.create (max 16 n_new) in
@@ -632,12 +388,11 @@ let align ~old_p ~new_p =
     && identity hmap && identity imap
   then Some new_p
   else begin
+    (* [map] is a permutation of [0, n): entity [i] moves to [map.(i)]. *)
     let permute n map info remap =
-      let a = Array.make (max 1 n) (remap (info 0)) in
-      for i = 0 to n - 1 do
-        a.(map.(i)) <- remap (info i)
-      done;
-      Array.sub a 0 n
+      let inv = Array.make n 0 in
+      Array.iteri (fun i j -> inv.(j) <- i) map;
+      Array.init n (fun j -> remap (info inv.(j)))
     in
     let remap_instr (ins : instr) =
       match ins with

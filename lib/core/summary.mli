@@ -1,24 +1,14 @@
-(** Per-SCC method summaries for compositional and incremental solving.
+(** Per-SCC component digests for incremental solving.
 
     The call graph is over-approximated by CHA (a static call targets its
     declared callee, a virtual call every concrete implementation of its
     signature), condensed with Tarjan into strongly connected components
-    emitted bottom-up (callees before callers). Each component gets:
-
-    - a {e content digest} over the names (never the raw ids) of its entity
-      slice — methods, bodies, referenced classes/fields/heaps/callees — so
-      an edit dirties exactly the components whose slice changed;
-    - a {e boundary abstraction} counting the flows that cross the
-      component's interface (formals, returns, escaping throws, heap
-      operations on possibly-non-local bases, dispatch sites), backed by a
-      small intra-component may-escape fixpoint; and
-    - a {e compiled constraint module} ([ops]) whose replay emits the exact
-      constraint stream of [Solver.process_body], which is what lets the
-      compositional solve certify byte-identity with the monolithic one.
-
-    Summaries are content-addressed: [Harness.Cache] stores the encoded
-    boundary under a key derived from the digest and the configuration
-    fingerprint ([summary-v1]). *)
+    emitted bottom-up (callees before callers). Each component gets a
+    {e content digest} over the names (never the raw ids) of its entity
+    slice — methods, bodies, referenced classes/fields/heaps/callees — so an
+    edit dirties exactly the components whose slice changed. The dirty
+    components and their transitive callers are what a seeded warm start
+    ({!Solver.run_incremental}) re-processes. *)
 
 module Program := Ipa_ir.Program
 
@@ -48,59 +38,6 @@ val dirty_closure : condensation -> int list -> bool array
 val digest : Program.t -> condensation -> int -> string
 (** [digest p cond scc_id] is a hex digest of the component's entity slice,
     computed over entity names so it is stable across id renumberings. *)
-
-(** {1 Boundary abstraction} *)
-
-type boundary = {
-  b_formals : int;
-  b_returns : int;
-  b_catches : int;
-  b_escaping_throws : int;
-  b_escaping_loads : int;
-  b_escaping_stores : int;
-  b_local_loads : int;
-  b_local_stores : int;
-  b_allocs : int;
-  b_virtual_sites : int;
-  b_external_calls : int;
-}
-
-val boundary : Program.t -> condensation -> int -> boundary
-(** The component's boundary effect; see the module docstring. *)
-
-type t = { summary_scc : int; summary_digest : string; summary_boundary : boundary }
-
-(** {1 Cache blob codec} *)
-
-val blob_magic : string
-(** ["IPSM"] — distinct from snapshot framing, so [Harness.Cache] can
-    classify entries without decoding them. *)
-
-val encode_blob : digest:string -> string list -> boundary -> string
-(** [encode_blob ~digest member_names boundary] frames a summary for the
-    content-addressed cache. *)
-
-val decode_blob : string -> (string * string list * boundary) option
-(** Inverse of {!encode_blob}; [None] on foreign or corrupt bytes. *)
-
-(** {1 Compiled constraint modules} *)
-
-type op =
-  | O_alloc of { target : int; heap : int }
-  | O_copy of { target : int; source : int }
-  | O_cast of { target : int; source : int; cast_to : int }
-  | O_load_static of { target : int; field : int }
-  | O_store_static of { field : int; source : int }
-  | O_scall of { invo : int; callee : int }
-  | O_throw of { source : int }
-
-type ops = op array array
-(** One module per method, indexed by meth id. *)
-
-val compile : Program.t -> ops
-(** Compile every method body. Loads, stores and virtual calls compile to
-    nothing (the solver drives them from base-variable points-to growth);
-    [Return] compiles to the copy onto the canonical return variable. *)
 
 (** {1 Monotone extension} *)
 

@@ -3,8 +3,6 @@ module Analysis = Ipa_core.Analysis
 module Introspection = Ipa_core.Introspection
 module Flavors = Ipa_core.Flavors
 module Solver = Ipa_core.Solver
-module Summary = Ipa_core.Summary
-module Compositional_solver = Ipa_core.Compositional_solver
 module Timer = Ipa_support.Timer
 
 type entry = {
@@ -373,22 +371,11 @@ let base_pass t ~budget p =
   let config = Solver.plain p ~budget (Flavors.strategy p Flavors.Insensitive) in
   solve t p ~label:(Flavors.to_string Flavors.Insensitive) config
 
-(* ---------- compositional summary store ---------- *)
-
-let summary_store t =
-  {
-    Compositional_solver.find_bytes = (fun key -> find_bytes t ~key);
-    put_bytes = (fun key bytes -> put_bytes t ~key bytes);
-  }
-
 (* ---------- disk-store maintenance ---------- *)
 
-type kind = Snapshot_entry | Demand_entry | Summary_entry
+type kind = Snapshot_entry | Demand_entry
 
-let kind_name = function
-  | Snapshot_entry -> "snapshot"
-  | Demand_entry -> "demand-slice-v1"
-  | Summary_entry -> "summary-v1"
+let kind_name = function Snapshot_entry -> "snapshot" | Demand_entry -> "demand-slice-v1"
 
 let has_prefix prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
@@ -397,15 +384,6 @@ let has_prefix prefix s =
    evaluator marks them by label (see [Query.Demand]), which is the only
    place the distinction lives on disk. *)
 let demand_label_prefix = "demand:"
-
-let classify bytes =
-  if has_prefix Summary.blob_magic bytes then
-    match Summary.decode_blob bytes with Some _ -> Some Summary_entry | None -> None
-  else
-    match Snapshot.inspect bytes with
-    | Ok info ->
-      Some (if has_prefix demand_label_prefix info.info_label then Demand_entry else Snapshot_entry)
-    | Error _ -> None
 
 type disk_entry = {
   entry_file : string;
@@ -433,29 +411,17 @@ let entries ~dir =
           entry_seconds = None }
       | bytes ->
         let entry_bytes = String.length bytes in
-        if has_prefix Summary.blob_magic bytes then
-          match Summary.decode_blob bytes with
-          | Some (digest, members, _) ->
-            { entry_file = file; entry_bytes; entry_kind = Some Summary_entry;
-              entry_describe =
-                Printf.sprintf "%d method(s), digest %s" (List.length members)
-                  (String.sub digest 0 (min 12 (String.length digest)));
-              entry_seconds = None }
-          | None ->
-            { entry_file = file; entry_bytes; entry_kind = None;
-              entry_describe = "corrupt summary blob"; entry_seconds = None }
-        else
-          match Snapshot.inspect bytes with
-          | Ok info ->
-            let kind =
-              if has_prefix demand_label_prefix info.info_label then Demand_entry
-              else Snapshot_entry
-            in
-            { entry_file = file; entry_bytes; entry_kind = Some kind;
-              entry_describe = info.info_label; entry_seconds = Some info.info_seconds }
-          | Error e ->
-            { entry_file = file; entry_bytes; entry_kind = None;
-              entry_describe = Snapshot.error_to_string e; entry_seconds = None })
+        match Snapshot.inspect bytes with
+        | Ok info ->
+          let kind =
+            if has_prefix demand_label_prefix info.info_label then Demand_entry
+            else Snapshot_entry
+          in
+          { entry_file = file; entry_bytes; entry_kind = Some kind;
+            entry_describe = info.info_label; entry_seconds = Some info.info_seconds }
+        | Error e ->
+          { entry_file = file; entry_bytes; entry_kind = None;
+            entry_describe = Snapshot.error_to_string e; entry_seconds = None })
     (snap_files dir)
 
 let clear ?kind ~dir () =

@@ -129,35 +129,26 @@ val base_pass :
     ["insens"] — exactly the configuration {!Ipa_core.Analysis.run_plain}
     uses, so the key matches across every caller. *)
 
-val summary_store : t -> Ipa_core.Compositional_solver.store
-(** The cache as a {!Ipa_core.Compositional_solver.store}: summary blobs go
-    through the same two layers (LRU-budgeted memory, single-writer disk
-    publication) and the same hit/miss accounting as snapshots, under their
-    own content-derived [summary-v1] keys. *)
-
 (** {1 Disk-store maintenance} (the [introspect cache] subcommands) *)
 
-(** What a cached file holds. All three share the key space and the [.snap]
-    suffix; they are told apart by content — summary blobs by their
-    ["IPSM"] magic, demand slices by their ["demand:"]-prefixed snapshot
-    label. *)
-type kind = Snapshot_entry | Demand_entry | Summary_entry
+(** What a cached file holds. Both kinds share the key space and the
+    [.snap] suffix; demand slices are told apart by their
+    ["demand:"]-prefixed snapshot label. *)
+type kind = Snapshot_entry | Demand_entry
 
 val kind_name : kind -> string
-(** ["snapshot"], ["demand-slice-v1"], ["summary-v1"] — the names the CLI
-    accepts for [cache clear --kind] and prints in [cache stats]. *)
-
-val classify : string -> kind option
-(** Classify raw cached bytes; [None] when they decode as neither a
-    snapshot nor a summary blob. *)
+(** ["snapshot"], ["demand-slice-v1"] — the names the CLI accepts for
+    [cache clear --kind] and prints in [cache stats]. *)
 
 type disk_entry = {
   entry_file : string;
   entry_bytes : int;  (** file size *)
-  entry_kind : kind option;  (** [None] for unreadable or corrupt entries *)
+  entry_kind : kind option;
+      (** [None] when the file does not inspect as a current-version
+          snapshot: foreign bytes, corruption, or an entry left by an older
+          build *)
   entry_describe : string;
-      (** snapshot label, summary shape ([N method(s), digest ...]), or the
-          decode error *)
+      (** snapshot label, or the decode error *)
   entry_seconds : float option;  (** original solve time; snapshots only *)
 }
 

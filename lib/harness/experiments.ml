@@ -210,7 +210,7 @@ module Taint_study = struct
   let sanitized (cfg : Config.t) = max 1 (clients cfg / 4)
 
   let build (cfg : Config.t) =
-    let w = Ipa_synthetic.World.create ~seed:113 in
+    let w = Ipa_synthetic.World.create () in
     Ipa_synthetic.Motifs.taint_pipes ~sanitized:(sanitized cfg) w ~n:(clients cfg);
     Ipa_synthetic.Motifs.ballast w ~n:(max 1 (int_of_float (40.0 *. cfg.scale)));
     Ipa_synthetic.World.finish w

@@ -129,10 +129,6 @@ let submit t task =
     Mutex.unlock t.mutex
   end
 
-let run_shards t ~shards f =
-  if shards < 1 then invalid_arg "Domain_pool.run_shards: shards must be >= 1";
-  map t f (Array.init shards Fun.id)
-
 let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

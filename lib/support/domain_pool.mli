@@ -41,14 +41,6 @@ val submit : t -> (unit -> unit) -> unit
 val on_worker : t -> bool
 (** Whether the calling domain is one of this pool's workers. *)
 
-val run_shards : t -> shards:int -> (int -> 'a) -> 'a array
-(** [run_shards t ~shards f] runs [f 0 .. f (shards - 1)] on the pooled
-    domains and returns the results in shard order — one synchronization
-    round of a sharded solve. The pool's domains are reused across rounds,
-    so a round costs a queue hand-off rather than [shards] domain spawns.
-    Exception discipline is {!map}'s (lowest shard index wins). Raises
-    [Invalid_argument] when [shards < 1]. *)
-
 val shutdown : t -> unit
 (** Signals the workers to exit and joins them. Idempotent. Subsequent
     {!map} calls raise [Invalid_argument]. *)

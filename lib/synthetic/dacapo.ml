@@ -124,6 +124,6 @@ let charted = of_names charted_names
 let find name = List.find_opt (fun s -> s.name = name) all
 
 let build ?(scale = 1.0) spec =
-  let w = World.create ~seed:spec.seed in
+  let w = World.create () in
   spec.generate ~scale w;
   World.finish w

@@ -1,6 +1,6 @@
 (** The synthetic benchmark suite mirroring the paper's DaCapo subjects.
 
-    Each benchmark is a deterministic (seeded) composition of {!Motifs},
+    Each benchmark is a deterministic composition of {!Motifs},
     sized so the paper's qualitative behavior reproduces under the harness's
     derivation budget:
 
@@ -18,7 +18,7 @@
 
 type spec = {
   name : string;
-  seed : int;
+  seed : int;  (** default seed of {!Edits.pick} for this benchmark *)
   generate : scale:float -> World.t -> unit;
 }
 

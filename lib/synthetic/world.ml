@@ -1,22 +1,20 @@
 module Builder = Ipa_ir.Builder
-module Splitmix = Ipa_support.Splitmix
 
 type t = {
   b : Builder.t;
-  rng : Splitmix.t;
   object_cls : Ipa_ir.Program.class_id;
   main_cls : Ipa_ir.Program.class_id;
   main : Ipa_ir.Program.meth_id;
   mutable counter : int;
 }
 
-let create ~seed =
+let create () =
   let b = Builder.create () in
   let object_cls = Builder.add_class b "Object" in
   let main_cls = Builder.add_class b ~super:object_cls "Main" in
   let main = Builder.add_method b ~owner:main_cls ~name:"main" ~static:true ~params:[] () in
   Builder.add_entry b main;
-  { b; rng = Splitmix.create seed; object_cls; main_cls; main; counter = 0 }
+  { b; object_cls; main_cls; main; counter = 0 }
 
 let fresh t prefix =
   t.counter <- t.counter + 1;

@@ -1,20 +1,19 @@
 (** Shared scaffolding for generated benchmark programs.
 
-    A world owns a {!Ipa_ir.Builder}, a deterministic RNG, the root [Object]
-    class, and the [Main] class with the [main/0] entry point that motif
-    driver code is appended to. Motifs (see {!Motifs}) add classes and code;
+    A world owns a {!Ipa_ir.Builder}, the root [Object] class, and the
+    [Main] class whose [main/0] entry point motifs append their calling
+    code to. Motifs (see {!Motifs}) add classes and code;
     {!finish} seals the program. *)
 
 type t = {
   b : Ipa_ir.Builder.t;
-  rng : Ipa_support.Splitmix.t;
   object_cls : Ipa_ir.Program.class_id;
   main_cls : Ipa_ir.Program.class_id;
   main : Ipa_ir.Program.meth_id;
   mutable counter : int;
 }
 
-val create : seed:int -> t
+val create : unit -> t
 
 val fresh : t -> string -> string
 (** [fresh w prefix] is a program-unique identifier ["<prefix><n>"]. *)

@@ -478,7 +478,7 @@ let test_dl_export_matches_native () =
     [
       parse Ipa_testlib.boxes_src;
       parse poly_src;
-      (let w = Ipa_synthetic.World.create ~seed:77 in
+      (let w = Ipa_synthetic.World.create () in
        Ipa_synthetic.Motifs.factory_boxes w ~n:4;
        Ipa_synthetic.Motifs.chains w ~n:3 ~depth:3;
        Ipa_synthetic.Motifs.mega_hub w ~items:10 ~users:4 ~chain:2;

@@ -415,7 +415,6 @@ let test_refine_all_equals_plain () =
           order = Solver.Lifo;
           collapse_cycles = true;
           field_sensitive = true;
-          shards = 1;
         }
       in
       let refined = Solver.run p config in
@@ -448,7 +447,6 @@ let test_skip_all_equals_insens () =
       order = Solver.Lifo;
       collapse_cycles = true;
       field_sensitive = true;
-      shards = 1;
     }
   in
   let skipped = Solver.run p config in
@@ -596,7 +594,6 @@ let test_cross_introspective () =
             order = Solver.Lifo;
             collapse_cycles = true;
             field_sensitive = true;
-            shards = 1;
           }
         in
         let native = Solver.run p config in

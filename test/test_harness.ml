@@ -322,6 +322,59 @@ let test_negative_budget_rejected () =
   check Alcotest.bool "zero budget allowed" true
     (Cache.mem_budget (Cache.create ~mem_budget:0 ()) = Some 0)
 
+(* ---------- disk-store maintenance ----------
+
+   [entries] and [clear ?kind] back the [cache stats] and
+   [cache clear] subcommands. A directory may hold files no current reader
+   understands — e.g. an ["IPSM"] summary blob published by an older build —
+   which must be listed as unreadable, never raise, and still be cleared. *)
+
+let test_cache_maintenance () =
+  Ipa_testlib.with_temp_dir (fun dir ->
+      let p = Ipa_testlib.parse_exn Ipa_testlib.boxes_src in
+      let r = Ipa_core.Analysis.run_plain p Flavors.Insensitive in
+      let snapshot label =
+        Ipa_core.Snapshot.encode
+          {
+            Ipa_core.Snapshot.key = "k";
+            program_digest = Ipa_core.Snapshot.digest_program p;
+            label;
+            seconds = 0.0;
+            solution = r.solution;
+            metrics = None;
+          }
+      in
+      let write file bytes =
+        Out_channel.with_open_bin (Filename.concat dir file) (fun oc ->
+            Out_channel.output_string oc bytes)
+      in
+      write "a.snap" (snapshot "insens");
+      write "b.snap" (snapshot "demand:insens");
+      write "c.snap" "IPSM\001\000\032leftover summary blob";
+      let kinds () =
+        List.map (fun (e : Cache.disk_entry) -> (e.entry_file, e.entry_kind)) (Cache.entries ~dir)
+      in
+      let kind =
+        Alcotest.(option (of_pp (fun ppf k -> Format.pp_print_string ppf (Cache.kind_name k))))
+      in
+      check
+        Alcotest.(list (pair string kind))
+        "classified by content"
+        [
+          ("a.snap", Some Cache.Snapshot_entry);
+          ("b.snap", Some Cache.Demand_entry);
+          ("c.snap", None);
+        ]
+        (kinds ());
+      check Alcotest.int "clear demand slices" 1 (Cache.clear ~kind:Cache.Demand_entry ~dir ());
+      check
+        Alcotest.(list (pair string kind))
+        "only the slice went"
+        [ ("a.snap", Some Cache.Snapshot_entry); ("c.snap", None) ]
+        (kinds ());
+      check Alcotest.int "plain clear removes the rest" 2 (Cache.clear ~dir ());
+      check Alcotest.int "directory empty" 0 (List.length (Cache.entries ~dir)))
+
 let () =
   Alcotest.run "harness"
     [
@@ -342,6 +395,8 @@ let () =
           Alcotest.test_case "parse_budget" `Quick test_parse_budget;
           Alcotest.test_case "negative budget rejected" `Quick test_negative_budget_rejected;
         ] );
+      ( "cache-maintenance",
+        [ Alcotest.test_case "entries and clear by kind" `Quick test_cache_maintenance ] );
       ( "experiments",
         [
           Alcotest.test_case "config" `Quick test_config_default;

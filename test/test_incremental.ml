@@ -1,12 +1,13 @@
-(* Differential tests for compositional and incremental solving:
-   - a cold compositional solve (summary extraction + replay) must be
-     byte-identical to the monolithic solve, for an exact flavor and under
-     context-sensitivity, at any extraction parallelism;
+(* Differential tests for incremental solving:
    - a warm re-solve chained across random monotone edits must be
      byte-identical to a cold solve of the final program (modulo the phase
-     accounting: counters and the derivation count measure the edit);
+     accounting: counters and the derivation count measure the edit), and
+     must agree with the Datalog encoding of Fig. 3;
    - the dirty set after an edit is exactly the edited component plus its
-     transitive callers — siblings keep their summaries;
+     transitive callers;
+   - each fallback (budgeted config, truncated baseline, non-monotone edit)
+     reports its reason and returns exactly the cold solve;
+   - a reparsed edited program realigns onto the baseline's ids;
    - edit picking is deterministic in its seed (the CLI's --seed). *)
 
 module B = Ipa_ir.Builder
@@ -17,6 +18,7 @@ module Snapshot = Ipa_core.Snapshot
 module Summary = Ipa_core.Summary
 module Comp = Ipa_core.Compositional_solver
 module Flavors = Ipa_core.Flavors
+module Datalog_backend = Ipa_core.Datalog_backend
 module Edits = Ipa_synthetic.Edits
 
 let check = Alcotest.check
@@ -24,85 +26,27 @@ let check = Alcotest.check
 let qtest ?(count = 25) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-let mem_store () =
-  let tbl = Hashtbl.create 32 in
-  {
-    Comp.find_bytes = (fun key -> Hashtbl.find_opt tbl key);
-    put_bytes = (fun key bytes -> if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key bytes);
-  }
-
-(* Snapshot bytes with the propagation counters zeroed: what "identical
-   solution" means when one side carries compositional counters the other
-   cannot. The warm variant additionally zeroes the derivation count —
-   a seeded solve re-asserts the baseline without counting it. *)
-let cold_bytes p (s : Solution.t) =
+let snapshot_bytes p (s : Solution.t) =
   Snapshot.encode
     {
       Snapshot.key = "incr-test";
       program_digest = Snapshot.digest_program p;
       label = "incr-test";
       seconds = 0.0;
-      solution = { s with Solution.counters = Solution.zero_counters };
+      solution = s;
       metrics = None;
     }
 
-let warm_bytes p (s : Solution.t) = cold_bytes p { s with Solution.derivations = 0 }
+(* Snapshot bytes with the propagation counters and the derivation count
+   zeroed: what "identical solution" means for a warm solve, which
+   re-asserts the baseline without counting it. *)
+let warm_bytes p (s : Solution.t) =
+  snapshot_bytes p { s with Solution.counters = Solution.zero_counters; derivations = 0 }
 
 let config p flavor = Solver.plain p (Flavors.strategy p flavor)
 
 let flavors =
   [ Flavors.Insensitive; Flavors.Type_sens { depth = 2; heap = 1 } ]
-
-(* ---------- cold compositional == monolithic ---------- *)
-
-let prop_compositional_identity seed =
-  let p = Ipa_testlib.random_program seed in
-  List.iter
-    (fun flavor ->
-      let name = Flavors.to_string flavor in
-      let cfg = config p flavor in
-      let mono = Solver.run p cfg in
-      let store = mem_store () in
-      let comp, report = Comp.solve ~store p cfg in
-      if comp.Solution.derivations <> mono.Solution.derivations then
-        QCheck2.Test.fail_reportf "%s: derivations %d (compositional) vs %d (monolithic)"
-          name comp.Solution.derivations mono.Solution.derivations;
-      if not (String.equal (cold_bytes p comp) (cold_bytes p mono)) then
-        QCheck2.Test.fail_reportf "%s: compositional solve changed the snapshot bytes" name;
-      if report.Comp.sccs_summarized <> report.Comp.n_sccs then
-        QCheck2.Test.fail_reportf "%s: %d of %d components summarized" name
-          report.Comp.sccs_summarized report.Comp.n_sccs;
-      (* Second solve over the same store: every summary must hit. *)
-      let again, report2 = Comp.solve ~store p cfg in
-      if report2.Comp.summaries_reused <> report2.Comp.n_sccs then
-        QCheck2.Test.fail_reportf "%s: %d of %d summaries reused on the second solve" name
-          report2.Comp.summaries_reused report2.Comp.n_sccs;
-      if not (String.equal (cold_bytes p again) (cold_bytes p mono)) then
-        QCheck2.Test.fail_reportf "%s: store round-trip changed the snapshot bytes" name)
-    flavors;
-  true
-
-let test_compositional_identity =
-  qtest "compositional == monolithic (insens, 2typeH)"
-    (QCheck2.Gen.int_range 100 299)
-    prop_compositional_identity
-
-(* Extraction parallelism must not change anything: store probes stay
-   sequential, so even the reuse accounting is identical. *)
-let prop_jobs_independent seed =
-  let p = Ipa_testlib.random_program seed in
-  let cfg = config p Flavors.Insensitive in
-  let s1, r1 = Comp.solve ~store:(mem_store ()) ~jobs:1 p cfg in
-  let s4, r4 = Comp.solve ~store:(mem_store ()) ~jobs:4 p cfg in
-  if not (String.equal (cold_bytes p s1) (cold_bytes p s4)) then
-    QCheck2.Test.fail_reportf "jobs 4 changed the snapshot bytes";
-  if r1 <> r4 then QCheck2.Test.fail_reportf "jobs 4 changed the report";
-  true
-
-let test_jobs_independent =
-  qtest ~count:15 "extraction jobs 1 == jobs 4"
-    (QCheck2.Gen.int_range 300 399)
-    prop_jobs_independent
 
 (* ---------- warm chain over monotone edits == cold ---------- *)
 
@@ -112,14 +56,13 @@ let prop_warm_chain (seed, n_edits) =
   List.iter
     (fun flavor ->
       let name = Flavors.to_string flavor in
-      let store = mem_store () in
-      let s0, _ = Comp.solve ~store p0 (config p0 flavor) in
+      let s0 = Solver.run p0 (config p0 flavor) in
       let pf, sf =
         List.fold_left
           (fun (p, s) e ->
             let p' = Edits.apply p e in
             let s', report =
-              Comp.solve_incremental ~store ~base_program:p ~base_solution:s p'
+              Comp.solve_incremental ~base_program:p ~base_solution:s p'
                 (config p' flavor)
             in
             (match report.Comp.fallback with
@@ -134,7 +77,13 @@ let prop_warm_chain (seed, n_edits) =
       if not (String.equal (warm_bytes pf sf) (warm_bytes pf cold)) then
         QCheck2.Test.fail_reportf
           "%s: warm solve after %d edit(s) differs from the cold solve" name
-          (List.length edits))
+          (List.length edits);
+      (* The oracle leg: the warm fixpoint must also be Fig. 3's, as the
+         Datalog encoding computes it — not just agree with [Solver.run]. *)
+      let oracle = Datalog_backend.run_plain pf (Flavors.strategy pf flavor) in
+      if Ipa_testlib.canon_native sf <> Ipa_testlib.canon_datalog pf oracle then
+        QCheck2.Test.fail_reportf "%s: warm solve after %d edit(s) differs from the Datalog oracle"
+          name (List.length edits))
     flavors;
   true
 
@@ -145,10 +94,8 @@ let test_warm_chain =
 
 (* ---------- dirty-set minimality ---------- *)
 
-(* main -> a -> b -> c plus main -> d: editing c must dirty exactly the
-   call chain above it ({c, b, a, main}); the sibling d keeps its summary
-   and stays out of the re-solved set. *)
-let test_dirty_minimality () =
+(* main -> a -> b -> c, plus main -> d when [with_d]. *)
+let chain_program ~with_d =
   let b = B.create () in
   let obj = B.add_class b "Object" in
   let cls = B.add_class b ~super:obj "K" in
@@ -157,39 +104,123 @@ let test_dirty_minimality () =
   let am = mk "a" in
   let bm = mk "b" in
   let cm = mk "c" in
-  let dm = mk "d" in
   ignore (B.scall b main ~callee:am ~actuals:[] ());
-  ignore (B.scall b main ~callee:dm ~actuals:[] ());
+  if with_d then begin
+    let dm = mk "d" in
+    ignore (B.scall b main ~callee:dm ~actuals:[] ());
+    let dv = B.add_var b dm "x" in
+    ignore (B.alloc b dm ~target:dv ~cls)
+  end;
   ignore (B.scall b am ~callee:bm ~actuals:[] ());
   ignore (B.scall b bm ~callee:cm ~actuals:[] ());
   let cv = B.add_var b cm "x" in
   ignore (B.alloc b cm ~target:cv ~cls);
   B.return_ b cm cv;
-  let dv = B.add_var b dm "x" in
-  ignore (B.alloc b dm ~target:dv ~cls);
   B.add_entry b main;
-  let base = B.finish b in
-  let edited = Edits.apply base { Edits.kind = Edits.Add_alloc; meth = cm; salt = 0 } in
-  let store = mem_store () in
-  let s0, cold_report = Comp.solve ~store base (config base Flavors.Insensitive) in
-  check Alcotest.int "five components" 5 cold_report.Comp.n_sccs;
+  B.finish b
+
+let meth_named p name =
+  let rec go m = if (Program.meth_info p m).meth_name = name then m else go (m + 1) in
+  go 0
+
+(* Editing c must dirty exactly the call chain above it ({c, b, a, main});
+   the sibling d stays out of the dirty set. *)
+let test_dirty_minimality () =
+  let base = chain_program ~with_d:true in
+  let m = meth_named base in
+  let edited = Edits.apply base { Edits.kind = Edits.Add_alloc; meth = m "c"; salt = 0 } in
+  let s0 = Solver.run base (config base Flavors.Insensitive) in
   let warm, report =
-    Comp.solve_incremental ~store ~base_program:base ~base_solution:s0 edited
+    Comp.solve_incremental ~base_program:base ~base_solution:s0 edited
       (config edited Flavors.Insensitive)
   in
-  check Alcotest.bool "incremental" true report.Comp.incremental;
+  check Alcotest.int "five components" 5 report.Comp.n_sccs;
+  check Alcotest.(option string) "warm path taken" None report.Comp.fallback;
   let cond = Summary.condense edited in
-  let scc_of m = cond.Summary.scc_of_meth.(m) in
-  let expected = List.sort compare [ scc_of main; scc_of am; scc_of bm; scc_of cm ] in
+  let scc_of name = cond.Summary.scc_of_meth.(m name) in
+  let expected = List.sort compare (List.map scc_of [ "main"; "a"; "b"; "c" ]) in
   check (Alcotest.list Alcotest.int) "dirty = edited chain" expected report.Comp.dirty_sccs;
   check Alcotest.bool "sibling d stays clean" false
-    (List.mem (scc_of dm) report.Comp.dirty_sccs);
-  check Alcotest.int "resolved = dirty closure" 4 report.Comp.sccs_resolved;
-  (* Every unchanged component's summary hits the store: only c changed. *)
-  check Alcotest.int "summaries reused" 4 report.Comp.summaries_reused;
+    (List.mem (scc_of "d") report.Comp.dirty_sccs);
   let cold = Solver.run edited (config edited Flavors.Insensitive) in
   check Alcotest.bool "warm == cold" true
     (String.equal (warm_bytes edited warm) (warm_bytes edited cold))
+
+(* ---------- cold fallbacks ---------- *)
+
+(* Each refusal of the warm path must name its reason and hand back exactly
+   what [Solver.run] computes — counters and derivation count included. *)
+let check_fallback name ~reason ~base_program ~base_solution p cfg =
+  let sol, report = Comp.solve_incremental ~base_program ~base_solution p cfg in
+  check Alcotest.(option string) (name ^ ": reason") (Some reason) report.Comp.fallback;
+  check Alcotest.(list int) (name ^ ": no dirty set") [] report.Comp.dirty_sccs;
+  check Alcotest.bool (name ^ ": bytes = Solver.run") true
+    (String.equal (snapshot_bytes p sol) (snapshot_bytes p (Solver.run p cfg)))
+
+let test_fallbacks () =
+  let p0 = Ipa_testlib.random_program 5 in
+  let flavor = Flavors.Type_sens { depth = 2; heap = 1 } in
+  let s0 = Solver.run p0 (config p0 flavor) in
+  check Alcotest.bool "complete baseline" true (s0.Solution.outcome = Solution.Complete);
+  let edit = List.hd (Edits.pick ~kinds:Edits.monotone_kinds ~seed:5 ~n:1 p0) in
+  let p1 = Edits.apply p0 edit in
+  check_fallback "budgeted config" ~reason:"budgeted" ~base_program:p0 ~base_solution:s0 p1
+    (Solver.plain p1 ~budget:1_000_000 (Flavors.strategy p1 flavor));
+  let truncated = Solver.run p0 (Solver.plain p0 ~budget:10 (Flavors.strategy p0 flavor)) in
+  check Alcotest.bool "truncated baseline" true
+    (truncated.Solution.outcome = Solution.Budget_exceeded);
+  check_fallback "truncated baseline" ~reason:"partial baseline" ~base_program:p0
+    ~base_solution:truncated p1 (config p1 flavor);
+  let rewrite = List.hd (Edits.pick ~kinds:[ Edits.Rewrite_body ] ~seed:5 ~n:1 p0) in
+  let p2 = Edits.apply p0 rewrite in
+  check Alcotest.bool "rewrite is not an extension" false
+    (Summary.extends ~old_p:p0 ~new_p:p2);
+  check_fallback "rewrite-body edit" ~reason:"non-monotone delta" ~base_program:p0
+    ~base_solution:s0 p2 (config p2 flavor)
+
+(* ---------- realignment of reparsed programs ---------- *)
+
+let reparse p = Ipa_testlib.parse_exn (Ipa_ir.Pretty.program p)
+
+(* The CLI's incremental path: base and edited program both come from text,
+   so the frontend numbers the edited one in file order and an inserted
+   instruction shifts later ids. [align] must restore the baseline's ids so
+   that [extends] holds and the warm solve equals the cold one. *)
+let test_align_reparsed () =
+  let realigned = ref 0 in
+  for seed = 600 to 609 do
+    let p0 = Ipa_testlib.random_program seed in
+    let edits = Edits.pick ~kinds:Edits.monotone_kinds ~seed ~n:2 p0 in
+    let base = reparse p0 in
+    let edited = reparse (Edits.apply_all p0 edits) in
+    if not (Summary.extends ~old_p:base ~new_p:edited) then incr realigned;
+    match Summary.align ~old_p:base ~new_p:edited with
+    | None -> Alcotest.failf "seed %d: a monotone edit did not realign" seed
+    | Some aligned ->
+      check Alcotest.bool (Printf.sprintf "seed %d: extends after align" seed) true
+        (Summary.extends ~old_p:base ~new_p:aligned);
+      List.iter
+        (fun flavor ->
+          let s0 = Solver.run base (config base flavor) in
+          let warm, report =
+            Comp.solve_incremental ~base_program:base ~base_solution:s0 aligned
+              (config aligned flavor)
+          in
+          check Alcotest.(option string) "warm path taken" None report.Comp.fallback;
+          let cold = Solver.run aligned (config aligned flavor) in
+          check Alcotest.bool
+            (Printf.sprintf "seed %d %s: warm == cold" seed (Flavors.to_string flavor))
+            true
+            (String.equal (warm_bytes aligned warm) (warm_bytes aligned cold)))
+        flavors
+  done;
+  check Alcotest.bool "some reparsed edit needed realignment" true (!realigned > 0)
+
+let test_align_deletion () =
+  let base = chain_program ~with_d:true in
+  let smaller = chain_program ~with_d:false in
+  check Alcotest.bool "deleted method does not align" true
+    (Summary.align ~old_p:base ~new_p:smaller = None)
 
 (* ---------- seeded edit picking ---------- *)
 
@@ -214,11 +245,19 @@ let test_pick_deterministic () =
 let () =
   Alcotest.run "incremental"
     [
-      ( "compositional",
-        [ test_compositional_identity; test_jobs_independent ] );
       ("warm", [ test_warm_chain ]);
       ( "dirty",
         [ Alcotest.test_case "minimal dirty set" `Quick test_dirty_minimality ] );
+      (* The longest suite name sets the column width, and with it where
+         Alcotest truncates long test names: keep it at 13 characters so
+         the printed names stay stable. *)
+      ( "warm-fallback",
+        [ Alcotest.test_case "budget, truncated baseline, rewrite" `Quick test_fallbacks ] );
+      ( "align",
+        [
+          Alcotest.test_case "reparsed edit realigns" `Quick test_align_reparsed;
+          Alcotest.test_case "deletion gives None" `Quick test_align_deletion;
+        ] );
       ( "edits",
         [ Alcotest.test_case "seeded picking pinned" `Quick test_pick_deterministic ] );
     ]

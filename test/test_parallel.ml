@@ -68,29 +68,6 @@ let test_pool_reuse () =
     (Invalid_argument "Domain_pool.map: pool is shut down") (fun () ->
       ignore (Pool.map_list pool Fun.id [ 1 ]))
 
-let test_run_shards () =
-  (* run_shards is one synchronization round of a sharded solve: results in
-     shard order, pooled domains reused across rounds. *)
-  Pool.with_pool ~jobs:3 (fun pool ->
-      for round = 1 to 4 do
-        let out = Pool.run_shards pool ~shards:5 (fun sid -> (round * 10) + sid) in
-        check (Alcotest.array Alcotest.int)
-          (Printf.sprintf "round %d in shard order" round)
-          (Array.init 5 (fun sid -> (round * 10) + sid))
-          out
-      done;
-      (* a single shard runs inline, like map's singleton case *)
-      let caller = Domain.self () in
-      let out = Pool.run_shards pool ~shards:1 (fun _ -> Domain.self () = caller) in
-      check (Alcotest.array Alcotest.bool) "one shard runs inline" [| true |] out;
-      (* deterministic exception discipline: lowest shard index wins *)
-      (match Pool.run_shards pool ~shards:4 (fun sid -> if sid >= 2 then raise (Boom sid)) with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom n -> check Alcotest.int "lowest failing shard" 2 n);
-      Alcotest.check_raises "shards < 1"
-        (Invalid_argument "Domain_pool.run_shards: shards must be >= 1") (fun () ->
-          ignore (Pool.run_shards pool ~shards:0 Fun.id)))
-
 let test_pool_sequential () =
   (* jobs = 1 spawns no domains and runs inline. *)
   let pool = Pool.create ~jobs:1 in
@@ -200,7 +177,6 @@ let () =
           Alcotest.test_case "uneven tasks" `Quick test_pool_uneven_tasks;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "reuse and shutdown" `Quick test_pool_reuse;
-          Alcotest.test_case "run_shards rounds" `Quick test_run_shards;
           Alcotest.test_case "sequential inline" `Quick test_pool_sequential;
         ] );
       ( "determinism",

@@ -58,7 +58,7 @@ let test_suite_lists () =
 (* ---------- motif behavior ---------- *)
 
 let build_motif f =
-  let w = World.create ~seed:1234 in
+  let w = World.create () in
   f w;
   World.finish w
 
@@ -161,7 +161,7 @@ let test_chains_and_listeners () =
 
 let test_invalid_args () =
   let expect_invalid f =
-    let w = World.create ~seed:1 in
+    let w = World.create () in
     match f w with
     | _ -> Alcotest.fail "expected Invalid_argument"
     | exception Invalid_argument _ -> ()
