@@ -1,61 +1,60 @@
-(* Benchmark harness.
+(* Benchmark harness: the paper's evaluation plus the gated smoke benches.
 
    Default run (no arguments): regenerate every table and figure of the
-   paper's evaluation at full scale, then run the Bechamel micro/meso
-   benchmarks (one Test.make per figure/table at reduced scale, plus kernel
-   benchmarks of the supporting data structures).
+   paper's evaluation at full scale, then the ablations. Wall-clock
+   benchmarking lives in benchmark/; this harness reproduces the paper's
+   numbers and pins their deterministic counters.
 
    The figure suites fan out over a domain pool (--jobs N, default
    Domain.recommended_domain_count); results are ordered and identical to a
-   sequential run. A [figs] or [all] run also writes BENCH_solver.json — the
-   full report plus the solver's propagation counters, machine-readable for
-   CI trend tracking.
+   sequential run.
 
-   The [cache] selection is the snapshot-cache smoke test: it clears the
-   cache directory, computes the full report cold, recomputes it warm (a
-   second process-fresh cache over the same directory), asserts the warm
-   run hit the disk for every shared first pass and produced identical
-   tables, and writes BENCH_cache.json with both wall-clocks.
+   Five selections are gated. Each writes one Bench_record (see
+   lib/harness/bench_record.mli) to its BENCH_*.json: the run's params,
+   its deterministic [counters] and its clock- or schedule-dependent
+   [measured] values. --check-against FILE reads a committed record when
+   the arguments are parsed and, after the run, fails unless the fresh
+   counters have the same names and values; measured values are ignored.
 
-   The [query] selection measures demand-query throughput over a decoded
-   snapshot: one pass with cold lazy indexes, one warm, written to
-   BENCH_query.json.
-
-   The [serve] selection is the query-serving load harness: a socket
-   server over a snapshot cache, driven by N concurrent clients (1, 2, 4,
-   8 by default) each streaming a seeded zipf mix of queries interleaved
-   with [load key] hot-swaps between two snapshots. Every answer is
-   checked byte-identical to a sequential simulation over the same
-   engines, the per-run counters (served/errors/loads — deterministic for
-   the fixed scripts) land in BENCH_serve.json next to qps and client-side
-   latency percentiles, and --check-against diffs the deterministic
-   fields against the committed baseline.
-
-   The [incr] selection is the incremental smoke test: a cold solve, a
-   warm re-solve of the unchanged program that must re-derive nothing, and
-   a warm re-solve after a one-method monotone edit — gated to re-derive
-   less than 25% of what the cold solve of the edited program derives.
-   The deterministic counters land in BENCH_incr.json; --check-against
-   diffs them leniently (fields absent from the committed baseline are
-   skipped with a note, so the baseline can trail the bench).
-
-   The [lint] selection times every lint rule over two solved synthetic
-   benchmarks and writes the per-rule wall-clocks and finding counts to
-   BENCH_lint.json.
+   - [figs] (also part of [all]): every figure row of the report, written
+     to BENCH_solver.json with the solver's propagation counters per row.
+   - [cache]: clears the cache directory, computes the report cold, then
+     warm through a second process-fresh cache over the same directory;
+     asserts identical tables, disk hits and no warm re-solve
+     (BENCH_cache.json).
+   - [serve]: a socket server over a snapshot cache, driven by N
+     concurrent clients (1, 2, 4, 8 by default) each streaming a seeded
+     zipf mix of queries interleaved with [load key] hot-swaps between two
+     snapshots. Every answer is checked byte-identical to a sequential
+     simulation over the same engines (BENCH_serve.json).
+   - [demand]: demand slices vs the full solve; every answer identical,
+     every repeat a memo hit, the worst slice below the full solve
+     (BENCH_demand.json).
+   - [incr]: a cold solve, a warm re-solve of the unchanged program that
+     must re-derive nothing, and a warm re-solve after a one-method
+     monotone edit that must re-derive under 25% of the cold solve of the
+     edited program (BENCH_incr.json).
 
    Usage:
-     main.exe [fig1|fig4|fig5|fig6|fig7|figs|ablation|cache|query|serve|demand|incr|lint|micro|all]
+     main.exe [fig1|fig4|fig5|fig6|fig7|figs|ablation|cache|serve|demand|incr|all]
               [--scale S] [--budget N] [--jobs N]
               [--clients N1,N2,...] [--cache-dir DIR] [--check-against FILE]
 *)
 
 module Flavors = Ipa_core.Flavors
 module Experiments = Ipa_harness.Experiments
+module Record = Ipa_harness.Bench_record
+module J = Ipa_support.Json
 
 let usage () =
   prerr_endline
-    "usage: main.exe [fig1|fig4|fig5|fig6|fig7|figs|ablation|cache|query|serve|demand|incr|lint|micro|all] [--scale S] [--budget N] [--jobs N] [--clients N1,N2,...] [--cache-dir DIR] [--check-against FILE]";
+    "usage: main.exe [fig1|fig4|fig5|fig6|fig7|figs|ablation|cache|serve|demand|incr|all] [--scale S] [--budget N] [--jobs N] [--clients N1,N2,...] [--cache-dir DIR] [--check-against FILE]";
   exit 2
+
+(* The one failure path of every selection. *)
+let fail what msg =
+  prerr_endline (Printf.sprintf "%s FAILED: %s" what msg);
+  exit 1
 
 type selection =
   | Fig1
@@ -64,19 +63,16 @@ type selection =
   | Figs
   | Ablation
   | Cache_smoke
-  | Query_bench
   | Serve_bench
   | Demand_bench
   | Incr_bench
-  | Lint_bench
-  | Micro
   | All
 
 let parse_args () =
   let selection = ref All in
   let cfg = ref Ipa_harness.Config.default in
   let cache_dir = ref "_ipa_cache" in
-  let check_against = ref None in
+  let baseline = ref None in
   let clients_list = ref [ 1; 2; 4; 8 ] in
   let rec go = function
     | [] -> ()
@@ -108,10 +104,10 @@ let parse_args () =
       cache_dir := v;
       go rest
     | "--check-against" :: v :: rest ->
-      check_against := Some v;
-      go rest
-    | "query" :: rest ->
-      selection := Query_bench;
+      (* Read now: the run overwrites the committed file in place. *)
+      (match Record.read v with
+      | Ok r -> baseline := Some r
+      | Error e -> fail "bench check" (Record.error_to_string e));
       go rest
     | "serve" :: rest ->
       selection := Serve_bench;
@@ -127,12 +123,6 @@ let parse_args () =
       if ns <> [] && List.for_all (function Some n -> n >= 1 | None -> false) ns then
         clients_list := List.filter_map Fun.id ns
       else usage ();
-      go rest
-    | "lint" :: rest ->
-      selection := Lint_bench;
-      go rest
-    | "micro" :: rest ->
-      selection := Micro;
       go rest
     | "all" :: rest ->
       selection := All;
@@ -155,173 +145,79 @@ let parse_args () =
     | _ -> usage ()
   in
   go (List.tl (Array.to_list Sys.argv));
-  (!selection, !cfg, !cache_dir, !check_against, !clients_list)
+  (!selection, !cfg, !cache_dir, !baseline, !clients_list)
 
-(* ---------- BENCH_solver.json ---------- *)
+(* ---------- the one record writer and gate ---------- *)
 
-let json_path = "BENCH_solver.json"
+let params (cfg : Ipa_harness.Config.t) extra =
+  ("scale", J.Float cfg.scale) :: ("budget", J.Int cfg.budget) :: ("jobs", J.Int cfg.jobs) :: extra
 
-let run_json (r : Experiments.run) =
+let finish ~path ~baseline (record : Record.t) =
+  Record.write path record;
+  Printf.printf "wrote %s (%d counters)\n%!" path (List.length record.counters);
+  Option.iter
+    (fun baseline ->
+      match Record.diff ~baseline record with
+      | [] ->
+        Printf.printf "bench check OK: %d %s counters equal the baseline\n%!"
+          (List.length record.counters) record.selection
+      | diffs ->
+        List.iter (fun d -> prerr_endline ("  " ^ d)) diffs;
+        fail "bench check"
+          (Printf.sprintf "%d difference(s) from the baseline" (List.length diffs)))
+    baseline
+
+(* Prefix every name of an association list: one row's counters. *)
+let under prefix kvs = List.map (fun (k, v) -> (prefix ^ "/" ^ k, v)) kvs
+
+(* ---------- BENCH_solver.json: per-row figure counters ---------- *)
+
+let run_counters (r : Experiments.run) =
   let c = r.counters in
-  Printf.sprintf
-    {|    {"bench": "%s", "analysis": "%s", "seconds": %.6f, "derivations": %d, "timed_out": %b,
-     "counters": {"edges_added": %d, "edges_deduped": %d, "batches": %d, "batch_objs": %d, "max_batch": %d, "set_promotions": %d, "cycles_collapsed": %d, "nodes_merged": %d, "repropagations_avoided": %d}}|}
-    r.bench r.analysis r.seconds r.derivations r.timed_out c.edges_added c.edges_deduped c.batches
-    c.batch_objs c.max_batch c.set_promotions c.cycles_collapsed c.nodes_merged
-    c.repropagations_avoided
+  [
+    ("derivations", r.derivations);
+    ("timed_out", Bool.to_int r.timed_out);
+    ("edges_added", c.edges_added);
+    ("edges_deduped", c.edges_deduped);
+    ("batches", c.batches);
+    ("batch_objs", c.batch_objs);
+    ("max_batch", c.max_batch);
+    ("set_promotions", c.set_promotions);
+    ("cycles_collapsed", c.cycles_collapsed);
+    ("nodes_merged", c.nodes_merged);
+    ("repropagations_avoided", c.repropagations_avoided);
+  ]
 
-let write_json (cfg : Ipa_harness.Config.t) (report : Experiments.report) =
-  let runs =
-    report.fig1 @ report.fig5 @ report.fig6 @ report.fig7 @ report.taint
-  in
-  let totals =
-    List.fold_left
-      (fun acc (r : Experiments.run) ->
-        let c = r.counters in
-        {
-          Ipa_core.Solution.edges_added = acc.Ipa_core.Solution.edges_added + c.edges_added;
-          edges_deduped = acc.edges_deduped + c.edges_deduped;
-          batches = acc.batches + c.batches;
-          batch_objs = acc.batch_objs + c.batch_objs;
-          max_batch = max acc.max_batch c.max_batch;
-          set_promotions = acc.set_promotions + c.set_promotions;
-          cycles_collapsed = acc.cycles_collapsed + c.cycles_collapsed;
-          nodes_merged = acc.nodes_merged + c.nodes_merged;
-          repropagations_avoided = acc.repropagations_avoided + c.repropagations_avoided;
-        })
-      Ipa_core.Solution.zero_counters runs
-  in
-  let total_derivations =
-    List.fold_left (fun acc (r : Experiments.run) -> acc + r.derivations) 0 runs
-  in
-  let total_seconds =
-    List.fold_left (fun acc (r : Experiments.run) -> acc +. r.seconds) 0.0 runs
-  in
-  let derivations_per_second =
-    if total_seconds > 0.0 then float_of_int total_derivations /. total_seconds else 0.0
-  in
-  let section name rs =
-    Printf.sprintf "  \"%s\": [\n%s\n  ]" name (String.concat ",\n" (List.map run_json rs))
-  in
-  let body =
-    String.concat ",\n"
-      ([
-         Printf.sprintf "  \"scale\": %g" cfg.scale;
-         Printf.sprintf "  \"budget\": %d" cfg.budget;
-         Printf.sprintf "  \"jobs\": %d" cfg.jobs;
-         Printf.sprintf "  \"cores\": %d" (Domain.recommended_domain_count ());
-         section "fig1" report.fig1;
-         section "fig5" report.fig5;
-         section "fig6" report.fig6;
-         section "fig7" report.fig7;
-         section "taint" report.taint;
-       ]
-      @ [
-          Printf.sprintf
-            "  \"totals\": {\"runs\": %d, \"derivations\": %d, \"edges_added\": %d, \
-             \"edges_deduped\": %d, \"batches\": %d, \"batch_objs\": %d, \"max_batch\": %d, \
-             \"set_promotions\": %d, \"cycles_collapsed\": %d, \"nodes_merged\": %d, \
-             \"repropagations_avoided\": %d, \"derivations_per_second\": %.1f}"
-            (List.length runs) total_derivations totals.edges_added totals.edges_deduped
-            totals.batches totals.batch_objs totals.max_batch totals.set_promotions
-            totals.cycles_collapsed totals.nodes_merged totals.repropagations_avoided
-            derivations_per_second;
-        ])
-  in
-  Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc ("{\n" ^ body ^ "\n}\n"));
-  Printf.printf "wrote %s (%d runs)\n%!" json_path (List.length runs);
-  (* The cross-PR perf-trajectory summary. *)
-  Printf.printf
-    "summary: %d derivations in %.2fs solver time (%.0f derivations/s), %d batch objs, %d \
-     repropagations avoided (%d cycles collapsed, %d nodes merged)\n%!"
-    total_derivations total_seconds derivations_per_second totals.batch_objs
-    totals.repropagations_avoided totals.cycles_collapsed totals.nodes_merged
-
-(* ---------- regression gate against a committed BENCH_solver.json ---------- *)
-
-(* The committed report is our own output, so a string scan of the totals
-   object is dependable: find the "totals" key, then read the integer after
-   the field name. *)
-let find_substring haystack needle from =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i =
-    if i + nl > hl then None
-    else if String.sub haystack i nl = needle then Some i
-    else go (i + 1)
-  in
-  go from
-
-let scan_total ~file ~contents field =
-  let fail msg =
-    prerr_endline (Printf.sprintf "bench check FAILED: %s: %s" file msg);
-    exit 1
-  in
-  match find_substring contents "\"totals\"" 0 with
-  | None -> fail "no totals object"
-  | Some totals_at -> (
-    match find_substring contents (Printf.sprintf "\"%s\":" field) totals_at with
-    | None -> fail (Printf.sprintf "no %S field in totals" field)
-    | Some at ->
-      let i = ref (at + String.length field + 3) in
-      let len = String.length contents in
-      while !i < len && contents.[!i] = ' ' do
-        incr i
-      done;
-      let start = !i in
-      while !i < len && contents.[!i] >= '0' && contents.[!i] <= '9' do
-        incr i
-      done;
-      if !i = start then fail (Printf.sprintf "field %S is not an integer" field)
-      else int_of_string (String.sub contents start (!i - start)))
-
-(* Tolerance bands: derivations are deterministic and semantic, so any
-   growth at all is a real precision/semantics change; batch_objs is the
-   propagation volume this PR exists to shrink, so a modest slack absorbs
-   scheduling noise while still catching a regressed worklist or collapse. *)
-let derivations_tolerance = 0.001
-let batch_objs_tolerance = 0.10
-
-let check_against ~file (report : Experiments.report) =
-  let contents =
-    match In_channel.with_open_text file In_channel.input_all with
-    | s -> s
-    | exception Sys_error msg ->
-      prerr_endline ("bench check FAILED: cannot read baseline: " ^ msg);
-      exit 1
-  in
-  let runs = report.fig1 @ report.fig5 @ report.fig6 @ report.fig7 @ report.taint in
-  let fresh_derivations =
-    List.fold_left (fun acc (r : Experiments.run) -> acc + r.derivations) 0 runs
-  in
-  let fresh_batch_objs =
-    List.fold_left (fun acc (r : Experiments.run) -> acc + r.counters.batch_objs) 0 runs
-  in
-  let base_derivations = scan_total ~file ~contents "derivations" in
-  let base_batch_objs = scan_total ~file ~contents "batch_objs" in
-  let check name fresh base tolerance =
-    let limit = int_of_float (ceil (float_of_int base *. (1.0 +. tolerance))) in
-    Printf.printf "bench check: %s fresh %d vs committed %d (limit %d)\n%!" name fresh base limit;
-    if fresh > limit then begin
-      prerr_endline
-        (Printf.sprintf "bench check FAILED: %s regressed beyond %.1f%%: %d > %d (committed %d)"
-           name (100.0 *. tolerance) fresh limit base);
-      exit 1
-    end
-  in
-  check "derivations" fresh_derivations base_derivations derivations_tolerance;
-  check "batch_objs" fresh_batch_objs base_batch_objs batch_objs_tolerance;
-  print_endline "bench check OK: totals within tolerance of committed baseline"
-
-let run_figs ?baseline cfg =
+let run_figs ~baseline cfg =
   let report = Experiments.compute_report cfg in
   Experiments.print_report cfg report;
-  write_json cfg report;
-  Option.iter (fun file -> check_against ~file report) baseline
+  let rows =
+    List.concat_map
+      (fun (section, runs) ->
+        List.map
+          (fun (r : Experiments.run) -> (Printf.sprintf "%s/%s/%s" section r.bench r.analysis, r))
+          runs)
+      [
+        ("fig1", report.fig1);
+        ("fig5", report.fig5);
+        ("fig6", report.fig6);
+        ("fig7", report.fig7);
+        ("taint", report.taint);
+      ]
+  in
+  let runs = List.map snd rows in
+  Printf.printf "summary: %d runs, %d derivations in %.2fs solver time\n%!" (List.length runs)
+    (List.fold_left (fun acc (r : Experiments.run) -> acc + r.derivations) 0 runs)
+    (List.fold_left (fun acc (r : Experiments.run) -> acc +. r.seconds) 0.0 runs);
+  finish ~path:"BENCH_solver.json" ~baseline
+    {
+      selection = "figs";
+      params = params cfg [ ("cores", J.Int (Domain.recommended_domain_count ())) ];
+      counters = List.concat_map (fun (row, r) -> under row (run_counters r)) rows;
+      measured = List.map (fun (row, (r : Experiments.run)) -> (row ^ "/seconds", r.seconds)) rows;
+    }
 
 (* ---------- BENCH_cache.json: cold vs warm differential ---------- *)
-
-let cache_json_path = "BENCH_cache.json"
 
 (* Everything but the timing columns must be bit-identical across runs. *)
 let strip_run (r : Experiments.run) = { r with seconds = 0.0 }
@@ -335,13 +231,27 @@ let reports_equal (a : Experiments.report) (b : Experiments.report) =
   && runs a.fig7 = runs b.fig7
   && runs a.taint = runs b.taint
 
-let stats_json (s : Ipa_harness.Cache.stats) =
-  Printf.sprintf
-    {|{"mem_hits": %d, "disk_hits": %d, "misses": %d, "stale": %d, "writes": %d, "write_conflicts": %d, "disk_errors": %d, "evictions": %d, "resident_bytes": %d}|}
-    s.mem_hits s.disk_hits s.misses s.stale s.writes s.write_conflicts s.disk_errors s.evictions
-    s.resident_bytes
+(* Lookups, writes and resident bytes do not depend on the schedule; the
+   mem/disk hit split, misses and write conflicts do under --jobs > 1,
+   because concurrent misses on one key may each solve (see cache.mli). *)
+let cache_counters pass (s : Ipa_harness.Cache.stats) =
+  ( under pass
+      [
+        ("lookups", s.mem_hits + s.disk_hits + s.misses);
+        ("writes", s.writes);
+        ("stale", s.stale);
+        ("disk_errors", s.disk_errors);
+        ("evictions", s.evictions);
+        ("resident_bytes", s.resident_bytes);
+      ],
+    under pass
+      [
+        ("mem_hits", float_of_int s.mem_hits);
+        ("disk_hits", float_of_int s.disk_hits);
+        ("write_conflicts", float_of_int s.write_conflicts);
+      ] )
 
-let run_cache_smoke (cfg : Ipa_harness.Config.t) ~dir =
+let run_cache_smoke (cfg : Ipa_harness.Config.t) ~dir ~baseline =
   let removed = Ipa_harness.Cache.clear ~dir () in
   if removed > 0 then Printf.printf "cleared %d stale snapshot(s) from %s\n%!" removed dir;
   let timed_report cache =
@@ -357,36 +267,28 @@ let run_cache_smoke (cfg : Ipa_harness.Config.t) ~dir =
   let warm_report, warm_seconds = timed_report warm_cache in
   let warm = Ipa_harness.Cache.stats warm_cache in
   Printf.printf "warm run  %.2fs  %s\n%!" warm_seconds (Ipa_harness.Cache.stats_line warm_cache);
-  let identical = reports_equal cold_report warm_report in
-  let body =
-    String.concat ",\n"
-      [
-        Printf.sprintf "  \"scale\": %g" cfg.scale;
-        Printf.sprintf "  \"budget\": %d" cfg.budget;
-        Printf.sprintf "  \"jobs\": %d" cfg.jobs;
-        Printf.sprintf "  \"cold\": {\"seconds\": %.6f, \"stats\": %s}" cold_seconds
-          (stats_json cold);
-        Printf.sprintf "  \"warm\": {\"seconds\": %.6f, \"stats\": %s}" warm_seconds
-          (stats_json warm);
-        Printf.sprintf "  \"identical_tables\": %b" identical;
-      ]
-  in
-  Out_channel.with_open_text cache_json_path (fun oc ->
-      Out_channel.output_string oc ("{\n" ^ body ^ "\n}\n"));
-  Printf.printf "wrote %s\n%!" cache_json_path;
-  let fail msg =
-    prerr_endline ("cache smoke FAILED: " ^ msg);
-    exit 1
-  in
-  if not identical then fail "warm tables differ from cold tables";
+  let fail = fail "cache smoke" in
+  if not (reports_equal cold_report warm_report) then fail "warm tables differ from cold tables";
   if warm.disk_hits = 0 then fail "warm run never hit the disk cache";
   if warm.misses > 0 then
     fail (Printf.sprintf "warm run re-solved %d shared first pass(es)" warm.misses);
-  print_endline "cache smoke OK: warm run reused every shared first pass, tables identical"
+  print_endline "cache smoke OK: warm run reused every shared first pass, tables identical";
+  let cold_counters, cold_measured = cache_counters "cold" cold in
+  let warm_counters, warm_measured = cache_counters "warm" warm in
+  finish ~path:"BENCH_cache.json" ~baseline
+    {
+      selection = "cache";
+      params = params cfg [];
+      (* The warm pass re-solves nothing whatever the schedule. *)
+      counters = cold_counters @ warm_counters @ [ ("warm/misses", warm.misses) ];
+      measured =
+        (("cold/seconds", cold_seconds)
+         :: ("cold/misses", float_of_int cold.misses)
+         :: cold_measured)
+        @ (("warm/seconds", warm_seconds) :: warm_measured);
+    }
 
-(* ---------- BENCH_query.json: cold vs warm query-index throughput ---------- *)
-
-let query_json_path = "BENCH_query.json"
+(* ---------- BENCH_serve.json: concurrent socket-serving load harness ---------- *)
 
 (* A deterministic query mix covering every form, built from the program's
    own entity tables (capped per category so the mix size scales gently). *)
@@ -422,66 +324,6 @@ let query_mix program =
               (heap h, P.field_full_name program fields.(h mod Array.length fields))));
       [ Ipa_query.Query.Taint None; Ipa_query.Query.Stats ];
     ]
-
-let run_query_bench (cfg : Ipa_harness.Config.t) =
-  let spec = List.hd Ipa_synthetic.Dacapo.all in
-  let program = Ipa_synthetic.Dacapo.build ~scale:cfg.scale spec in
-  let result = Ipa_core.Analysis.run_plain ~budget:cfg.budget program Flavors.Insensitive in
-  let module Snapshot = Ipa_core.Snapshot in
-  let bytes =
-    Snapshot.encode
-      {
-        Snapshot.key = "bench-query";
-        program_digest = Snapshot.digest_program program;
-        label = result.label;
-        seconds = result.seconds;
-        solution = result.solution;
-        metrics = None;
-      }
-  in
-  let queries = query_mix program in
-  let n_queries = List.length queries in
-  Printf.printf "query bench: %s at scale %g, %s: %d queries\n%!" spec.name cfg.scale result.label
-    n_queries;
-  (* Cold: a freshly decoded solution, so the first pass over the mix pays
-     every lazy index build. Warm: the same engine again, indexes hot. *)
-  let engine =
-    match Snapshot.decode ~program bytes with
-    | Error e -> failwith (Snapshot.error_to_string e)
-    | Ok snap -> Ipa_query.Engine.create snap.solution
-  in
-  let time_round () =
-    Ipa_support.Timer.time (fun () ->
-        List.iter (fun q -> ignore (Ipa_query.Engine.eval engine q)) queries)
-  in
-  let (), cold_seconds = time_round () in
-  let (), warm_seconds = time_round () in
-  let qps secs = if secs > 0.0 then float_of_int n_queries /. secs else 0.0 in
-  Printf.printf "cold  %.4fs  (%.0f queries/s)\n%!" cold_seconds (qps cold_seconds);
-  Printf.printf "warm  %.4fs  (%.0f queries/s)\n%!" warm_seconds (qps warm_seconds);
-  let body =
-    String.concat ",\n"
-      [
-        Printf.sprintf "  \"scale\": %g" cfg.scale;
-        Printf.sprintf "  \"budget\": %d" cfg.budget;
-        Printf.sprintf "  \"bench\": \"%s\"" spec.name;
-        Printf.sprintf "  \"analysis\": \"%s\"" result.label;
-        Printf.sprintf "  \"n_queries\": %d" n_queries;
-        Printf.sprintf "  \"cold\": {\"seconds\": %.6f, \"qps\": %.1f}" cold_seconds
-          (qps cold_seconds);
-        Printf.sprintf "  \"warm\": {\"seconds\": %.6f, \"qps\": %.1f}" warm_seconds
-          (qps warm_seconds);
-        Printf.sprintf "  \"warm_speedup\": %.2f"
-          (if warm_seconds > 0.0 then cold_seconds /. warm_seconds else 0.0);
-      ]
-  in
-  Out_channel.with_open_text query_json_path (fun oc ->
-      Out_channel.output_string oc ("{\n" ^ body ^ "\n}\n"));
-  Printf.printf "wrote %s\n%!" query_json_path
-
-(* ---------- BENCH_serve.json: concurrent socket-serving load harness ---------- *)
-
-let serve_json_path = "BENCH_serve.json"
 
 (* Client c's request stream: a seeded zipf mix over the query corpus
    (hot queries dominate, the tail is long), interleaved with [load key]
@@ -585,92 +427,6 @@ let percentile_us sorted q =
   let n = Array.length sorted in
   if n = 0 then 0 else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
 
-type serve_row = {
-  clients : int;
-  row_served : int;
-  row_errors : int;
-  row_loads : int;
-  row_evictions : int;
-  row_seconds : float;
-  row_qps : float;
-  row_p50_us : int;
-  row_p99_us : int;
-}
-
-let serve_row_json r =
-  Printf.sprintf
-    {|    {"clients": %d, "served": %d, "errors": %d, "loads": %d, "evictions": %d, "seconds": %.6f, "qps": %.1f, "p50_us": %d, "p99_us": %d}|}
-    r.clients r.row_served r.row_errors r.row_loads r.row_evictions r.row_seconds r.row_qps
-    r.row_p50_us r.row_p99_us
-
-(* Timing and schedule-dependent fields (wall-clock, qps, percentiles,
-   evictions — the victim schedule depends on session interleaving) are
-   stripped from both sides; the rest (served/errors/loads for the fixed
-   scripts) must match the committed baseline exactly. *)
-let strip_serve_timing line =
-  let strip field line =
-    match find_substring line (Printf.sprintf "\"%s\":" field) 0 with
-    | None -> line
-    | Some at ->
-      let len = String.length line in
-      let j = ref at in
-      while !j < len && line.[!j] <> ',' && line.[!j] <> '}' do
-        incr j
-      done;
-      let stop = if !j < len && line.[!j] = ',' then !j + 1 else !j in
-      let stop = if stop < len && line.[stop] = ' ' then stop + 1 else stop in
-      String.sub line 0 at ^ String.sub line stop (len - stop)
-  in
-  List.fold_left (fun l f -> strip f l) line [ "seconds"; "qps"; "p50_us"; "p99_us"; "evictions" ]
-
-let check_serve_against ~file rows =
-  let contents =
-    match In_channel.with_open_text file In_channel.input_all with
-    | s -> s
-    | exception Sys_error msg ->
-      prerr_endline ("bench check FAILED: cannot read baseline: " ^ msg);
-      exit 1
-  in
-  match find_substring contents "\"rows\"" 0 with
-  | None ->
-    prerr_endline "bench check FAILED: baseline has no rows section";
-    exit 1
-  | Some section_at ->
-    let missing = ref 0 in
-    List.iter
-      (fun r ->
-        let key = Printf.sprintf {|{"clients": %d,|} r.clients in
-        match find_substring contents key section_at with
-        | None -> incr missing
-        | Some at ->
-          let line_end =
-            match String.index_from_opt contents at '\n' with
-            | Some i -> i
-            | None -> String.length contents
-          in
-          let committed = String.trim (String.sub contents at (line_end - at)) in
-          let committed =
-            let n = String.length committed in
-            if n > 0 && committed.[n - 1] = ',' then String.sub committed 0 (n - 1)
-            else committed
-          in
-          let fresh = String.trim (serve_row_json r) in
-          if strip_serve_timing fresh <> strip_serve_timing committed then begin
-            prerr_endline
-              (Printf.sprintf
-                 "bench check FAILED: serve counters drifted at %d client(s)\n\
-                 \  committed: %s\n\
-                 \  fresh:     %s"
-                 r.clients (strip_serve_timing committed) (strip_serve_timing fresh));
-            exit 1
-          end)
-      rows;
-    if !missing > 0 then
-      Printf.printf
-        "bench check: %d serve row(s) absent from baseline (new client count); skipped\n%!"
-        !missing;
-    print_endline "bench check OK: serve counters match the committed baseline"
-
 let run_serve_bench (cfg : Ipa_harness.Config.t) ~clients_list ~baseline =
   let module Snapshot = Ipa_core.Snapshot in
   let spec = List.hd Ipa_synthetic.Dacapo.all in
@@ -679,10 +435,7 @@ let run_serve_bench (cfg : Ipa_harness.Config.t) ~clients_list ~baseline =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ipa-serve-bench-%d" (Unix.getpid ()))
   in
-  let fail msg =
-    prerr_endline ("serve bench FAILED: " ^ msg);
-    exit 1
-  in
+  let fail = fail "serve bench" in
   (* Two snapshots of the same program — the base pass and a
      context-sensitive solve — published to a shared cache directory so
      the server can hot-load either by cache key. *)
@@ -715,7 +468,7 @@ let run_serve_bench (cfg : Ipa_harness.Config.t) ~clients_list ~baseline =
   (* A budget below the working set: holding both snapshots resident is
      impossible, so the swap traffic exercises eviction + disk re-loads on
      the serving path (evictions are schedule-dependent under concurrency,
-     so the drift gate ignores that column). *)
+     so they are measured, not counted). *)
   let mem_budget = List.fold_left max 0 sizes + (List.fold_left min max_int sizes / 2) in
   let engines =
     Array.of_list
@@ -778,62 +531,51 @@ let run_serve_bench (cfg : Ipa_harness.Config.t) ~clients_list ~baseline =
             in
             let sorted = Array.of_list latencies in
             Array.sort compare sorted;
-            let stats = Ipa_harness.Cache.stats serve_cache in
-            let row =
-              {
-                clients = n;
-                row_served = Ipa_query.Server.served server;
-                row_errors = Ipa_query.Server.errors server;
-                row_loads = Ipa_query.Server.loads server;
-                row_evictions = stats.evictions;
-                row_seconds = seconds;
-                row_qps =
-                  (if seconds > 0.0 then float_of_int (List.length latencies) /. seconds else 0.0);
-                row_p50_us = percentile_us sorted 0.50;
-                row_p99_us = percentile_us sorted 0.99;
-              }
+            let served = Ipa_query.Server.served server in
+            if served <> n * serve_requests_per_client then
+              fail
+                (Printf.sprintf "%d client(s): served %d, expected %d" n served
+                   (n * serve_requests_per_client));
+            let errors = Ipa_query.Server.errors server in
+            let loads = Ipa_query.Server.loads server in
+            let evictions = (Ipa_harness.Cache.stats serve_cache).evictions in
+            let qps =
+              if seconds > 0.0 then float_of_int (List.length latencies) /. seconds else 0.0
             in
+            let p50 = percentile_us sorted 0.50 and p99 = percentile_us sorted 0.99 in
             Printf.printf
               "%d client(s): %d served (%d errors), %d loads, %d evictions, %.3fs, %.0f qps, p50 %dus, p99 %dus\n%!"
-              n row.row_served row.row_errors row.row_loads row.row_evictions row.row_seconds
-              row.row_qps row.row_p50_us row.row_p99_us;
-            row))
+              n served errors loads evictions seconds qps p50 p99;
+            let row = Printf.sprintf "clients_%d" n in
+            ( under row [ ("served", served); ("errors", errors); ("loads", loads) ],
+              under row
+                [
+                  ("evictions", float_of_int evictions);
+                  ("seconds", seconds);
+                  ("qps", qps);
+                  ("p50_us", float_of_int p50);
+                  ("p99_us", float_of_int p99);
+                ] )))
       clients_list
   in
-  let expected_served = List.map (fun n -> n * serve_requests_per_client) clients_list in
-  List.iter2
-    (fun row want ->
-      if row.row_served <> want then
-        fail
-          (Printf.sprintf "%d client(s): served %d, expected %d" row.clients row.row_served want))
-    rows expected_served;
-  let body =
-    String.concat ",\n"
-      [
-        Printf.sprintf "  \"scale\": %g" cfg.scale;
-        Printf.sprintf "  \"budget\": %d" cfg.budget;
-        Printf.sprintf "  \"bench\": \"%s\"" spec.name;
-        Printf.sprintf "  \"snapshots\": [%s]"
-          (String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%S") labels)));
-        Printf.sprintf "  \"mem_budget\": %d" mem_budget;
-        Printf.sprintf "  \"requests_per_client\": %d" serve_requests_per_client;
-        Printf.sprintf "  \"rows\": [\n%s\n  ]"
-          (String.concat ",\n" (List.map serve_row_json rows));
-        "  \"identical_answers\": true";
-      ]
-  in
-  Out_channel.with_open_text serve_json_path (fun oc ->
-      Out_channel.output_string oc ("{\n" ^ body ^ "\n}\n"));
-  Printf.printf "wrote %s\n%!" serve_json_path;
-  (match baseline with
-  | None -> ()
-  | Some file -> check_serve_against ~file rows);
   print_endline
-    "serve bench OK: every answer byte-identical to the sequential simulation, served counts exact"
+    "serve bench OK: every answer byte-identical to the sequential simulation, served counts exact";
+  finish ~path:"BENCH_serve.json" ~baseline
+    {
+      selection = "serve";
+      params =
+        params cfg
+          [
+            ("bench", J.Str spec.name);
+            ("snapshots", J.List (Array.to_list (Array.map (fun l -> J.Str l) labels)));
+            ("requests_per_client", J.Int serve_requests_per_client);
+            ("clients", J.List (List.map (fun n -> J.Int n) clients_list));
+          ];
+      counters = ("mem_budget", mem_budget) :: List.concat_map fst rows;
+      measured = List.concat_map snd rows;
+    }
 
 (* ---------- BENCH_demand.json: slice-vs-full demand solving ---------- *)
-
-let demand_json_path = "BENCH_demand.json"
 
 (* The demand corpus: the eligible forms whose slices are meant to be
    small — pts (the acceptance form), alias, callees and fieldpts.
@@ -868,44 +610,9 @@ let demand_mix program =
                 P.field_full_name program fields.(h mod Array.length fields) )));
     ]
 
-let check_demand_against ~file fields =
-  let fail msg =
-    prerr_endline (Printf.sprintf "bench check FAILED: %s: %s" file msg);
-    exit 1
-  in
-  let contents =
-    match In_channel.with_open_text file In_channel.input_all with
-    | s -> s
-    | exception Sys_error msg -> fail ("cannot read baseline: " ^ msg)
-  in
-  let scan name =
-    match find_substring contents (Printf.sprintf "\"%s\":" name) 0 with
-    | None -> fail (Printf.sprintf "no %S field" name)
-    | Some at ->
-      let i = ref (at + String.length name + 3) in
-      let len = String.length contents in
-      while !i < len && contents.[!i] = ' ' do
-        incr i
-      done;
-      let start = !i in
-      while !i < len && contents.[!i] >= '0' && contents.[!i] <= '9' do
-        incr i
-      done;
-      if !i = start then fail (Printf.sprintf "field %S is not an integer" name)
-      else int_of_string (String.sub contents start (!i - start))
-  in
-  List.iter
-    (fun (name, fresh) ->
-      let committed = scan name in
-      if fresh <> committed then
-        fail
-          (Printf.sprintf "%s drifted: fresh %d vs committed %d" name fresh committed)
-      else Printf.printf "bench check: %s %d == committed\n%!" name fresh)
-    fields;
-  print_endline "bench check OK: demand counters match the committed baseline"
-
 let run_demand_bench (cfg : Ipa_harness.Config.t) ~baseline =
   let module Solution = Ipa_core.Solution in
+  let fail = fail "demand bench" in
   let flavor = Flavors.Object_sens { depth = 2; heap = 1 } in
   let spec = List.hd Ipa_synthetic.Dacapo.all in
   let program = Ipa_synthetic.Dacapo.build ~scale:cfg.scale spec in
@@ -917,7 +624,7 @@ let run_demand_bench (cfg : Ipa_harness.Config.t) ~baseline =
   let truncated_budget = max 1 (full_derivations / 10) in
   let truncated = Ipa_core.Analysis.run_plain ~budget:truncated_budget program flavor in
   if truncated.solution.Solution.outcome <> Solution.Budget_exceeded then
-    failwith "demand bench: truncated solve unexpectedly completed";
+    fail "truncated solve unexpectedly completed";
   let truncated_engine = Ipa_query.Engine.create truncated.solution in
   let queries = demand_mix program in
   let n_queries = List.length queries in
@@ -943,15 +650,15 @@ let run_demand_bench (cfg : Ipa_harness.Config.t) ~baseline =
             let served =
               match Ipa_query.Demand.eval demand q with
               | Some s -> s
-              | None -> failwith "demand bench: corpus query not demand-eligible"
+              | None -> fail "corpus query not demand-eligible"
             in
             let after = (Ipa_query.Demand.stats demand).Ipa_query.Demand.slice_derivations in
             max_slice_derivations := max !max_slice_derivations (after - before);
             let expected = render q (Ipa_query.Engine.eval full_engine q) in
             let got = render q served.Ipa_query.Demand.result in
             if got <> expected then
-              failwith
-                (Printf.sprintf "demand bench: answer mismatch\n  full:   %s\n  demand: %s"
+              fail
+                (Printf.sprintf "answer mismatch\n  full:   %s\n  demand: %s"
                    expected got);
             if render q (Ipa_query.Engine.eval truncated_engine q) <> expected then
               incr divergent)
@@ -966,12 +673,12 @@ let run_demand_bench (cfg : Ipa_harness.Config.t) ~baseline =
   let warm = Ipa_query.Demand.stats demand in
   let warm_hits = warm.Ipa_query.Demand.slice_hits - cold.Ipa_query.Demand.slice_hits in
   if warm_hits <> n_queries then
-    failwith
-      (Printf.sprintf "demand bench: expected %d warm slice hits, got %d" n_queries warm_hits);
+    fail
+      (Printf.sprintf "expected %d warm slice hits, got %d" n_queries warm_hits);
   if !max_slice_derivations >= full_derivations then
-    failwith
+    fail
       (Printf.sprintf
-         "demand bench: worst slice solve (%d derivations) not below the full solve (%d) — slicing saved nothing"
+         "worst slice solve (%d derivations) not below the full solve (%d) — slicing saved nothing"
          !max_slice_derivations full_derivations);
   let ratio = float_of_int !max_slice_derivations /. float_of_int full_derivations in
   Printf.printf
@@ -982,96 +689,32 @@ let run_demand_bench (cfg : Ipa_harness.Config.t) ~baseline =
     cold_seconds cold.Ipa_query.Demand.demand_queries cold.Ipa_query.Demand.slice_nodes
     !max_slice_derivations ratio;
   Printf.printf "demand warm: %.4fs, %d memo hits\n%!" warm_seconds warm_hits;
-  let fields =
-    [
-      ("n_queries", n_queries);
-      ("full_derivations", full_derivations);
-      ("truncated_budget", truncated_budget);
-      ("truncated_derivations", truncated.solution.Solution.derivations);
-      ("divergent_truncated_answers", !divergent);
-      ("demand_slice_nodes", cold.Ipa_query.Demand.slice_nodes);
-      ("demand_derivations", cold.Ipa_query.Demand.slice_derivations);
-      ("demand_max_slice_derivations", !max_slice_derivations);
-      ("demand_warm_hits", warm_hits);
-    ]
-  in
-  let body =
-    String.concat ",\n"
-      (List.concat
-         [
-           [
-             Printf.sprintf "  \"scale\": %g" cfg.scale;
-             Printf.sprintf "  \"bench\": \"%s\"" spec.name;
-             Printf.sprintf "  \"analysis\": \"%s\"" full.label;
-           ];
-           List.map (fun (k, v) -> Printf.sprintf "  \"%s\": %d" k v) fields;
-           [
-             Printf.sprintf "  \"answers_identical\": true";
-             Printf.sprintf "  \"derivations_ratio\": %.4f" ratio;
-             Printf.sprintf "  \"demand_cold_seconds\": %.6f" cold_seconds;
-             Printf.sprintf "  \"demand_warm_seconds\": %.6f" warm_seconds;
-           ];
-         ])
-  in
-  Out_channel.with_open_text demand_json_path (fun oc ->
-      Out_channel.output_string oc ("{\n" ^ body ^ "\n}\n"));
-  Printf.printf "wrote %s\n%!" demand_json_path;
-  (match baseline with
-  | None -> ()
-  | Some file -> check_demand_against ~file fields);
-  print_endline
-    "demand bench OK: every demand answer byte-identical to the unbudgeted full solve"
+  print_endline "demand bench OK: every demand answer byte-identical to the unbudgeted full solve";
+  finish ~path:"BENCH_demand.json" ~baseline
+    {
+      selection = "demand";
+      params = params cfg [ ("bench", J.Str spec.name); ("analysis", J.Str full.label) ];
+      counters =
+        [
+          ("n_queries", n_queries);
+          ("full_derivations", full_derivations);
+          ("truncated_budget", truncated_budget);
+          ("truncated_derivations", truncated.solution.Solution.derivations);
+          ("divergent_truncated_answers", !divergent);
+          ("demand_slice_nodes", cold.Ipa_query.Demand.slice_nodes);
+          ("demand_derivations", cold.Ipa_query.Demand.slice_derivations);
+          ("demand_max_slice_derivations", !max_slice_derivations);
+          ("demand_warm_hits", warm_hits);
+        ];
+      measured =
+        [
+          ("derivations_ratio", ratio);
+          ("demand_cold_seconds", cold_seconds);
+          ("demand_warm_seconds", warm_seconds);
+        ];
+    }
 
 (* ---------- BENCH_incr.json: incremental re-analysis ---------- *)
-
-let incr_json_path = "BENCH_incr.json"
-
-(* Lenient variant of the baseline diff: a field the committed file does
-   not carry is skipped with a note instead of failing, so the committed
-   baseline can trail a bench that grows new counters. A field both sides
-   carry must still match exactly. *)
-let check_incr_against ~file fields =
-  let fail msg =
-    prerr_endline (Printf.sprintf "bench check FAILED: %s: %s" file msg);
-    exit 1
-  in
-  let contents =
-    match In_channel.with_open_text file In_channel.input_all with
-    | s -> s
-    | exception Sys_error msg -> fail ("cannot read baseline: " ^ msg)
-  in
-  let scan name =
-    match find_substring contents (Printf.sprintf "\"%s\":" name) 0 with
-    | None -> None
-    | Some at ->
-      let i = ref (at + String.length name + 3) in
-      let len = String.length contents in
-      while !i < len && contents.[!i] = ' ' do
-        incr i
-      done;
-      let start = !i in
-      while !i < len && contents.[!i] >= '0' && contents.[!i] <= '9' do
-        incr i
-      done;
-      if !i = start then fail (Printf.sprintf "field %S is not an integer" name)
-      else Some (int_of_string (String.sub contents start (!i - start)))
-  in
-  let checked = ref 0 in
-  List.iter
-    (fun (name, fresh) ->
-      match scan name with
-      | None -> Printf.printf "bench check: %s absent from baseline, skipped\n%!" name
-      | Some committed ->
-        if fresh <> committed then
-          fail
-            (Printf.sprintf "%s drifted: fresh %d vs committed %d" name fresh committed)
-        else begin
-          incr checked;
-          Printf.printf "bench check: %s %d == committed\n%!" name fresh
-        end)
-    fields;
-  if !checked = 0 then fail "no field matched the committed baseline";
-  print_endline "bench check OK: incremental counters match the committed baseline"
 
 (* Snapshot bytes with the propagation counters and the derivation count
    zeroed. A warm solution differs from a cold one only in this phase
@@ -1093,6 +736,7 @@ let canonical_warm program (s : Ipa_core.Solution.t) =
 let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
   let module Solution = Ipa_core.Solution in
   let module Analysis = Ipa_core.Analysis in
+  let fail = fail "incr bench" in
   let module Comp = Ipa_core.Compositional_solver in
   let module Edits = Ipa_synthetic.Edits in
   let flavor = Flavors.Insensitive in
@@ -1106,11 +750,11 @@ let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
     Analysis.run_incremental program ~base_program:program ~base_solution:cold.solution flavor
   in
   if same_report.Comp.fallback <> None then
-    failwith "incr bench: unchanged-program re-solve fell back to a cold solve";
+    fail "unchanged-program re-solve fell back to a cold solve";
   if same_report.Comp.dirty_sccs <> [] then
-    failwith "incr bench: unchanged-program re-solve found dirty components";
+    fail "unchanged-program re-solve found dirty components";
   if not (String.equal (canonical_warm program same.solution) (canonical_warm program cold.solution))
-  then failwith "incr bench: unchanged-program re-solve differs from the cold solve";
+  then fail "unchanged-program re-solve differs from the cold solve";
   Printf.printf "incr bench: %s at scale %g, %s: %d derivations, %d component(s)\n%!"
     spec.name cfg.scale cold.label cold.solution.Solution.derivations same_report.Comp.n_sccs;
   Printf.printf "incr warm (unchanged): %d derivations\n%!" same.solution.Solution.derivations;
@@ -1120,7 +764,7 @@ let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
   let edits = Edits.pick ~kinds:Edits.monotone_kinds ~seed:42 ~n:1 program in
   (match edits with
   | [ e ] -> Printf.printf "incr edit: %s\n%!" (Edits.describe program e)
-  | _ -> failwith "incr bench: expected exactly one edit");
+  | _ -> fail "expected exactly one edit");
   let edited = Edits.apply_all program edits in
   let edited_cold = Analysis.run_plain edited flavor in
   let warm, warm_report =
@@ -1128,282 +772,56 @@ let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
   in
   (match warm_report.Comp.fallback with
   | None -> ()
-  | Some reason -> failwith ("incr bench: edited re-solve fell back cold: " ^ reason));
+  | Some reason -> fail ("edited re-solve fell back cold: " ^ reason));
   if not (String.equal (canonical_warm edited warm.solution) (canonical_warm edited edited_cold.solution))
-  then failwith "incr bench: edited warm re-solve differs from the cold solve";
+  then fail "edited warm re-solve differs from the cold solve";
   let cold_derivations = edited_cold.solution.Solution.derivations in
   let warm_derivations = warm.solution.Solution.derivations in
   if warm_derivations * 4 >= cold_derivations then
-    failwith
+    fail
       (Printf.sprintf
-         "incr bench: warm re-solve derived %d of %d — not under the 25%% gate"
+         "warm re-solve derived %d of %d — not under the 25%% gate"
          warm_derivations cold_derivations);
   let ratio = float_of_int warm_derivations /. float_of_int cold_derivations in
   Printf.printf "incr warm (1 edit): %d derivations vs %d cold (%.3fx), %d of %d sccs dirty\n%!"
     warm_derivations cold_derivations ratio
     (List.length warm_report.Comp.dirty_sccs)
     warm_report.Comp.n_sccs;
-  let fields =
-    [
-      ("n_sccs", same_report.Comp.n_sccs);
-      ("cold_derivations", cold.solution.Solution.derivations);
-      ("warm_same_derivations", same.solution.Solution.derivations);
-      ("edit_dirty_sccs", List.length warm_report.Comp.dirty_sccs);
-      ("edit_cold_derivations", cold_derivations);
-      ("edit_warm_derivations", warm_derivations);
-    ]
-  in
-  let body =
-    String.concat ",\n"
-      (List.concat
-         [
-           [
-             Printf.sprintf "  \"scale\": %g" cfg.scale;
-             Printf.sprintf "  \"bench\": \"%s\"" spec.name;
-             Printf.sprintf "  \"analysis\": \"%s\"" cold.label;
-           ];
-           List.map (fun (k, v) -> Printf.sprintf "  \"%s\": %d" k v) fields;
-           [
-             Printf.sprintf "  \"answers_identical\": true";
-             Printf.sprintf "  \"derivations_ratio\": %.4f" ratio;
-             Printf.sprintf "  \"cold_seconds\": %.6f" cold.seconds;
-             Printf.sprintf "  \"warm_seconds\": %.6f" warm.seconds;
-           ];
-         ])
-  in
-  Out_channel.with_open_text incr_json_path (fun oc ->
-      Out_channel.output_string oc ("{\n" ^ body ^ "\n}\n"));
-  Printf.printf "wrote %s\n%!" incr_json_path;
-  (match baseline with
-  | None -> ()
-  | Some file -> check_incr_against ~file fields);
   print_endline
-    "incr bench OK: warm re-solves byte-identical to cold, edit re-derivation under the 25% gate"
-
-(* ---------- BENCH_lint.json: per-rule lint timings ---------- *)
-
-let lint_json_path = "BENCH_lint.json"
-
-let run_lint_bench (cfg : Ipa_harness.Config.t) =
-  let module J = Ipa_support.Json in
-  let specs =
-    match Ipa_synthetic.Dacapo.all with
-    | a :: b :: _ -> [ a; b ]
-    | specs -> specs
-  in
-  let bench_entry (spec : Ipa_synthetic.Dacapo.spec) =
-    let program = Ipa_synthetic.Dacapo.build ~scale:cfg.scale spec in
-    let result = Ipa_core.Analysis.run_plain ~budget:cfg.budget program Flavors.Insensitive in
-    let ctx = Ipa_lint.Lint.make_ctx ~solution:result.solution program in
-    let findings, timings = Ipa_lint.Lint.run ctx in
-    let lint_seconds =
-      List.fold_left (fun a (t : Ipa_lint.Lint.timing) -> a +. t.seconds) 0. timings
-    in
-    Printf.printf "lint bench: %s at scale %g: %d finding(s)  (solve %.3fs, lint %.3fs)\n%!"
-      spec.name cfg.scale (List.length findings) result.seconds lint_seconds;
-    let id_width =
-      List.fold_left
-        (fun acc (t : Ipa_lint.Lint.timing) -> max acc (String.length t.rule_id))
-        10 timings
-    in
-    List.iter
-      (fun (t : Ipa_lint.Lint.timing) ->
-        Printf.printf "  %-*s %8.4fs  %6d finding(s)\n%!" id_width t.rule_id t.seconds
-          t.n_findings)
-      timings;
-    J.Obj
-      [
-        ("bench", J.Str spec.name);
-        ("analysis", J.Str result.label);
-        ("solve_seconds", J.Float result.seconds);
-        ("lint_seconds", J.Float lint_seconds);
-        ("n_findings", J.Int (List.length findings));
-        ( "rules",
-          J.List
-            (List.map
-               (fun (t : Ipa_lint.Lint.timing) ->
-                 J.Obj
-                   [
-                     ("rule", J.Str t.rule_id);
-                     ("seconds", J.Float t.seconds);
-                     ("n_findings", J.Int t.n_findings);
-                   ])
-               timings) );
-      ]
-  in
-  let doc =
-    J.Obj
-      [
-        ("scale", J.Float cfg.scale);
-        ("budget", J.Int cfg.budget);
-        ("benches", J.List (List.map bench_entry specs));
-      ]
-  in
-  Out_channel.with_open_text lint_json_path (fun oc ->
-      Out_channel.output_string oc (J.to_string ~pretty:true doc ^ "\n"));
-  Printf.printf "wrote %s\n%!" lint_json_path
-
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let kernel_tests () =
-  let open Bechamel in
-  let intset_add =
-    Test.make ~name:"int_set/add-mem-1k"
-      (Staged.stage (fun () ->
-           let s = Ipa_support.Int_set.create () in
-           for i = 0 to 999 do
-             ignore (Ipa_support.Int_set.add s (i * 7919))
-           done;
-           for i = 0 to 999 do
-             ignore (Ipa_support.Int_set.mem s (i * 7919))
-           done))
-  in
-  let intset_small =
-    (* stays within the inline sorted-array representation *)
-    Test.make ~name:"int_set/small-add-mem-6"
-      (Staged.stage (fun () ->
-           let s = Ipa_support.Int_set.create () in
-           for i = 0 to 5 do
-             ignore (Ipa_support.Int_set.add s (i * 7919))
-           done;
-           for i = 0 to 5 do
-             ignore (Ipa_support.Int_set.mem s (i * 7919))
-           done))
-  in
-  let interner =
-    Test.make ~name:"interner/intern-1k"
-      (Staged.stage (fun () ->
-           let t = Ipa_support.Interner.create ~dummy:[||] () in
-           for i = 0 to 999 do
-             ignore (Ipa_support.Interner.intern t [| i; i + 1 |])
-           done))
-  in
-  let pair_tbl =
-    Test.make ~name:"pair_tbl/intern-1k"
-      (Staged.stage (fun () ->
-           let t = Ipa_support.Pair_tbl.create () in
-           for i = 0 to 999 do
-             ignore (Ipa_support.Pair_tbl.intern t i (i * 3))
-           done))
-  in
-  let datalog_tc =
-    (* Transitive closure of a 200-node chain: exercises the semi-naive
-       engine's join machinery. *)
-    Test.make ~name:"datalog/trans-closure-200"
-      (Staged.stage (fun () ->
-           let edge = Ipa_datalog.Relation.create ~name:"edge" ~arity:2 in
-           let path = Ipa_datalog.Relation.create ~name:"path" ~arity:2 in
-           for i = 0 to 198 do
-             ignore (Ipa_datalog.Relation.add edge [| i; i + 1 |])
-           done;
-           let v i = Ipa_datalog.Rule.Var i in
-           let base =
-             Ipa_datalog.Rule.make ~n_vars:2 ~heads:[ (path, [| v 0; v 1 |]) ]
-               ~body:[ (edge, [| v 0; v 1 |]) ] ()
-           in
-           let step =
-             Ipa_datalog.Rule.make ~n_vars:3 ~heads:[ (path, [| v 0; v 2 |]) ]
-               ~body:[ (edge, [| v 0; v 1 |]); (path, [| v 1; v 2 |]) ] ()
-           in
-           ignore (Ipa_datalog.Engine.fixpoint [ base; step ])))
-  in
-  let solver_small =
-    let program = Ipa_synthetic.Dacapo.build ~scale:0.05 (List.hd Ipa_synthetic.Dacapo.all) in
-    Test.make ~name:"solver/antlr-5pct-2objH"
-      (Staged.stage (fun () ->
-           ignore
-             (Ipa_core.Analysis.run_plain program (Flavors.Object_sens { depth = 2; heap = 1 }))))
-  in
-  [ intset_add; intset_small; interner; pair_tbl; datalog_tc; solver_small ]
-
-(* One Test.make per reproduced table/figure, at reduced scale so a
-   Bechamel run stays tractable. Sequential (jobs = 1): Bechamel measures
-   the iteration itself, and a pool inside the measured region would report
-   wall-clock of a loaded machine. *)
-let figure_tests () =
-  let open Bechamel in
-  let cfg =
+    "incr bench OK: warm re-solves byte-identical to cold, edit re-derivation under the 25% gate";
+  finish ~path:"BENCH_incr.json" ~baseline
     {
-      Ipa_harness.Config.scale = 0.05;
-      budget = 2_000_000;
-      jobs = 1;
-      (* memory-only: within one measured iteration the first pass is still
-         deduplicated, but nothing escapes to disk *)
-      cache = Ipa_harness.Cache.create ();
+      selection = "incr";
+      params = params cfg [ ("bench", J.Str spec.name); ("analysis", J.Str cold.label) ];
+      counters =
+        [
+          ("n_sccs", same_report.Comp.n_sccs);
+          ("cold_derivations", cold.solution.Solution.derivations);
+          ("warm_same_derivations", same.solution.Solution.derivations);
+          ("edit_dirty_sccs", List.length warm_report.Comp.dirty_sccs);
+          ("edit_cold_derivations", cold_derivations);
+          ("edit_warm_derivations", warm_derivations);
+        ];
+      measured =
+        [
+          ("derivations_ratio", ratio);
+          ("cold_seconds", cold.seconds);
+          ("warm_seconds", warm.seconds);
+        ];
     }
-  in
-  let silent f =
-    (* compute, discard printing *)
-    fun () -> ignore (f ())
-  in
-  [
-    Test.make ~name:"fig1/insens-vs-2objH"
-      (Staged.stage (silent (fun () -> Experiments.Fig1.compute cfg)));
-    Test.make ~name:"fig4/refinement-selection"
-      (Staged.stage (silent (fun () -> Experiments.Fig4.compute cfg)));
-    Test.make ~name:"fig5/2objH-introspective"
-      (Staged.stage
-         (silent (fun () ->
-              Experiments.Figs567.compute cfg
-                (Flavors.Object_sens { depth = 2; heap = 1 }))));
-    Test.make ~name:"fig6/2typeH-introspective"
-      (Staged.stage
-         (silent (fun () ->
-              Experiments.Figs567.compute cfg
-                (Flavors.Type_sens { depth = 2; heap = 1 }))));
-    Test.make ~name:"fig7/2callH-introspective"
-      (Staged.stage
-         (silent (fun () ->
-              Experiments.Figs567.compute cfg
-                (Flavors.Call_site { depth = 2; heap = 1 }))));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "== Bechamel micro-benchmarks (ns per run, OLS estimate) ==";
-  let tests = kernel_tests () @ figure_tests () in
-  let instances = Instance.[ monotonic_clock ] in
-  let benchmark_cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:false ~kde:None ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all benchmark_cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      let name_width =
-        Hashtbl.fold (fun name _ acc -> max acc (String.length name)) analyzed 28
-      in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-*s %12.1f ns/run\n%!" name_width name est
-          | Some ests ->
-            Printf.printf "  %-*s %s\n%!" name_width name
-              (String.concat ", " (List.map (Printf.sprintf "%.1f") ests))
-          | None -> Printf.printf "  %-*s (no estimate)\n%!" name_width name)
-        analyzed)
-    tests
 
 let () =
   let selection, cfg, cache_dir, baseline, clients_list = parse_args () in
-  (match selection with
+  match selection with
   | Fig1 -> Experiments.Fig1.print cfg
   | Fig4 -> Experiments.Fig4.print cfg
   | Fig flavor -> Experiments.Figs567.print cfg flavor
-  | Figs -> run_figs ?baseline cfg
+  | Figs -> run_figs ~baseline cfg
   | All ->
-    run_figs ?baseline cfg;
+    run_figs ~baseline cfg;
     Ipa_harness.Ablation.print_all cfg
   | Ablation -> Ipa_harness.Ablation.print_all cfg
-  | Cache_smoke -> run_cache_smoke cfg ~dir:cache_dir
-  | Query_bench -> run_query_bench cfg
+  | Cache_smoke -> run_cache_smoke cfg ~dir:cache_dir ~baseline
   | Serve_bench -> run_serve_bench cfg ~clients_list ~baseline
   | Demand_bench -> run_demand_bench cfg ~baseline
   | Incr_bench -> run_incr_bench cfg ~baseline
-  | Lint_bench -> run_lint_bench cfg
-  | Micro -> ());
-  match selection with Micro | All -> run_bechamel () | _ -> ()

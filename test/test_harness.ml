@@ -375,6 +375,87 @@ let test_cache_maintenance () =
       check Alcotest.int "plain clear removes the rest" 2 (Cache.clear ~dir ());
       check Alcotest.int "directory empty" 0 (List.length (Cache.entries ~dir)))
 
+(* ---------- the bench record and its counter gate ---------- *)
+
+module Record = Ipa_harness.Bench_record
+
+let record : Record.t =
+  {
+    selection = "incr";
+    params = [ ("scale", Ipa_support.Json.Float 0.1); ("bench", Ipa_support.Json.Str "antlr") ];
+    counters = [ ("cold_derivations", 2751); ("edit_warm_derivations", 7) ];
+    measured = [ ("cold_seconds", 0.005743); ("warm_seconds", 0.25) ];
+  }
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_record_round_trip () =
+  Ipa_testlib.with_temp_dir (fun dir ->
+      let path = Filename.concat dir "BENCH_incr.json" in
+      Record.write path record;
+      match Record.read path with
+      | Ok r -> check Alcotest.bool "read back equal" true (r = record)
+      | Error e -> Alcotest.fail (Record.error_to_string e))
+
+let test_record_identical_passes () =
+  check Alcotest.(list string) "no differences" [] (Record.diff ~baseline:record record)
+
+let test_record_drift_fails () =
+  let fresh =
+    { record with counters = [ ("cold_derivations", 2751); ("edit_warm_derivations", 8) ] }
+  in
+  match Record.diff ~baseline:record fresh with
+  | [ msg ] ->
+    List.iter
+      (fun part ->
+        check Alcotest.bool (Printf.sprintf "%S names %S" msg part) true (contains msg part))
+      [ "incr"; "edit_warm_derivations"; "baseline 7"; "fresh 8" ]
+  | diffs -> Alcotest.failf "expected one difference, got %d" (List.length diffs)
+
+let test_record_missing_counter_fails () =
+  let fewer = { record with counters = [ ("cold_derivations", 2751) ] } in
+  let missing_from_fresh = Record.diff ~baseline:record fewer in
+  let missing_from_baseline = Record.diff ~baseline:fewer record in
+  check Alcotest.int "missing from the fresh run" 1 (List.length missing_from_fresh);
+  check Alcotest.int "missing from the baseline" 1 (List.length missing_from_baseline);
+  List.iter
+    (fun msg -> check Alcotest.bool msg true (contains msg "edit_warm_derivations"))
+    (missing_from_fresh @ missing_from_baseline)
+
+let test_record_measured_ignored () =
+  let fresh = { record with measured = [ ("cold_seconds", 9.0) ]; params = [] } in
+  check Alcotest.(list string) "measured and params are not gated" []
+    (Record.diff ~baseline:record fresh)
+
+let test_record_bad_baseline () =
+  Ipa_testlib.with_temp_dir (fun dir ->
+      let expect_error what want path =
+        match Record.read path with
+        | Ok _ -> Alcotest.failf "%s: read succeeded" what
+        | Error e -> check Alcotest.bool what true (want e)
+      in
+      let unreadable = function Record.Unreadable _ -> true | Record.Malformed _ -> false in
+      let malformed = function Record.Malformed _ -> true | Record.Unreadable _ -> false in
+      expect_error "missing file" unreadable (Filename.concat dir "absent.json");
+      expect_error "a directory" unreadable dir;
+      List.iteri
+        (fun i text ->
+          let path = Filename.concat dir (Printf.sprintf "bad%d.json" i) in
+          Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+          expect_error (Printf.sprintf "malformed %S" text) malformed path)
+        [
+          "";
+          {|{"selection": "incr"|};
+          "[1, 2]";
+          {|{"selection": "incr", "params": {}, "counters": {"a": 1.5}, "measured": {}}|};
+          {|{"selection": "incr", "params": {}, "counters": {}, "measured": {"a": "x"}}|};
+          (* the pre-record layout of a committed baseline *)
+          {|{"scale": 0.1, "n_sccs": 168}|};
+        ])
+
 let () =
   Alcotest.run "harness"
     [
@@ -397,6 +478,15 @@ let () =
         ] );
       ( "cache-maintenance",
         [ Alcotest.test_case "entries and clear by kind" `Quick test_cache_maintenance ] );
+      ( "bench-record",
+        [
+          Alcotest.test_case "write then read round trip" `Quick test_record_round_trip;
+          Alcotest.test_case "identical record passes" `Quick test_record_identical_passes;
+          Alcotest.test_case "one drifted counter fails" `Quick test_record_drift_fails;
+          Alcotest.test_case "missing counter fails" `Quick test_record_missing_counter_fails;
+          Alcotest.test_case "measured differences pass" `Quick test_record_measured_ignored;
+          Alcotest.test_case "bad baseline is a typed error" `Quick test_record_bad_baseline;
+        ] );
       ( "experiments",
         [
           Alcotest.test_case "config" `Quick test_config_default;
