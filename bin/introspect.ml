@@ -1023,8 +1023,8 @@ let serve_cmd =
       & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains for batched query evaluation. Answers are identical at any job \
-             count; only latency varies.")
+            "Worker domains for concurrent socket sessions ($(b,--socket)); a stdin session \
+             is unaffected. Answers are identical at any job count; only latency varies.")
   in
   let socket_arg =
     Arg.(

@@ -23,8 +23,6 @@ let second_pass_config ?(budget = 0) p flavor refine =
     refined_strategy = Flavors.strategy p flavor;
     refine;
     budget;
-    order = Solver.Topo;
-    collapse_cycles = true;
     field_sensitive = true;
   }
 
@@ -85,10 +83,8 @@ let run_mixed ?(budget = 0) p ~default ~refined ~refine =
       refined_strategy = Flavors.strategy p refined;
       refine;
       budget;
-      order = Solver.Topo;
-      collapse_cycles = true;
       field_sensitive = true;
-      }
+    }
   in
   let label = Printf.sprintf "%s+%s" (Flavors.to_string default) (Flavors.to_string refined) in
   run_config p ~label config

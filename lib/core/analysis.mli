@@ -34,7 +34,7 @@ val second_pass_config :
   ?budget:int -> Ipa_ir.Program.t -> Flavors.spec -> Refine.t -> Solver.config
 (** The configuration of an introspective (or client-driven) second pass:
     context-insensitive constructors by default, [flavor]'s constructors on
-    the elements selected by [refine], LIFO worklist, field-sensitive.
+    the elements selected by [refine], field-sensitive.
     Exposed so callers can compute the pass's cache key. *)
 
 type introspective = {

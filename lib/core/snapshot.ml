@@ -7,15 +7,17 @@ module Program = Ipa_ir.Program
 
 (* Version 2: solver cycle-elimination counters joined [Solution.counters]
    (cycles_collapsed, nodes_merged, repropagations_avoided), and the
-   configuration key grew the worklist order's [Topo] case plus the
-   [collapse_cycles] flag.
+   configuration key grew a topological worklist order plus a
+   cycle-collapse flag.
    Version 3: four sharded-solve counters joined [Solution.counters]; the
    configuration key left out the shard count, since a sharded solve was
    byte-identical to a sequential one.
    Version 4: three compositional-solve counters joined
    [Solution.counters], again outside the configuration key.
    Version 5: sharded solving and the compositional summary store were
-   removed, and with them the seven counters of versions 3 and 4. *)
+   removed, and with them the seven counters of versions 3 and 4.
+   Still version 5: the worklist order and the cycle-collapse flag left the
+   solver configuration, and so the configuration key; the body is unchanged. *)
 let version = 5
 let magic = "IPSN"
 let trailer = "NSPI"
@@ -183,8 +185,6 @@ let config_key ~program_digest (c : Solver.config) =
     Writer.int_set w skip_objects;
     Writer.int_set w skip_sites);
   Writer.uint w c.budget;
-  Writer.u8 w (match c.order with Solver.Lifo -> 0 | Solver.Fifo -> 1 | Solver.Topo -> 2);
-  Writer.bool w c.collapse_cycles;
   Writer.bool w c.field_sensitive;
   Digest.to_hex (Digest.string (Writer.contents w))
 

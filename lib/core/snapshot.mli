@@ -7,8 +7,7 @@
     solved tables, counters, and metrics serialize to a self-describing
     byte string keyed by a digest of everything that determines the result —
     the program, the solver configuration (strategy names, refine sets,
-    budget, worklist order, field sensitivity), and the snapshot format
-    version.
+    budget, field sensitivity), and the snapshot format version.
 
     {2 Wire format}
 
@@ -62,9 +61,9 @@ val digest_program : Ipa_ir.Program.t -> string
 val config_key :
   program_digest:string -> Solver.config -> string
 (** MD5 (hex) over the snapshot version, the program digest, both strategy
-    names, the refine sets (sorted), the budget, the worklist order, and
-    field sensitivity — everything that determines a solve's outcome. Used
-    as the cache address and stored inside the snapshot. *)
+    names, the refine sets (sorted), the budget and field sensitivity —
+    everything that determines a solve's outcome. Used as the cache address
+    and stored inside the snapshot. *)
 
 type error =
   | Bad_magic  (** not a snapshot at all *)

@@ -6,15 +6,11 @@ module Int_heap = Ipa_support.Int_heap
 module Program = Ipa_ir.Program
 module Node = Solution.Node
 
-type worklist_order = Lifo | Fifo | Topo
-
 type config = {
   default_strategy : Strategy.t;
   refined_strategy : Strategy.t;
   refine : Refine.t;
   budget : int;
-  order : worklist_order;
-  collapse_cycles : bool;
   field_sensitive : bool;
 }
 
@@ -24,8 +20,6 @@ let plain _p ?(budget = 0) strategy =
     refined_strategy = strategy;
     refine = Refine.None_;
     budget;
-    order = Topo;
-    collapse_cycles = true;
     field_sensitive = true;
   }
 
@@ -113,10 +107,6 @@ let sweep_ratio = 4
    than this are left for the next Tarjan sweep. *)
 let walk_visit_budget = 32
 
-(* FIFO consumed-prefix compaction threshold (satellite fix: the prefix used
-   to grow unreclaimed for the whole solve). *)
-let fifo_compact_threshold = 1024
-
 type state = {
   p : Program.t;
   cfg : config;
@@ -135,9 +125,7 @@ type state = {
   edge_seen : Int_set.t option Dynarr.t;
   pending : int Dynarr.t option Dynarr.t;
   on_list : bool Dynarr.t;
-  worklist : int Dynarr.t;
-  mutable worklist_head : int; (* consumed prefix, FIFO mode *)
-  heap : Int_heap.t; (* Topo mode *)
+  heap : Int_heap.t; (* the worklist, keyed by [heap_key] *)
   rank : int Dynarr.t; (* reverse-postorder rank from the last sweep *)
   (* Cycle elimination. [member_count n] is the number of original nodes a
      representative stands for; [use_members n] lists merged-away var nodes
@@ -218,8 +206,6 @@ let create ?defer p cfg =
     edge_seen = Dynarr.create ~capacity:1024 ~dummy:None ();
     pending = Dynarr.create ~capacity:1024 ~dummy:None ();
     on_list = Dynarr.create ~capacity:1024 ~dummy:false ();
-    worklist = Dynarr.create ~capacity:1024 ~dummy:0 ();
-    worklist_head = 0;
     heap = Int_heap.create ~capacity:1024 ();
     rank = Dynarr.create ~capacity:1024 ~dummy:unranked ();
     uf = Union_find.create ~capacity:1024 ();
@@ -313,9 +299,7 @@ let spend_n st n =
 let enqueue st n =
   if not (Dynarr.get st.on_list n) then begin
     Dynarr.set st.on_list n true;
-    match st.cfg.order with
-    | Topo -> Int_heap.push st.heap (heap_key ~rank:(Dynarr.get st.rank n) ~node:n)
-    | Lifo | Fifo -> Dynarr.push st.worklist n
+    Int_heap.push st.heap (heap_key ~rank:(Dynarr.get st.rank n) ~node:n)
   end
 
 let var_node st var ctx = Node.of_var_node (Pair_tbl.intern st.var_nodes var ctx)
@@ -420,8 +404,7 @@ and add_edge st ~src ~dst ~spec =
       (match Dynarr.get st.pts src with
       | None -> ()
       | Some s -> Int_set.iter (fun obj -> add_obj st dst obj ~spec) s);
-      if st.cfg.collapse_cycles && spec = Filters.none && not st.in_merge then
-        try_collapse st ~src ~dst
+      if spec = Filters.none && not st.in_merge then try_collapse st ~src ~dst
     end
     else st.edges_deduped <- st.edges_deduped + 1
   end
@@ -779,8 +762,7 @@ let process_node st n =
    topological worklist. Triggered by the re-propagation ratio. *)
 
 let should_sweep st =
-  (st.cfg.collapse_cycles || st.cfg.order = Topo)
-  && st.attempts_since_sweep >= sweep_min_attempts
+  st.attempts_since_sweep >= sweep_min_attempts
   && st.attempts_since_sweep > sweep_ratio * max 1 st.gains_since_sweep
 
 (* Iterative Tarjan (explicit frame stack — copy chains can be deep) over
@@ -924,19 +906,19 @@ let recompute_ranks st =
   done
 
 let sweep st =
-  if st.cfg.collapse_cycles then List.iter (fun comp -> merge_group st comp) (find_sccs st);
-  if st.cfg.order = Topo then recompute_ranks st;
+  List.iter (fun comp -> merge_group st comp) (find_sccs st);
+  recompute_ranks st;
   st.attempts_since_sweep <- 0;
   st.gains_since_sweep <- 0
 
 (* ------------------------------------------------------------------ *)
-(* Materialization. Collapse (and the worklist discipline) must be invisible
-   above the solver, bit for bit: the solution is renumbered into a
-   canonical order — contexts by their element sequences, pair tables by
-   their (renumbered) components, call-graph edges sorted — and every
-   merged node gets its own copy of the representative's points-to set. The
-   resulting tables are a pure function of the semantic fixpoint,
-   independent of propagation order, worklist discipline, or collapsing. *)
+(* Materialization. Collapse and the visit order must be invisible above
+   the solver, bit for bit: the solution is renumbered into a canonical
+   order — contexts by their element sequences, pair tables by their
+   (renumbered) components, call-graph edges sorted — and every merged node
+   gets its own copy of the representative's points-to set. The resulting
+   tables are a pure function of the semantic fixpoint, independent of
+   propagation order and of which nodes were merged. *)
 
 let cmp_int_arrays a b =
   let la = Array.length a and lb = Array.length b in
@@ -1101,43 +1083,19 @@ let materialize st outcome ~set_promotions =
     caller_sites_cache = None;
   }
 
-(* Process worklist entries until the fixpoint, honoring the configured
-   order. An entry may be stale: the node may have been merged away (or its
+(* Process worklist entries, lowest rank first, until the fixpoint. An
+   entry may be stale: the node may have been merged away (or its
    representative already drained) since it was queued. *)
 let drain st =
-  let pop_and_process st n =
-    let r = Union_find.find st.uf n in
-    if Dynarr.get st.on_list r then process_node st r;
-    if should_sweep st then sweep st
-  in
-  match st.cfg.order with
-  | Lifo ->
-    while Dynarr.length st.worklist > 0 do
-      match Dynarr.pop st.worklist with
-      | Some n -> pop_and_process st n
-      | None -> assert false
-    done
-  | Fifo ->
-    while st.worklist_head < Dynarr.length st.worklist do
-      let n = Dynarr.get st.worklist st.worklist_head in
-      st.worklist_head <- st.worklist_head + 1;
-      (* Reclaim the consumed prefix once it dominates the array. *)
-      if
-        st.worklist_head >= fifo_compact_threshold
-        && 2 * st.worklist_head >= Dynarr.length st.worklist
-      then begin
-        Dynarr.drop_prefix st.worklist st.worklist_head;
-        st.worklist_head <- 0
-      end;
-      pop_and_process st n
-    done
-  | Topo ->
-    let exhausted = ref false in
-    while not !exhausted do
-      match Int_heap.pop_min st.heap with
-      | None -> exhausted := true
-      | Some key -> pop_and_process st (heap_node key)
-    done
+  let exhausted = ref false in
+  while not !exhausted do
+    match Int_heap.pop_min st.heap with
+    | None -> exhausted := true
+    | Some key ->
+      let r = Union_find.find st.uf (heap_node key) in
+      if Dynarr.get st.on_list r then process_node st r;
+      if should_sweep st then sweep st
+  done
 
 type seed = { base : Solution.t; defer : bool array }
 
@@ -1207,7 +1165,7 @@ let solve ?seed p cfg =
            fired, because their instructions may be new. *)
         st.seeding <- true;
         apply_seeds st base;
-        if st.cfg.collapse_cycles || cfg.order = Topo then sweep st;
+        sweep st;
         drain st;
         st.seeding <- false;
         (* Phase 2, counted: everything the edit enables. Re-derivations of
@@ -1226,7 +1184,7 @@ let solve ?seed p cfg =
       List.iter (fun m -> ignore (ensure_reachable st m Ctx.empty)) (Program.entries p);
       (* Rank the seeded graph (and collapse its static cycles) before the
          first pop, so the heap starts in topological order. *)
-      if st.cfg.collapse_cycles || cfg.order = Topo then sweep st;
+      sweep st;
       drain st;
       Solution.Complete
     with Out_of_budget -> Solution.Budget_exceeded

@@ -12,40 +12,31 @@
     [SiteToRefine] relations. Every allocation consults [refine_object]; every
     call-graph edge consults [refine_site] with the dispatch target.
 
-    {b Online cycle elimination.} When [collapse_cycles] is on, nodes on a
-    cycle of {e unfiltered} copy edges (filtered edges never merge — their
-    endpoints are not pointer-equivalent) are collapsed onto a single
-    representative via a union-find: one points-to set, one spliced edge
-    list, one pending batch. Cycles are detected by a bounded walk on edge
-    insertion plus periodic Tarjan sweeps triggered by a re-propagation-ratio
-    heuristic. Collapse is invisible above the solver: materialization
-    expands representatives back to the original nodes and renumbers all
-    tables canonically, so the returned {!Solution.t} is a pure function of
-    the semantic fixpoint — byte-identical across worklist orders and with
-    collapsing on or off (asserted by differential tests), and [derivations]
-    still counts {e semantic} (uncollapsed) insertions, so budgets behave
-    identically.
+    {b Worklist.} A priority queue keyed by reverse postorder of the current
+    copy graph, recomputed on sweeps, so sources drain before sinks.
+
+    {b Online cycle elimination.} Nodes on a cycle of {e unfiltered} copy
+    edges (filtered edges never merge — their endpoints are not
+    pointer-equivalent) are collapsed onto a single representative via a
+    union-find: one points-to set, one spliced edge list, one pending batch.
+    Cycles are detected by a bounded walk on edge insertion plus periodic
+    Tarjan sweeps triggered by a re-propagation-ratio heuristic. Collapse is
+    invisible above the solver: materialization expands representatives
+    back to the original nodes and renumbers all tables canonically, so the
+    returned {!Solution.t} is a pure function of the semantic fixpoint (the
+    test suite checks it against the paper's rules run verbatim by
+    {!Datalog_backend}), and [derivations] still counts {e semantic}
+    (uncollapsed) insertions, which is what the budget bounds.
 
     A configurable derivation budget bounds the number of tuple insertions;
     exceeding it aborts with [Solution.Budget_exceeded] — our deterministic
     substitute for the paper's 90-minute wall-clock timeout. *)
-
-(** Worklist discipline. The computed fixpoint is identical in all cases
-    (asserted by property tests); only the visit order — and hence wall-clock
-    constants — differs. [Topo] is a priority worklist keyed by reverse
-    postorder of the current copy graph, recomputed on sweeps, so sources
-    drain before sinks; [Lifo]/[Fifo] are the plain stacks kept for ablation
-    and differential testing. *)
-type worklist_order = Lifo | Fifo | Topo
 
 type config = {
   default_strategy : Strategy.t;  (** for elements outside the refine sets *)
   refined_strategy : Strategy.t;  (** for elements inside the refine sets *)
   refine : Refine.t;
   budget : int;  (** max derivations; [0] means unlimited *)
-  order : worklist_order;
-  collapse_cycles : bool;
-      (** merge unfiltered-copy-edge cycles onto union-find representatives *)
   field_sensitive : bool;
       (** [false] degrades field handling to a field-based analysis (all base
           objects of a field collapse) — an ablation of a design choice the
@@ -54,7 +45,7 @@ type config = {
 
 val plain : Ipa_ir.Program.t -> ?budget:int -> Strategy.t -> config
 (** A non-introspective configuration: [strategy] everywhere, empty refine
-    sets, topological worklist, cycle elimination on, field-sensitive. *)
+    sets, field-sensitive. *)
 
 val run : Ipa_ir.Program.t -> config -> Solution.t
 (** Run to fixpoint (or budget exhaustion) from the program's entry points. *)

@@ -4,8 +4,8 @@
     first pass: every introspective variant, ablation setting, and
     client-driven selector of a benchmark starts from the same solve. A
     cache maps {!Ipa_core.Snapshot.config_key} — a digest of (program,
-    strategies, refine sets, budget, worklist order, field sensitivity,
-    format version) — to the encoded snapshot, in two layers:
+    strategies, refine sets, budget, field sensitivity, format version) —
+    to the encoded snapshot, in two layers:
 
     - an in-memory table of encoded bytes, shared (mutex-guarded) across
       the {!Ipa_support.Domain_pool} workers of one process;

@@ -7,7 +7,7 @@
     first query of each kind pays the index build and later ones are
     dictionary lookups. After {!warm}, evaluation performs no internal
     mutation and an engine may be shared by concurrently evaluating
-    domains (how the server fans a batch out). *)
+    domains (how the server runs concurrent socket sessions). *)
 
 type t
 
@@ -20,7 +20,7 @@ val warm : t -> unit
     sharing the engine across domains. *)
 
 (** A successful answer. All name lists are sorted (and, where they came
-    from sets, duplicate-free), so answers are canonical: batch and
+    from sets, duplicate-free), so answers are canonical: sequential and
     concurrent evaluation render identically. *)
 type answer =
   | Names of { kind : string; items : string list }

@@ -216,7 +216,6 @@ type view = {
   mutable engine : Engine.t;
   mutable label : string;
   mutable pinned : string option;
-  mutable answered : int;  (** records answered in this session *)
   mutable queries : int;  (** query and [load] lines accepted (the limited kind) *)
   mutable demand : demand_mode;  (** per-session; seeded from the server default *)
 }
@@ -273,19 +272,18 @@ let load_key t view key =
           ( Printf.sprintf "key %s: %s" key (Snapshot.error_to_string e),
             snap_fields t key )))
 
-(* ---------- input sources ----------
+(* ---------- the line reader ----------
 
-   Socket sessions read through an explicit buffered line reader over the
-   raw fd: it blocks in [select] with a real timeout (retrying EINTR and
-   re-checking the server's stop flag every tick), enforces the
-   line-length limit while the line streams in (an over-limit line is
-   discarded, not accumulated), and knows exactly what is buffered — so
-   the batch cutter never confuses "nothing buffered" with "buffered but
-   not yet scanned". Channel sessions (stdin, query scripts, tests) keep
-   the blocking [input_line] path: no timeouts apply there. *)
+   Every session reads through one buffered line reader over a raw fd: it
+   blocks in [select] (retrying EINTR and re-checking the server's stop
+   flag every tick), closes the session after [idle_timeout] seconds
+   without input (socket sessions only — channel sessions never time out),
+   and enforces the line-length limit while the line streams in: an
+   over-limit line is discarded, not accumulated. *)
 
 type fd_reader = {
   fd : Unix.file_descr;
+  idle_timeout : float option;
   mutable data : Bytes.t;
   mutable start : int;  (* consumed prefix *)
   mutable len : int;  (* end of valid data *)
@@ -293,9 +291,8 @@ type fd_reader = {
   mutable at_eof : bool;
 }
 
-type input = Chan of in_channel | Fd of fd_reader
-
-let fd_reader fd = { fd; data = Bytes.create 8192; start = 0; len = 0; dropped = 0; at_eof = false }
+let fd_reader ?idle_timeout fd =
+  { fd; idle_timeout; data = Bytes.create 8192; start = 0; len = 0; dropped = 0; at_eof = false }
 
 type read_result =
   | Line of string
@@ -307,163 +304,84 @@ type read_result =
 let select_tick = 0.25
 
 let rec fd_next_line t r =
-  let scan () =
-    let rec go i = if i >= r.len then None else if Bytes.get r.data i = '\n' then Some i else go (i + 1) in
-    go r.start
+  let rec newline i =
+    if i >= r.len then None else if Bytes.get r.data i = '\n' then Some i else newline (i + 1)
   in
-  match scan () with
-  | Some nl ->
-    let raw_len = nl - r.start in
-    let line = Bytes.sub_string r.data r.start raw_len in
-    r.start <- nl + 1;
+  (* The next [n] buffered bytes end a line ([skip] = 1 consumes its
+     newline): judge the line by its full length, bytes already discarded
+     of it included. *)
+  let take n ~skip =
+    let total = r.dropped + n in
+    let result =
+      if total > t.limits.max_line then Too_long total
+      else Line (Bytes.sub_string r.data r.start n)
+    in
+    r.dropped <- 0;
+    r.start <- r.start + n + skip;
     if r.start >= r.len then begin
       r.start <- 0;
       r.len <- 0
     end;
-    if r.dropped > 0 then begin
-      let total = r.dropped + raw_len in
-      r.dropped <- 0;
-      Too_long total
-    end
-    else if raw_len > t.limits.max_line then Too_long raw_len
-    else Line line
+    result
+  in
+  let buffered = r.len - r.start in
+  match newline r.start with
+  | Some nl -> take (nl - r.start) ~skip:1
+  | None when buffered > t.limits.max_line ->
+    (* discard the over-limit prefix; keep counting until the newline *)
+    r.dropped <- r.dropped + buffered;
+    r.start <- 0;
+    r.len <- 0;
+    fd_next_line t r
+  | None when r.at_eof ->
+    (* the final line may lack its newline *)
+    if buffered = 0 && r.dropped = 0 then Eof else take buffered ~skip:0
   | None ->
-    let buffered = r.len - r.start in
-    if buffered > t.limits.max_line then begin
-      (* discard the over-limit prefix; keep counting until the newline *)
-      r.dropped <- r.dropped + buffered;
-      r.start <- 0;
-      r.len <- 0;
-      fd_next_line t r
-    end
-    else if r.at_eof then
-      if buffered = 0 then
-        if r.dropped > 0 then begin
-          let total = r.dropped in
-          r.dropped <- 0;
-          Too_long total
-        end
-        else Eof
-      else begin
-        (* final unterminated line *)
-        let line = Bytes.sub_string r.data r.start buffered in
+    (* make room, then block for more input *)
+    if r.len = Bytes.length r.data then
+      if r.start > 0 then begin
+        Bytes.blit r.data r.start r.data 0 buffered;
         r.start <- 0;
-        r.len <- 0;
-        if r.dropped > 0 then begin
-          let total = r.dropped + buffered in
-          r.dropped <- 0;
-          Too_long total
-        end
-        else Line line
+        r.len <- buffered
       end
-    else begin
-      (* make room, then block for more input *)
-      if r.len = Bytes.length r.data then
-        if r.start > 0 then begin
-          Bytes.blit r.data r.start r.data 0 buffered;
-          r.start <- 0;
-          r.len <- buffered
-        end
-        else begin
-          let bigger = Bytes.create (2 * Bytes.length r.data) in
-          Bytes.blit r.data 0 bigger 0 r.len;
-          r.data <- bigger
-        end;
-      let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) t.limits.idle_timeout in
-      let rec wait () =
-        if Atomic.get t.stopping then Stopped
-        else begin
-          let slice =
-            match deadline with
-            | None -> select_tick
-            | Some d ->
-              let remaining = d -. Unix.gettimeofday () in
-              if remaining <= 0.0 then -1.0 else Float.min select_tick remaining
-          in
-          if slice < 0.0 then Timed_out
-          else
-            match Unix.select [ r.fd ] [] [] slice with
+      else begin
+        let bigger = Bytes.create (2 * Bytes.length r.data) in
+        Bytes.blit r.data 0 bigger 0 r.len;
+        r.data <- bigger
+      end;
+    let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) r.idle_timeout in
+    let rec wait () =
+      if Atomic.get t.stopping then Stopped
+      else begin
+        let slice =
+          match deadline with
+          | None -> select_tick
+          | Some d ->
+            let remaining = d -. Unix.gettimeofday () in
+            if remaining <= 0.0 then -1.0 else Float.min select_tick remaining
+        in
+        if slice < 0.0 then Timed_out
+        else
+          match Unix.select [ r.fd ] [] [] slice with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+          | [], _, _ -> wait ()
+          | _ -> (
+            match Unix.read r.fd r.data r.len (Bytes.length r.data - r.len) with
+            | 0 ->
+              r.at_eof <- true;
+              fd_next_line t r
+            | n ->
+              r.len <- r.len + n;
+              fd_next_line t r
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-            | [], _, _ -> wait ()
-            | _ -> (
-              match Unix.read r.fd r.data r.len (Bytes.length r.data - r.len) with
-              | 0 ->
-                r.at_eof <- true;
-                fd_next_line t r
-              | n ->
-                r.len <- r.len + n;
-                fd_next_line t r
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-              | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-                r.at_eof <- true;
-                fd_next_line t r)
-        end
-      in
-      wait ()
-    end
-
-let next_line t input =
-  match input with
-  | Fd r -> fd_next_line t r
-  | Chan ic -> (
-    match input_line ic with
-    | exception End_of_file -> Eof
-    | line -> if String.length line > t.limits.max_line then Too_long (String.length line) else Line line)
-
-(* Would another line be available without blocking? Used only to decide
-   where to cut a batch: a wrong "no" under-batches (costs parallelism,
-   never changes output). *)
-let input_ready _t input =
-  match input with
-  | Chan ic -> (
-    match Unix.select [ Unix.descr_of_in_channel ic ] [] [] 0.0 with
-    | [ _ ], _, _ -> true
-    | _ -> false
-    | exception Unix.Unix_error _ -> false)
-  | Fd r ->
-    let has_newline () =
-      let rec go i = i < r.len && (Bytes.get r.data i = '\n' || go (i + 1)) in
-      go r.start
+            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+              r.at_eof <- true;
+              fd_next_line t r)
+      end
     in
-    let rec ready () =
-      has_newline () || r.at_eof
-      ||
-      match Unix.select [ r.fd ] [] [] 0.0 with
-      | [], _, _ -> false
-      | _ -> (
-        (* select said readable, so this read cannot block *)
-        if r.len = Bytes.length r.data then begin
-          if r.start > 0 then begin
-            let buffered = r.len - r.start in
-            Bytes.blit r.data r.start r.data 0 buffered;
-            r.start <- 0;
-            r.len <- buffered
-          end
-          else begin
-            let bigger = Bytes.create (2 * Bytes.length r.data) in
-            Bytes.blit r.data 0 bigger 0 r.len;
-            r.data <- bigger
-          end
-        end;
-        match Unix.read r.fd r.data r.len (Bytes.length r.data - r.len) with
-        | 0 ->
-          r.at_eof <- true;
-          true
-        | n ->
-          r.len <- r.len + n;
-          ready ()
-        | exception Unix.Unix_error _ ->
-          r.at_eof <- true;
-          true)
-      | exception Unix.Unix_error _ -> false
-    in
-    ready ()
+    wait ()
 
-(* ---------- batched query evaluation ---------- *)
-
-type item = { line : string; parsed : (Query.t, string) result }
-
-let batch_cap t = match t.pool with Some p -> 16 * Domain_pool.jobs p | None -> 1
+(* ---------- query evaluation ---------- *)
 
 (* Every rendered JSON record closes with '}'; splice extra fields in
    before it (same trick Engine uses for latency). *)
@@ -504,9 +422,9 @@ let demand_for (t : t) (view : view) =
       then Some d
       else None)
 
-let eval_one t view item =
-  match item.parsed with
-  | Error e -> (Engine.render_error ~json:t.json ~q:item.line e, true, None)
+let eval_one t view ~line parsed =
+  match parsed with
+  | Error e -> (Engine.render_error ~json:t.json ~q:line e, true, None)
   | Ok q -> (
     let evaluate () =
       match demand_for t view with
@@ -525,24 +443,24 @@ let eval_one t view item =
     | Error `Timeout ->
       Atomic.incr t.timeouts;
       let limit = Option.value ~default:0.0 t.query_timeout in
-      let line =
+      let answer =
         if t.json then
           splice_json
-            (Engine.render_error ~json:true ~q:item.line "timeout")
+            (Engine.render_error ~json:true ~q:line "timeout")
             (Printf.sprintf {|,"limit_s":%g|} limit)
-        else Printf.sprintf "%s: error: timeout after %gs" item.line limit
+        else Printf.sprintf "%s: error: timeout after %gs" line limit
       in
-      (line, true, Some us)
+      (answer, true, Some us)
     | Ok (res, demand_nodes) ->
       let render = if t.json then Engine.render_json else Engine.render_text in
-      let line = render ?latency_us q res in
-      let line =
+      let answer = render ?latency_us q res in
+      let answer =
         match demand_nodes with
         | Some n ->
           (* answered from a solved slice: exact for the queried facts *)
           if t.json then
-            splice_json line (Printf.sprintf {|,"demand":true,"slice":%d|} n)
-          else Printf.sprintf "%s [demand slice %d]" line n
+            splice_json answer (Printf.sprintf {|,"demand":true,"slice":%d|} n)
+          else Printf.sprintf "%s [demand slice %d]" answer n
         | None ->
           (* soundness marker: a successful answer computed from a
              budget-truncated solution is a lower bound, not the fixpoint *)
@@ -551,44 +469,32 @@ let eval_one t view item =
             && (Engine.solution view.engine).Solution.outcome
                = Solution.Budget_exceeded
           then
-            if t.json then splice_json line {|,"partial":true|}
-            else line ^ " [partial]"
-          else line
+            if t.json then splice_json answer {|,"partial":true|}
+            else answer ^ " [partial]"
+          else answer
       in
-      (line, Result.is_error res, Some us))
+      (answer, Result.is_error res, Some us))
 
 exception Client_gone
 
-let emit t view oc line is_err =
+(* Log one request and send its answer. *)
+let reply ?us t view oc ~q ~ok answer =
+  log_record t ~session:view.id ~q ~ok ~us;
   Atomic.incr t.served;
-  if is_err then Atomic.incr t.errors;
-  view.answered <- view.answered + 1;
+  if not ok then Atomic.incr t.errors;
   try
-    output_string oc line;
-    output_char oc '\n'
+    output_string oc answer;
+    output_char oc '\n';
+    flush oc
   with Sys_error _ -> raise Client_gone
 
-let emit_flush t view oc line is_err =
-  emit t view oc line is_err;
-  try flush oc with Sys_error _ -> raise Client_gone
+let reply_error t view oc ~q msg =
+  reply t view oc ~q ~ok:false (Engine.render_error ~json:t.json ~q msg)
 
-let flush_pending t view oc pending =
-  match List.rev !pending with
-  | [] -> ()
-  | items ->
-    pending := [];
-    let rendered =
-      match t.pool with
-      | Some p when List.length items > 1 -> Domain_pool.map_list p (eval_one t view) items
-      | _ -> List.map (eval_one t view) items
-    in
-    List.iter2
-      (fun (item : item) (line, is_err, us) ->
-        (match us with Some u -> Hist.record t.hist u | None -> ());
-        log_record t ~session:view.id ~q:item.line ~ok:(not is_err) ~us;
-        emit t view oc line is_err)
-      items rendered;
-    try flush oc with Sys_error _ -> raise Client_gone
+let answer_query t view oc line =
+  let answer, is_err, us = eval_one t view ~line (Query.parse line) in
+  Option.iter (Hist.record t.hist) us;
+  reply ?us t view oc ~q:line ~ok:(not is_err) answer
 
 (* ---------- the session loop ---------- *)
 
@@ -614,16 +520,13 @@ let respond_control t view oc ~q outcome =
                 fields))
       else base
   in
-  log_record t ~session:view.id ~q ~ok:(Result.is_ok outcome) ~us:None;
-  emit_flush t view oc line (Result.is_error outcome)
+  reply t view oc ~q ~ok:(Result.is_ok outcome) line
 
 (* [demand on|off|auto|status]: per-session control of the demand-solving
    fallback. Like [metrics], it is not counted against the query limit. *)
 let respond_demand t view oc ~line args =
-  let reply ~ok body =
-    log_record t ~session:view.id ~q:line ~ok ~us:None;
-    emit_flush t view oc body (not ok)
-  in
+  let reply ~ok body = reply t view oc ~q:line ~ok body in
+  let usage = "usage: demand on|off|auto|status" in
   let status () =
     let mode = demand_mode_to_string view.demand in
     let available = t.demand <> None in
@@ -657,26 +560,19 @@ let respond_demand t view oc ~line args =
              (Engine.json_string (demand_mode_to_string mode))
          else Printf.sprintf "%s: ok (mode %s)" line (demand_mode_to_string mode))
     | Some _, None ->
-      reply ~ok:false
-        (Engine.render_error ~json:t.json ~q:line
-           "demand solving unavailable (start with --demand)")
-    | None, _ ->
-      reply ~ok:false
-        (Engine.render_error ~json:t.json ~q:line "usage: demand on|off|auto|status"))
-  | _ ->
-    reply ~ok:false
-      (Engine.render_error ~json:t.json ~q:line "usage: demand on|off|auto|status")
+      reply_error t view oc ~q:line "demand solving unavailable (start with --demand)"
+    | None, _ -> reply_error t view oc ~q:line usage)
+  | _ -> reply_error t view oc ~q:line usage
 
 type outcome = [ `Quit | `Stop | `Timeout | `Limit | `Disconnect ]
 
-let run_session t input oc : outcome =
+let run_session t reader oc : outcome =
   let view =
     {
       id = Atomic.fetch_and_add t.sessions 1;
       engine = t.base_engine;
       label = t.base_label;
       pinned = None;
-      answered = 0;
       queries = 0;
       demand = t.demand_default;
     }
@@ -687,8 +583,6 @@ let run_session t input oc : outcome =
       release_pin t view;
       Atomic.decr t.active)
   @@ fun () ->
-  let pending = ref [] in
-  let n_pending = ref 0 in
   let finished = ref None in
   let finish o = finished := Some o in
   (* The query/load limit is checked before the line is accepted, so
@@ -696,12 +590,9 @@ let run_session t input oc : outcome =
   let admit_query line k =
     match t.limits.max_queries with
     | Some m when view.queries >= m ->
-      flush_pending t view oc pending;
-      n_pending := 0;
       Atomic.incr t.query_limit_hits;
       let msg = Printf.sprintf "query limit reached (%d per session); closing session" m in
-      log_record t ~session:view.id ~q:line ~ok:false ~us:None;
-      emit_flush t view oc (Engine.render_error ~json:t.json ~q:line msg) true;
+      reply_error t view oc ~q:line msg;
       finish `Limit
     | _ ->
       view.queries <- view.queries + 1;
@@ -709,73 +600,38 @@ let run_session t input oc : outcome =
   in
   (try
      while !finished = None do
-       (* Cut the batch when it is full or the next read would block. *)
-       if !n_pending > 0 && (!n_pending >= batch_cap t || not (input_ready t input)) then begin
-         flush_pending t view oc pending;
-         n_pending := 0
-       end;
-       if Atomic.get t.stopping then begin
-         flush_pending t view oc pending;
-         finish `Stop
-       end
+       if Atomic.get t.stopping then finish `Stop
        else
-         match next_line t input with
-         | Eof ->
-           flush_pending t view oc pending;
-           finish `Quit
-         | Stopped ->
-           flush_pending t view oc pending;
-           finish `Stop
+         match fd_next_line t reader with
+         | Eof -> finish `Quit
+         | Stopped -> finish `Stop
          | Timed_out ->
-           flush_pending t view oc pending;
-           n_pending := 0;
            Atomic.incr t.timeouts;
            let msg =
              Printf.sprintf "idle timeout (%gs); closing session"
-               (Option.value ~default:0.0 t.limits.idle_timeout)
+               (Option.value ~default:0.0 reader.idle_timeout)
            in
-           log_record t ~session:view.id ~q:"<idle>" ~ok:false ~us:None;
-           emit_flush t view oc (Engine.render_error ~json:t.json ~q:"<idle>" msg) true;
+           reply_error t view oc ~q:"<idle>" msg;
            finish `Timeout
          | Too_long len ->
-           flush_pending t view oc pending;
-           n_pending := 0;
            Atomic.incr t.line_limit_hits;
            let msg =
              Printf.sprintf "line exceeds limit (%d > %d bytes); line dropped" len
                t.limits.max_line
            in
-           log_record t ~session:view.id ~q:"<oversized line>" ~ok:false ~us:None;
-           emit_flush t view oc (Engine.render_error ~json:t.json ~q:"<oversized line>" msg) true
+           reply_error t view oc ~q:"<oversized line>" msg
          | Line line -> (
            let line = String.trim line in
            if line = "" || line.[0] = '#' then ()
            else
              match Query.tokens line with
-             | Ok [ "quit" ] ->
-               flush_pending t view oc pending;
-               finish `Quit
-             | Ok [ "stop" ] ->
-               flush_pending t view oc pending;
-               finish `Stop
-             | Ok [ "metrics" ] ->
-               flush_pending t view oc pending;
-               n_pending := 0;
-               log_record t ~session:view.id ~q:"metrics" ~ok:true ~us:None;
-               emit_flush t view oc (render_metrics t) false
-             | Ok ("metrics" :: _) ->
-               flush_pending t view oc pending;
-               n_pending := 0;
-               log_record t ~session:view.id ~q:line ~ok:false ~us:None;
-               emit_flush t view oc (Engine.render_error ~json:t.json ~q:line "usage: metrics") true
-             | Ok ("demand" :: args) ->
-               flush_pending t view oc pending;
-               n_pending := 0;
-               respond_demand t view oc ~line args
+             | Ok [ "quit" ] -> finish `Quit
+             | Ok [ "stop" ] -> finish `Stop
+             | Ok [ "metrics" ] -> reply t view oc ~q:"metrics" ~ok:true (render_metrics t)
+             | Ok ("metrics" :: _) -> reply_error t view oc ~q:line "usage: metrics"
+             | Ok ("demand" :: args) -> respond_demand t view oc ~line args
              | Ok ("load" :: args) ->
                admit_query line (fun () ->
-                   flush_pending t view oc pending;
-                   n_pending := 0;
                    match args with
                    | [ "path"; file ] ->
                      respond_control t view oc
@@ -790,9 +646,7 @@ let run_session t input oc : outcome =
                        (Error ("usage: load path <file> | load key <key>", [])))
              | Ok _ | Error _ ->
                (* a query line; tokenizer errors resurface from [Query.parse] *)
-               admit_query line (fun () ->
-                   pending := { line; parsed = Query.parse line } :: !pending;
-                   incr n_pending))
+               admit_query line (fun () -> answer_query t view oc line))
      done
    with
   | Client_gone ->
@@ -803,7 +657,9 @@ let run_session t input oc : outcome =
     finish `Disconnect);
   Option.get !finished
 
-let session t ic oc = run_session t (Chan ic) oc
+(* The channel's descriptor is read directly, so nothing may have been read
+   through [ic] before the session starts. *)
+let session t ic oc = run_session t (fd_reader (Unix.descr_of_in_channel ic)) oc
 
 (* ---------- Unix-domain socket front end ---------- *)
 
@@ -845,7 +701,7 @@ let accept_tick = 0.25
 let handle_connection t conn =
   let oc = Unix.out_channel_of_descr conn in
   let outcome =
-    try run_session t (Fd (fd_reader conn)) oc
+    try run_session t (fd_reader ?idle_timeout:t.limits.idle_timeout conn) oc
     with _ ->
       Atomic.incr t.disconnects;
       `Disconnect

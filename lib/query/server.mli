@@ -1,9 +1,10 @@
 (** The long-running query service: JSON-lines (or plain text) over
-    channels or a Unix-domain socket, with batched concurrent evaluation,
+    channels or a Unix-domain socket, with concurrent socket sessions,
     snapshot hot-loading, per-session limits, and live metrics.
 
     A session reads lines and answers one record per line, in input
-    order. Besides the {!Query} forms it understands four control
+    order: each line is parsed, evaluated, logged and flushed as soon as
+    it is read. Besides the {!Query} forms it understands four control
     commands (sharing the quoting syntax of queries):
 
     {v
@@ -22,21 +23,14 @@
     arity, unresolved name) answers with an error record and the session
     continues — structured errors, never a disconnect.
 
-    With a {!Ipa_support.Domain_pool} of [jobs > 1], consecutive query
-    lines are collected into a batch, fanned out across the pool, and
-    printed in input order — output is byte-identical to a sequential
-    run ({!Ipa_support.Domain_pool.map} preserves order and the engine is
-    warmed before sharing). A batch is cut when the input would block, at
-    [16 * jobs] pending queries, or at a control command.
-
     {!serve_socket} accepts concurrent connections, dispatching each to a
-    pool worker ({!Ipa_support.Domain_pool.submit}); sessions on workers
-    still batch-evaluate (a worker-issued map runs inline). Each session
-    holds its own {e view} of the loaded snapshot, so one client's [load]
-    hot-swap never disturbs another mid-query, and the view {e pins} the
-    cache entry it serves from so the LRU memory budget
-    ({!Ipa_harness.Cache.create}[ ~mem_budget]) cannot evict a snapshot a
-    live session still reads. *)
+    pool worker ({!Ipa_support.Domain_pool.submit}) when the server has a
+    {!Ipa_support.Domain_pool} of [jobs > 1]; engines are warmed before
+    they are shared across workers. Each session holds its own {e view} of
+    the loaded snapshot, so one client's [load] hot-swap never disturbs
+    another mid-query, and the view {e pins} the cache entry it serves
+    from so the LRU memory budget ({!Ipa_harness.Cache.create}[
+    ~mem_budget]) cannot evict a snapshot a live session still reads. *)
 
 type t
 
@@ -57,9 +51,9 @@ val demand_mode_of_string : string -> demand_mode option
 (** Per-session limits, enforced with structured error replies. *)
 type limits = {
   max_line : int;
-      (** longest accepted input line, bytes (socket sessions discard the
+      (** longest accepted input line, bytes (every session discards the
           over-limit line as it streams in — memory use stays bounded —
-          and answer one error record) *)
+          and answers one error record) *)
   max_queries : int option;
       (** queries + [load]s accepted per session; the line over the limit
           answers an error record and the session closes ([`Limit]).
@@ -86,9 +80,9 @@ val create :
   label:string ->
   Ipa_core.Solution.t ->
   t
-(** [cache] enables [load key] and snapshot pinning; [pool] enables
-    batched concurrent evaluation and concurrent socket sessions (omitted
-    or [jobs = 1] evaluates inline); [timings] appends per-query latency
+(** [cache] enables [load key] and snapshot pinning; [pool] serves socket
+    sessions concurrently, one per worker (omitted or [jobs = 1] serves
+    them one at a time; it does not affect {!session}); [timings] appends per-query latency
     to each answer record. [log] receives one JSONL record per request —
     [{"seq":N,"session":N,"q":...,"ok":...[,"us":N]}] — flushed per line
     under a lock, so concurrent sessions interleave whole records.
@@ -98,8 +92,8 @@ val create :
     the [demand] command. [query_timeout] bounds each query's wall clock
     (seconds): an over-limit evaluation is abandoned and answered with a
     structured [timeout] error record ([,"limit_s":S] in JSON). The guard
-    is SIGALRM-based and applies only to sequential sessions — it is
-    ignored when a [pool] is configured.
+    is SIGALRM-based and unsafe across pool workers, so it is ignored
+    when a [pool] is configured.
 
     Raises [Invalid_argument] when [limits.max_line < 1] or
     [query_timeout <= 0]. *)
@@ -110,9 +104,11 @@ val create :
 type outcome = [ `Quit | `Stop | `Timeout | `Limit | `Disconnect ]
 
 val session : t -> in_channel -> out_channel -> outcome
-(** Run one session to completion. Every answer line is flushed before
-    the next read, so an interactive client sees answers promptly.
-    Counters accumulate across sessions. *)
+(** Run one session to completion, reading the channel's file descriptor
+    directly (so nothing may have been read through [ic] before). Every
+    answer line is flushed before the next read, so an interactive client
+    sees answers promptly. Channel sessions never time out. Counters
+    accumulate across sessions. *)
 
 val serve_socket : t -> path:string -> (unit, string) result
 (** Bind a Unix-domain socket at [path] and serve connections until a

@@ -404,20 +404,10 @@ let test_refine_all_equals_plain () =
   List.iter
     (fun flavor ->
       let plain = Analysis.run_plain p flavor in
-      let config =
-        {
-          Solver.default_strategy = Flavors.strategy p insens;
-          refined_strategy = Flavors.strategy p flavor;
-          refine =
-            Refine.All_except
-              { skip_objects = Int_set.create (); skip_sites = Int_set.create () };
-          budget = 0;
-          order = Solver.Lifo;
-          collapse_cycles = true;
-          field_sensitive = true;
-        }
+      let refine =
+        Refine.All_except { skip_objects = Int_set.create (); skip_sites = Int_set.create () }
       in
-      let refined = Solver.run p config in
+      let refined = Solver.run p (Analysis.second_pass_config p flavor refine) in
       check (Alcotest.list Alcotest.string)
         (Flavors.to_string flavor ^ " refine-all = plain")
         (Ipa_testlib.canon_native plain.solution)
@@ -438,18 +428,8 @@ let test_skip_all_equals_insens () =
       ignore (Int_set.add skip_sites (Refine.pack_site ~invo ~meth:m))
     done
   done;
-  let config =
-    {
-      Solver.default_strategy = Flavors.strategy p insens;
-      refined_strategy = Flavors.strategy p obj2;
-      refine = Refine.All_except { skip_objects; skip_sites };
-      budget = 0;
-      order = Solver.Lifo;
-      collapse_cycles = true;
-      field_sensitive = true;
-    }
-  in
-  let skipped = Solver.run p config in
+  let refine = Refine.All_except { skip_objects; skip_sites } in
+  let skipped = Solver.run p (Analysis.second_pass_config p obj2 refine) in
   check (Alcotest.list Alcotest.string) "skip-all = insens"
     (Ipa_testlib.canon_native plain.solution)
     (Ipa_testlib.canon_native skipped)
@@ -585,18 +565,7 @@ let test_cross_introspective () =
     List.iter
       (fun h ->
         let refine = Ipa_core.Heuristics.select base.solution metrics h in
-        let config =
-          {
-            Solver.default_strategy = Flavors.strategy p insens;
-            refined_strategy = Flavors.strategy p obj2;
-            refine;
-            budget = 0;
-            order = Solver.Lifo;
-            collapse_cycles = true;
-            field_sensitive = true;
-          }
-        in
-        let native = Solver.run p config in
+        let native = Solver.run p (Analysis.second_pass_config p obj2 refine) in
         let datalog =
           Ipa_core.Datalog_backend.run p
             ~default:(Flavors.strategy p insens)

@@ -414,7 +414,7 @@ let test_idle_timeout () =
       in
       check Alcotest.int "timeout counted" 1 (List.assoc "timeouts" (Server.metrics server)))
 
-(* Channel sessions (no socket needed) for the query-limit semantics. *)
+(* Channel sessions (no socket needed) for the limit semantics. *)
 let channel_session ?cache ?limits ?log ~json script p label sol =
   T.with_temp_dir (fun dir ->
       let script_path = Filename.concat dir "script.txt" in
@@ -457,6 +457,25 @@ let test_query_limit () =
   check Alcotest.int "metrics answered after the limit" 3 (List.length lines);
   check Alcotest.bool "metrics reply" true
     (String.starts_with ~prefix:"metrics:" (List.nth lines 2))
+
+(* Channel sessions read through the same bounded reader as sockets: an
+   over-limit line streams through the discard path, answers the exact
+   error, and the next line is served. *)
+let test_oversized_line_on_channel () =
+  let p, s1 = solve insens in
+  let limits = { Server.default_limits with max_line = 64 } in
+  let server, outcome, lines =
+    channel_session ~limits ~json:false [ String.make 100_000 'a'; "stats" ] p "insens" s1
+  in
+  check Alcotest.bool "session ends at end of input" true (outcome = `Quit);
+  check Alcotest.int "error reply plus the stats record" 2 (List.length lines);
+  check Alcotest.string "exact line-limit message"
+    "<oversized line>: error: line exceeds limit (100000 > 64 bytes); line dropped"
+    (List.nth lines 0);
+  check Alcotest.bool "stats answered after the dropped line" true
+    (String.starts_with ~prefix:"stats:" (List.nth lines 1));
+  check Alcotest.int "line-limit hit counted" 1
+    (List.assoc "line_limit_hits" (Server.metrics server))
 
 let test_metrics_json_record () =
   let p, s1 = solve insens in
@@ -584,6 +603,8 @@ let () =
         [
           Alcotest.test_case "idle timeout closes with a reply" `Quick test_idle_timeout;
           Alcotest.test_case "query limit per session" `Quick test_query_limit;
+          Alcotest.test_case "oversized line on a channel" `Quick
+            test_oversized_line_on_channel;
           Alcotest.test_case "metrics record shape" `Quick test_metrics_json_record;
           Alcotest.test_case "JSONL request log" `Quick test_request_log;
         ] );

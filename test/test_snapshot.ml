@@ -365,9 +365,6 @@ let test_config_key_discriminates () =
   let variants =
     [
       ("budget", { base with budget = 5 });
-      ("order fifo", { base with order = Solver.Fifo });
-      ("order lifo", { base with order = Solver.Lifo });
-      ("collapse", { base with collapse_cycles = not base.collapse_cycles });
       ("field-based", { base with field_sensitive = false });
       ( "refined strategy",
         { base with refined_strategy = Flavors.strategy p (Flavors.Object_sens { depth = 2; heap = 1 }) } );
