@@ -11,9 +11,10 @@
 
    Five selections are gated. Each writes one Bench_record (see
    lib/harness/bench_record.mli) to its BENCH_*.json: the run's params,
-   its deterministic [counters] and its clock- or schedule-dependent
-   [measured] values. --check-against FILE reads a committed record when
-   the arguments are parsed and, after the run, fails unless the fresh
+   its deterministic [counters] and its schedule-dependent [measured]
+   counts; no record holds a wall-clock figure (timing claims go through
+   benchmark/). --check-against FILE reads a committed record when the
+   arguments are parsed and, after the run, fails unless the fresh
    counters have the same names and values; measured values are ignored.
 
    - [figs] (also part of [all]): every figure row of the report, written
@@ -214,7 +215,7 @@ let run_figs ~baseline cfg =
       selection = "figs";
       params = params cfg [ ("cores", J.Int (Domain.recommended_domain_count ())) ];
       counters = List.concat_map (fun (row, r) -> under row (run_counters r)) rows;
-      measured = List.map (fun (row, (r : Experiments.run)) -> (row ^ "/seconds", r.seconds)) rows;
+      measured = [];
     }
 
 (* ---------- BENCH_cache.json: cold vs warm differential ---------- *)
@@ -281,11 +282,7 @@ let run_cache_smoke (cfg : Ipa_harness.Config.t) ~dir ~baseline =
       params = params cfg [];
       (* The warm pass re-solves nothing whatever the schedule. *)
       counters = cold_counters @ warm_counters @ [ ("warm/misses", warm.misses) ];
-      measured =
-        (("cold/seconds", cold_seconds)
-         :: ("cold/misses", float_of_int cold.misses)
-         :: cold_measured)
-        @ (("warm/seconds", warm_seconds) :: warm_measured);
+      measured = (("cold/misses", float_of_int cold.misses) :: cold_measured) @ warm_measured;
     }
 
 (* ---------- BENCH_serve.json: concurrent socket-serving load harness ---------- *)
@@ -548,14 +545,7 @@ let run_serve_bench (cfg : Ipa_harness.Config.t) ~clients_list ~baseline =
               n served errors loads evictions seconds qps p50 p99;
             let row = Printf.sprintf "clients_%d" n in
             ( under row [ ("served", served); ("errors", errors); ("loads", loads) ],
-              under row
-                [
-                  ("evictions", float_of_int evictions);
-                  ("seconds", seconds);
-                  ("qps", qps);
-                  ("p50_us", float_of_int p50);
-                  ("p99_us", float_of_int p99);
-                ] )))
+              under row [ ("evictions", float_of_int evictions) ] )))
       clients_list
   in
   print_endline
@@ -706,12 +696,7 @@ let run_demand_bench (cfg : Ipa_harness.Config.t) ~baseline =
           ("demand_max_slice_derivations", !max_slice_derivations);
           ("demand_warm_hits", warm_hits);
         ];
-      measured =
-        [
-          ("derivations_ratio", ratio);
-          ("demand_cold_seconds", cold_seconds);
-          ("demand_warm_seconds", warm_seconds);
-        ];
+      measured = [];
     }
 
 (* ---------- BENCH_incr.json: incremental re-analysis ---------- *)
@@ -802,12 +787,7 @@ let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
           ("edit_cold_derivations", cold_derivations);
           ("edit_warm_derivations", warm_derivations);
         ];
-      measured =
-        [
-          ("derivations_ratio", ratio);
-          ("cold_seconds", cold.seconds);
-          ("warm_seconds", warm.seconds);
-        ];
+      measured = [];
     }
 
 let () =

@@ -1,20 +1,17 @@
 (* introspect — command-line front door to the introspective points-to
    analysis library.
 
-   Subcommands:
-     check        parse and well-formedness-check a .jir file
-     analyze      run a (possibly introspective) points-to analysis
-     solve        run an analysis and save/load the solution as a snapshot
-     cache        inspect or clear the on-disk snapshot cache
-     metrics      print the paper's six cost metrics over a program
-     gen          emit a synthetic DaCapo-like benchmark as .jir text
-     query        answer points-to queries over a solution, batch-style
-     serve        persistent query session with snapshot hot-loading
-     experiments  regenerate the paper's tables and figures *)
+   Every solving subcommand (analyze, the solution reports, solve, query,
+   serve, lint) takes the same analysis request — FILE, -a, -i, --budget —
+   parsed by one term and solved by [solve_request]. The rest: check, gen,
+   metrics, compare, export-dl, datalog, cache and experiments. *)
 
 module Program = Ipa_ir.Program
 module Flavors = Ipa_core.Flavors
 module Heuristics = Ipa_core.Heuristics
+module Analysis = Ipa_core.Analysis
+module Snapshot = Ipa_core.Snapshot
+module Cache = Ipa_harness.Cache
 open Cmdliner
 
 let load_program path =
@@ -22,12 +19,44 @@ let load_program path =
   | Ok p -> Ok p
   | Error e -> Error (Ipa_frontend.Jir.error_to_string e)
 
-(* ---------- common arguments ---------- *)
+(* Run [k] on the parsed program, or print the parse error and exit 1. *)
+let with_program path k =
+  match load_program path with
+  | Error msg ->
+    prerr_endline msg;
+    1
+  | Ok p -> k p
+
+(* ---------- numeric values ---------- *)
+
+(* One converter per kind of numeric value: a bad value is a usage error
+   (exit 124) when the arguments are parsed, not a crash or a silently
+   ignored setting later. *)
+let checked_int ~what ok =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s integer, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let non_negative = checked_int ~what:"a non-negative" (fun n -> n >= 0)
+let positive = checked_int ~what:"a positive" (fun n -> n > 0)
+
+let finite_positive =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a finite positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* ---------- shared flags ---------- *)
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Input .jir program.")
 
-let flavor_arg =
+let flavor_conv =
   let parse s =
     match Flavors.of_string s with
     | Some f -> Ok f
@@ -39,7 +68,7 @@ let flavor_arg =
 let analysis_arg =
   Arg.(
     value
-    & opt flavor_arg (Flavors.Object_sens { depth = 2; heap = 1 })
+    & opt flavor_conv (Flavors.Object_sens { depth = 2; heap = 1 })
     & info [ "a"; "analysis" ] ~docv:"ANALYSIS"
         ~doc:"Context-sensitivity flavor: insens, 1callH, 2callH, 1objH, 2objH, 2typeH, 2hybH, ...")
 
@@ -61,31 +90,89 @@ let heuristic_arg =
     & info [ "i"; "introspective" ] ~docv:"HEURISTIC"
         ~doc:"Run introspectively with the paper's Heuristic A or B.")
 
-let budget_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "budget" ] ~docv:"N"
-        ~doc:"Derivation budget (deterministic timeout); 0 means unlimited.")
+let budget_arg ?(default = 0)
+    ?(doc = "Derivation budget (deterministic timeout); 0 means unlimited.") () =
+  Arg.(value & opt non_negative default & info [ "budget" ] ~docv:"N" ~doc)
 
 let scale_arg =
   Arg.(
     value
-    & opt float 1.0
+    & opt finite_positive 1.0
     & info [ "scale" ] ~docv:"S" ~doc:"Benchmark size multiplier (default 1.0).")
+
+let output_arg ?(doc = "Output file.") () =
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+
+let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+let jobs_arg ~default ~doc =
+  Arg.(value & opt positive default & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let cache_dir_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
+
+let load_solution_arg ~doc =
+  Arg.(value & opt (some file) None & info [ "load-solution" ] ~docv:"FILE" ~doc)
+
+(* ---------- the analysis request ---------- *)
+
+(* What every solving subcommand asks for: a program, a flavor, optionally
+   the paper's Heuristic A or B, and a derivation budget. *)
+type request = {
+  path : string;
+  flavor : Flavors.spec;
+  heuristic : Heuristics.t option;
+  budget : int;
+}
+
+let request =
+  let make path flavor heuristic budget = { path; flavor; heuristic; budget } in
+  Term.(const make $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg ())
+
+type solved = {
+  intro : Analysis.introspective option;  (* the first pass and selection, if introspective *)
+  config : Ipa_core.Solver.config;  (* what [result] solved: the snapshot key's input *)
+  result : Analysis.result;
+}
+
+(* The one place a request becomes a solve: a plain pass of the flavor, or
+   the paper's recipe — insens pass, the six metrics, the heuristic's
+   selection, the refined pass. With [cache], the plain pass, the shared
+   insens pass and the refined pass all go through the snapshot cache. *)
+let solve_request ?cache p req =
+  let solve ~label config =
+    match cache with
+    | None -> Analysis.run_config p ~label config
+    | Some c -> fst (Cache.solve c p ~label config)
+  in
+  match req.heuristic with
+  | None ->
+    let config = Ipa_core.Solver.plain p ~budget:req.budget (Flavors.strategy p req.flavor) in
+    { intro = None; config; result = solve ~label:(Flavors.to_string req.flavor) config }
+  | Some h ->
+    let base = Option.map (fun c -> Cache.base_pass c ~budget:req.budget p) cache in
+    let ir = Analysis.run_introspective ~budget:req.budget ?base ~solve p req.flavor h in
+    let config = Analysis.second_pass_config ~budget:req.budget p req.flavor ir.refine in
+    { intro = Some ir; config; result = ir.second }
+
+(* A snapshot file saved by [solve --save-solution], decoded against the
+   program it was computed from. *)
+let read_snapshot p path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | bytes ->
+    Result.map_error
+      (fun e -> Printf.sprintf "%s: %s" path (Snapshot.error_to_string e))
+      (Snapshot.decode ~program:p bytes)
 
 (* ---------- check ---------- *)
 
 let check_cmd =
   let run path =
-    match load_program path with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok p ->
-      Printf.printf "%s: ok (%d classes, %d methods, %d variables, %d allocation sites)\n" path
-        (Program.n_classes p) (Program.n_meths p) (Program.n_vars p) (Program.n_heaps p);
-      0
+    with_program path @@ fun p ->
+    Printf.printf "%s: ok (%d classes, %d methods, %d variables, %d allocation sites)\n" path
+      (Program.n_classes p) (Program.n_meths p) (Program.n_vars p) (Program.n_heaps p);
+    0
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Parse and validate a .jir program.")
@@ -93,7 +180,7 @@ let check_cmd =
 
 (* ---------- analyze ---------- *)
 
-let print_result ~verbose p (r : Ipa_core.Analysis.result) =
+let print_result ~verbose p (r : Analysis.result) =
   let st = Ipa_core.Solution.stats r.solution in
   Printf.printf "analysis      %s\n" r.label;
   Printf.printf "time          %.3fs%s\n" r.seconds (if r.timed_out then "  (budget exceeded)" else "");
@@ -117,77 +204,63 @@ let print_result ~verbose p (r : Ipa_core.Analysis.result) =
       vpt
   end
 
+let print_first_pass (ir : Analysis.introspective) =
+  Printf.printf "first pass    %s  %.3fs  (%d derivations)\n" ir.base.label ir.base.seconds
+    ir.base.solution.derivations
+
 let analyze_cmd =
-  let run path flavor heuristic budget verbose =
-    match load_program path with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok p ->
-      (match heuristic with
-      | None -> print_result ~verbose p (Ipa_core.Analysis.run_plain ~budget p flavor)
-      | Some h ->
-        let ir = Ipa_core.Analysis.run_introspective ~budget p flavor h in
-        Printf.printf "first pass    %s  %.3fs  (%d derivations)\n" ir.base.label ir.base.seconds
-          ir.base.solution.derivations;
+  let run req verbose =
+    with_program req.path @@ fun p ->
+    let s = solve_request p req in
+    Option.iter
+      (fun (ir : Analysis.introspective) ->
+        print_first_pass ir;
         Printf.printf "selection     %d/%d sites and %d/%d objects kept context-insensitive\n"
           ir.selection.sites_skipped ir.selection.sites_total ir.selection.objects_skipped
-          ir.selection.objects_total;
-        print_result ~verbose p ir.second);
-      0
+          ir.selection.objects_total)
+      s.intro;
+    print_result ~verbose p s.result;
+    0
   in
   let verbose_arg =
     Arg.(value & flag & info [ "points-to" ] ~doc:"Print the collapsed var-points-to relation.")
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run a points-to analysis on a .jir program.")
-    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ verbose_arg)
+    Term.(const run $ request $ verbose_arg)
 
-(* ---------- client-analysis commands ---------- *)
+(* ---------- solution reports ---------- *)
 
-(* Run the configured analysis and hand its solution to a report printer.
-   [to_stderr] moves the analysis banner off stdout so machine-readable
-   reports (--json) stay parseable. *)
-let with_solution ?(to_stderr = false) path flavor heuristic budget k =
-  match load_program path with
-  | Error msg ->
-    prerr_endline msg;
-    1
-  | Ok p ->
-    let result =
-      match heuristic with
-      | None -> Ipa_core.Analysis.run_plain ~budget p flavor
-      | Some h -> (Ipa_core.Analysis.run_introspective ~budget p flavor h).second
-    in
-    if result.timed_out then begin
-      Printf.eprintf "%s exceeded its derivation budget; results are partial\n" result.label;
-      k p result.solution;
+(* A report subcommand: solve the request and hand the solution to the
+   printer [report] evaluates to; an [Error] (a bad spec file) stops before
+   solving. [json] moves the analysis banner to stderr so machine-readable
+   reports stay parseable. A budget overrun prints the partial report and
+   exits 1. *)
+let report_cmd name ~doc ?(json = Term.const false) report =
+  let run req json = function
+    | Error msg ->
+      prerr_endline msg;
       1
-    end
-    else begin
-      Printf.fprintf
-        (if to_stderr then stderr else stdout)
-        "analysis: %s (%.3fs)\n\n" result.label result.seconds;
-      k p result.solution;
-      0
-    end
-
-let client_cmd name ~doc k =
-  let run path flavor heuristic budget =
-    with_solution path flavor heuristic budget k
+    | Ok print ->
+      with_program req.path @@ fun p ->
+      let r = (solve_request p req).result in
+      if r.timed_out then
+        Printf.eprintf "%s exceeded its derivation budget; results are partial\n" r.label
+      else
+        Printf.fprintf (if json then stderr else stdout) "analysis: %s (%.3fs)\n\n" r.label
+          r.seconds;
+      print p r.solution;
+      if r.timed_out then 1 else 0
   in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg)
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ request $ json $ report)
 
-let client_json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:"Emit one JSON object per finding (the lint jsonl format) instead of text.")
+let findings_json_arg =
+  json_arg ~doc:"Emit one JSON object per finding (the lint jsonl format) instead of text."
 
 let devirt_cmd =
-  let run path flavor heuristic budget json =
-    with_solution ~to_stderr:json path flavor heuristic budget (fun _ s ->
+  let report json =
+    Ok
+      (fun _ s ->
         let summary = Ipa_clients.Devirtualize.summarize s in
         (* Threshold 2 = every polymorphic site, as the old report showed. *)
         let ds =
@@ -201,15 +274,14 @@ let devirt_cmd =
           print_string (Ipa_lint.Report.human ds)
         end)
   in
-  Cmd.v
-    (Cmd.info "devirt" ~doc:"Report devirtualizable and polymorphic call sites.")
-    Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg
-      $ client_json_arg)
+  report_cmd "devirt" ~doc:"Report devirtualizable and polymorphic call sites."
+    ~json:findings_json_arg
+    Term.(const report $ findings_json_arg)
 
 let casts_cmd =
-  let run path flavor heuristic budget json =
-    with_solution ~to_stderr:json path flavor heuristic budget (fun _ s ->
+  let report json =
+    Ok
+      (fun _ s ->
         let ds =
           List.sort_uniq Ipa_ir.Diagnostic.compare (Ipa_lint.Semantic.may_fail_cast s)
         in
@@ -219,24 +291,22 @@ let casts_cmd =
           print_string (Ipa_lint.Report.human ds)
         end)
   in
-  Cmd.v
-    (Cmd.info "casts" ~doc:"Report casts that may fail under the analysis.")
-    Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg
-      $ client_json_arg)
+  report_cmd "casts" ~doc:"Report casts that may fail under the analysis." ~json:findings_json_arg
+    Term.(const report $ findings_json_arg)
 
 let exceptions_cmd =
-  client_cmd "exceptions" ~doc:"Report uncaught exceptions and handler contents." (fun _ s ->
-      Ipa_clients.Exception_report.print s)
+  report_cmd "exceptions" ~doc:"Report uncaught exceptions and handler contents."
+    (Term.const (Ok (fun _ s -> Ipa_clients.Exception_report.print s)))
 
 let hotspots_cmd =
-  client_cmd "hotspots"
-    ~doc:"Show the methods and allocation sites dominating the analysis cost." (fun _ s ->
-      Ipa_core.Diagnostics.print s)
+  report_cmd "hotspots"
+    ~doc:"Show the methods and allocation sites dominating the analysis cost."
+    (Term.const (Ok (fun _ s -> Ipa_core.Diagnostics.print s)))
 
 let callgraph_cmd =
-  let run path flavor heuristic budget output =
-    with_solution path flavor heuristic budget (fun _ s ->
+  let report output =
+    Ok
+      (fun _ s ->
         match output with
         | Some out ->
           Ipa_clients.Callgraph_export.write_dot s ~path:out;
@@ -244,62 +314,55 @@ let callgraph_cmd =
             (List.length (Ipa_clients.Callgraph_export.to_edges s))
         | None -> print_string (Ipa_clients.Callgraph_export.to_dot s))
   in
-  let output_arg =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"DOT file.")
-  in
-  Cmd.v
-    (Cmd.info "callgraph" ~doc:"Export the collapsed call graph as Graphviz DOT.")
-    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ output_arg)
+  report_cmd "callgraph" ~doc:"Export the collapsed call graph as Graphviz DOT."
+    Term.(const report $ output_arg ~doc:"DOT file." ())
 
 let taint_cmd =
-  let run path flavor heuristic budget spec_path =
+  let report spec_path =
     let spec =
       match spec_path with
       | None -> Ok Ipa_clients.Taint.default_spec
       | Some sp -> Ipa_clients.Taint.spec_of_file sp
     in
-    match spec with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok spec ->
-      with_solution path flavor heuristic budget (fun p s ->
-          (match Ipa_core.Solution.self_check s with
-          | [] -> Printf.printf "self-check: ok\n"
-          | errs ->
-            Printf.printf "self-check: %d violation(s)\n" (List.length errs);
-            List.iter print_endline errs);
-          let res = Ipa_clients.Taint.analyze ~spec s in
-          Printf.printf "tainted sinks: %d   (taint seeds: %d)\n\n" (List.length res.findings)
-            res.n_seeds;
-          if res.findings <> [] then begin
-            Ipa_support.Ascii_table.print
-              ~aligns:Ipa_support.Ascii_table.[ Left; Left; Right; Left ]
-              ~header:[ "sink call site"; "in method"; "arg"; "resolved sink" ]
-              (List.map
-                 (fun (f : Ipa_clients.Taint.finding) ->
-                   let ii = Program.invo_info p f.invo in
-                   [
-                     ii.invo_name;
-                     Program.meth_full_name p ii.invo_owner;
-                     string_of_int f.arg;
-                     Program.meth_full_name p f.sink;
-                   ])
-                 res.findings);
-            match res.vfg with
-            | None -> ()
-            | Some vfg ->
-              List.iter
-                (fun (f : Ipa_clients.Taint.finding) ->
-                  match f.path with
-                  | [] -> ()
-                  | path ->
-                    Printf.printf "\n%s arg %d:\n  %s\n"
-                      (Program.invo_info p f.invo).invo_name f.arg
-                      (String.concat " -> "
-                         (List.map (Ipa_core.Value_flow.node_to_string vfg) path)))
-                res.findings
-          end)
+    Result.map
+      (fun spec p s ->
+        (match Ipa_core.Solution.self_check s with
+        | [] -> Printf.printf "self-check: ok\n"
+        | errs ->
+          Printf.printf "self-check: %d violation(s)\n" (List.length errs);
+          List.iter print_endline errs);
+        let res = Ipa_clients.Taint.analyze ~spec s in
+        Printf.printf "tainted sinks: %d   (taint seeds: %d)\n\n" (List.length res.findings)
+          res.n_seeds;
+        if res.findings <> [] then begin
+          Ipa_support.Ascii_table.print
+            ~aligns:Ipa_support.Ascii_table.[ Left; Left; Right; Left ]
+            ~header:[ "sink call site"; "in method"; "arg"; "resolved sink" ]
+            (List.map
+               (fun (f : Ipa_clients.Taint.finding) ->
+                 let ii = Program.invo_info p f.invo in
+                 [
+                   ii.invo_name;
+                   Program.meth_full_name p ii.invo_owner;
+                   string_of_int f.arg;
+                   Program.meth_full_name p f.sink;
+                 ])
+               res.findings);
+          match res.vfg with
+          | None -> ()
+          | Some vfg ->
+            List.iter
+              (fun (f : Ipa_clients.Taint.finding) ->
+                match f.path with
+                | [] -> ()
+                | path ->
+                  Printf.printf "\n%s arg %d:\n  %s\n"
+                    (Program.invo_info p f.invo).invo_name f.arg
+                    (String.concat " -> "
+                       (List.map (Ipa_core.Value_flow.node_to_string vfg) path)))
+              res.findings
+        end)
+      spec
   in
   let spec_arg =
     Arg.(
@@ -311,49 +374,14 @@ let taint_cmd =
              $(b,source-class PAT), $(b,sink PAT), $(b,sanitizer PAT)); # comments. \
              Defaults to the built-in mkSecret/consume/scrub spec.")
   in
-  Cmd.v
-    (Cmd.info "taint"
-       ~doc:"Report source-to-sink taint flows over the solution's value-flow graph.")
-    Term.(const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ spec_arg)
-
-let compare_cmd =
-  let run path coarse fine budget =
-    match load_program path with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok p ->
-      let a = Ipa_core.Analysis.run_plain ~budget p coarse in
-      let b = Ipa_core.Analysis.run_plain ~budget p fine in
-      if a.timed_out || b.timed_out then begin
-        prerr_endline "an analysis exceeded its budget; diff would be misleading";
-        1
-      end
-      else begin
-        Printf.printf "%s (%.3fs)  vs  %s (%.3fs)\n\n" a.label a.seconds b.label b.seconds;
-        Ipa_clients.Compare.print a.solution b.solution;
-        0
-      end
-  in
-  let coarse_arg =
-    Arg.(
-      value
-      & opt flavor_arg Flavors.Insensitive
-      & info [ "from" ] ~docv:"ANALYSIS" ~doc:"Coarse analysis (default insens).")
-  in
-  let fine_arg =
-    Arg.(
-      value
-      & opt flavor_arg (Flavors.Object_sens { depth = 2; heap = 1 })
-      & info [ "to" ] ~docv:"ANALYSIS" ~doc:"Fine analysis (default 2objH).")
-  in
-  Cmd.v
-    (Cmd.info "compare" ~doc:"Diff the precision of two analyses, site by site.")
-    Term.(const run $ file_arg $ coarse_arg $ fine_arg $ budget_arg)
+  report_cmd "taint"
+    ~doc:"Report source-to-sink taint flows over the solution's value-flow graph."
+    Term.(const report $ spec_arg)
 
 let dump_cmd =
-  let run path flavor heuristic budget full output =
-    with_solution path flavor heuristic budget (fun _ s ->
+  let report full output =
+    Ok
+      (fun _ s ->
         match output with
         | Some out ->
           Ipa_clients.Facts_dump.write ~full s ~path:out;
@@ -366,50 +394,73 @@ let dump_cmd =
   let full_arg =
     Arg.(value & flag & info [ "full" ] ~doc:"Dump the context-sensitive relations.")
   in
-  let output_arg =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
+  report_cmd "dump" ~doc:"Dump the computed relations as diffable text facts."
+    Term.(const report $ full_arg $ output_arg ())
+
+let compare_cmd =
+  let run path coarse fine budget =
+    with_program path @@ fun p ->
+    let a = Analysis.run_plain ~budget p coarse in
+    let b = Analysis.run_plain ~budget p fine in
+    if a.timed_out || b.timed_out then begin
+      prerr_endline "an analysis exceeded its budget; diff would be misleading";
+      1
+    end
+    else begin
+      Printf.printf "%s (%.3fs)  vs  %s (%.3fs)\n\n" a.label a.seconds b.label b.seconds;
+      Ipa_clients.Compare.print a.solution b.solution;
+      0
+    end
+  in
+  let coarse_arg =
+    Arg.(
+      value
+      & opt flavor_conv Flavors.Insensitive
+      & info [ "from" ] ~docv:"ANALYSIS" ~doc:"Coarse analysis (default insens).")
+  in
+  let fine_arg =
+    Arg.(
+      value
+      & opt flavor_conv (Flavors.Object_sens { depth = 2; heap = 1 })
+      & info [ "to" ] ~docv:"ANALYSIS" ~doc:"Fine analysis (default 2objH).")
   in
   Cmd.v
-    (Cmd.info "dump" ~doc:"Dump the computed relations as diffable text facts.")
-    Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ full_arg
-      $ output_arg)
+    (Cmd.info "compare" ~doc:"Diff the precision of two analyses, site by site.")
+    Term.(const run $ file_arg $ coarse_arg $ fine_arg $ budget_arg ())
 
 (* ---------- metrics ---------- *)
 
 let metrics_cmd =
   let run path top =
-    match load_program path with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok p ->
-      let base = Ipa_core.Analysis.run_plain p Flavors.Insensitive in
-      let m = Ipa_core.Introspection.compute base.solution in
-      let show name values describe =
-        let ranked =
-          List.filter
-            (fun (v, _) -> v > 0)
-            (List.sort (fun a b -> compare b a)
-               (Array.to_list (Array.mapi (fun i v -> (v, i)) values)))
-        in
-        Printf.printf "-- %s (top %d of %d non-zero) --\n" name top (List.length ranked);
-        List.iteri
-          (fun rank (v, i) -> if rank < top then Printf.printf "%8d  %s\n" v (describe i))
-          ranked
+    with_program path @@ fun p ->
+    let base = Analysis.run_plain p Flavors.Insensitive in
+    let m = Ipa_core.Introspection.compute base.solution in
+    let show name values describe =
+      let ranked =
+        List.filter
+          (fun (v, _) -> v > 0)
+          (List.sort (fun a b -> compare b a)
+             (Array.to_list (Array.mapi (fun i v -> (v, i)) values)))
       in
-      let meth = Program.meth_full_name p in
-      let heap = Program.heap_full_name p in
-      let invo i = (Program.invo_info p i).invo_name in
-      show "argument in-flow (metric 1)" m.in_flow invo;
-      show "method total points-to volume (metric 2)" m.meth_total_volume meth;
-      show "object max field points-to (metric 3)" m.obj_max_field heap;
-      show "method max var-field points-to (metric 4)" m.meth_max_var_field meth;
-      show "pointed-by-vars (metric 5)" m.pointed_by_vars heap;
-      show "pointed-by-objs (metric 6)" m.pointed_by_objs heap;
-      0
+      Printf.printf "-- %s (top %d of %d non-zero) --\n" name top (List.length ranked);
+      List.iteri
+        (fun rank (v, i) -> if rank < top then Printf.printf "%8d  %s\n" v (describe i))
+        ranked
+    in
+    let meth = Program.meth_full_name p in
+    let heap = Program.heap_full_name p in
+    let invo i = (Program.invo_info p i).invo_name in
+    show "argument in-flow (metric 1)" m.in_flow invo;
+    show "method total points-to volume (metric 2)" m.meth_total_volume meth;
+    show "object max field points-to (metric 3)" m.obj_max_field heap;
+    show "method max var-field points-to (metric 4)" m.meth_max_var_field meth;
+    show "pointed-by-vars (metric 5)" m.pointed_by_vars heap;
+    show "pointed-by-objs (metric 6)" m.pointed_by_objs heap;
+    0
   in
-  let top_arg = Arg.(value & opt int 10 & info [ "top" ] ~docv:"K" ~doc:"Entries per metric.") in
+  let top_arg =
+    Arg.(value & opt non_negative 10 & info [ "top" ] ~docv:"K" ~doc:"Entries per metric.")
+  in
   Cmd.v
     (Cmd.info "metrics" ~doc:"Print the six introspection cost metrics of the paper (§3).")
     Term.(const run $ file_arg $ top_arg)
@@ -473,9 +524,6 @@ let gen_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"BENCH" ~doc:"Benchmark name (antlr, bloat, ..., xalan).")
   in
-  let output_arg =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
-  in
   let edit_arg =
     Arg.(
       value
@@ -507,30 +555,23 @@ let gen_cmd =
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a synthetic DaCapo-like benchmark as .jir text.")
-    Term.(const run $ name_arg $ scale_arg $ output_arg $ edit_arg $ seed_arg $ edit_kinds_arg)
+    Term.(const run $ name_arg $ scale_arg $ output_arg () $ edit_arg $ seed_arg $ edit_kinds_arg)
 
 let export_dl_cmd =
   let run path output =
-    match load_program path with
-    | Error msg ->
-      prerr_endline msg;
-      1
-    | Ok p ->
-      let text = Ipa_clients.Dl_export.script p in
-      (match output with
-      | Some out ->
-        Out_channel.with_open_text out (fun oc -> Out_channel.output_string oc text);
-        Printf.printf "wrote %s\n" out
-      | None -> print_string text);
-      0
-  in
-  let output_arg =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
+    with_program path @@ fun p ->
+    let text = Ipa_clients.Dl_export.script p in
+    (match output with
+    | Some out ->
+      Out_channel.with_open_text out (fun oc -> Out_channel.output_string oc text);
+      Printf.printf "wrote %s\n" out
+    | None -> print_string text);
+    0
   in
   Cmd.v
     (Cmd.info "export-dl"
        ~doc:"Export the program and the context-insensitive analysis as a runnable .dl file.")
-    Term.(const run $ file_arg $ output_arg)
+    Term.(const run $ file_arg $ output_arg ())
 
 (* ---------- datalog ---------- *)
 
@@ -560,11 +601,9 @@ let datalog_cmd =
   Cmd.v
     (Cmd.info "datalog"
        ~doc:"Evaluate a standalone Datalog program on the analysis engine.")
-    Term.(const run $ dl_file $ budget_arg)
+    Term.(const run $ dl_file $ budget_arg ())
 
 (* ---------- solve: snapshot save/load ---------- *)
-
-module Snapshot = Ipa_core.Snapshot
 
 let solve_cmd =
   let print_report (r : Ipa_core.Compositional_solver.report) =
@@ -575,104 +614,91 @@ let solve_cmd =
       Printf.printf "dirty sccs    [%s]\n"
         (String.concat "; " (List.map string_of_int r.dirty_sccs))
   in
-  let run path flavor heuristic budget save load edit_from =
-    match load with
-    | Some snap_path -> (
-      (* Load a previously saved snapshot instead of solving. *)
-      match load_program path with
-      | Error msg ->
-        prerr_endline msg;
-        1
-      | Ok p -> (
-        match In_channel.with_open_bin snap_path In_channel.input_all with
-        | exception Sys_error msg ->
-          prerr_endline msg;
-          1
-        | bytes -> (
-          match Snapshot.decode ~program:p bytes with
-          | Error e ->
-            Printf.eprintf "%s: %s\n" snap_path (Snapshot.error_to_string e);
-            1
-          | Ok snap ->
-            let r =
-              {
-                Ipa_core.Analysis.label = snap.label;
-                solution = snap.solution;
-                seconds = snap.seconds;
-                timed_out = snap.solution.outcome = Budget_exceeded;
-              }
-            in
-            Printf.printf "loaded %s (solved in %.3fs when saved)\n" snap_path snap.seconds;
-            print_result ~verbose:false p r;
-            (match Ipa_core.Solution.self_check snap.solution with
-            | [] ->
-              Printf.printf "self-check    ok\n";
-              0
-            | errs ->
-              Printf.printf "self-check    %d violation(s)\n" (List.length errs);
-              List.iter print_endline errs;
-              1))))
-    | None -> (
-      let ( let* ) = Result.bind in
-      let solved =
-        let* p = load_program path in
-        match (edit_from, heuristic) with
-        | Some _, Some _ -> Error "--edit-from runs a single-pass analysis; drop --heuristic"
-        | Some base_path, None ->
-          (* [path] is the edited program, [base_path] the baseline it
-             (presumably) extends; the baseline is solved cold here, then
-             the edited program warm-starts from it. Parsed ids are
-             file-order artifacts, so the edited program is first realigned
-             onto the baseline's ids by entity name; an unalignable delta
-             simply fails the monotonicity check and solves cold. *)
-          let* base_program = load_program base_path in
+  let load p snap_path =
+    (* Load a previously saved snapshot instead of solving. *)
+    match read_snapshot p snap_path with
+    | Error msg ->
+      prerr_endline msg;
+      1
+    | Ok snap ->
+      let r =
+        {
+          Analysis.label = snap.label;
+          solution = snap.solution;
+          seconds = snap.seconds;
+          timed_out = snap.solution.outcome = Budget_exceeded;
+        }
+      in
+      Printf.printf "loaded %s (solved in %.3fs when saved)\n" snap_path snap.seconds;
+      print_result ~verbose:false p r;
+      (match Ipa_core.Solution.self_check snap.solution with
+      | [] ->
+        Printf.printf "self-check    ok\n";
+        0
+      | errs ->
+        Printf.printf "self-check    %d violation(s)\n" (List.length errs);
+        List.iter print_endline errs;
+        1)
+  in
+  let solve p req edit_from =
+    match (edit_from, req.heuristic) with
+    | Some _, Some _ -> Error "--edit-from runs a single-pass analysis; drop --introspective"
+    | Some base_path, None ->
+      (* [req.path] is the edited program, [base_path] the baseline it
+         (presumably) extends; the baseline is solved cold here, then the
+         edited program warm-starts from it. Parsed ids are file-order
+         artifacts, so the edited program is first realigned onto the
+         baseline's ids by entity name; an unalignable delta simply fails
+         the monotonicity check and solves cold. *)
+      Result.map
+        (fun base_program ->
           let p =
             Option.value ~default:p (Ipa_core.Summary.align ~old_p:base_program ~new_p:p)
           in
-          let base = Ipa_core.Analysis.run_plain base_program flavor in
+          let base = Analysis.run_plain base_program req.flavor in
           Printf.printf "baseline      %s  %.3fs  (%d derivations)\n" base.label base.seconds
             base.solution.derivations;
           let result, report =
-            Ipa_core.Analysis.run_incremental p ~base_program ~base_solution:base.solution flavor
+            Analysis.run_incremental p ~base_program ~base_solution:base.solution req.flavor
           in
-          let config = Ipa_core.Solver.plain p (Ipa_core.Flavors.strategy p flavor) in
-          Ok (p, result, config, Some report)
-        | None, None ->
-          let config = Ipa_core.Solver.plain p ~budget (Ipa_core.Flavors.strategy p flavor) in
-          let result = Ipa_core.Analysis.run_config p ~label:(Flavors.to_string flavor) config in
-          Ok (p, result, config, None)
-        | None, Some h ->
-          let ir = Ipa_core.Analysis.run_introspective ~budget p flavor h in
-          Printf.printf "first pass    %s  %.3fs  (%d derivations)\n" ir.base.label
-            ir.base.seconds ir.base.solution.derivations;
-          let config = Ipa_core.Analysis.second_pass_config ~budget p flavor ir.refine in
-          Ok (p, ir.second, config, None)
-      in
-      match solved with
+          let config = Ipa_core.Solver.plain p (Flavors.strategy p req.flavor) in
+          (p, result, config, Some report))
+        (load_program base_path)
+    | None, _ ->
+      let s = solve_request p req in
+      Option.iter print_first_pass s.intro;
+      Ok (p, s.result, s.config, None)
+  in
+  let save p (result : Analysis.result) config out =
+    let program_digest = Snapshot.digest_program p in
+    let key = Snapshot.config_key ~program_digest config in
+    let snap =
+      {
+        Snapshot.key;
+        program_digest;
+        label = result.label;
+        seconds = result.seconds;
+        solution = result.solution;
+        metrics = Some (Ipa_core.Introspection.compute result.solution);
+      }
+    in
+    let bytes = Snapshot.encode snap in
+    Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc bytes);
+    Printf.printf "saved         %s (%d bytes, key %s)\n" out (String.length bytes) key
+  in
+  let run req save_path load_path edit_from =
+    with_program req.path @@ fun p ->
+    match load_path with
+    | Some snap_path -> load p snap_path
+    | None -> (
+      match solve p req edit_from with
       | Error msg ->
         prerr_endline msg;
         1
       | Ok (p, result, config, report) ->
         print_result ~verbose:false p result;
         Option.iter print_report report;
-        (match save with
-        | None -> ()
-        | Some out ->
-          let program_digest = Snapshot.digest_program p in
-          let key = Snapshot.config_key ~program_digest config in
-          let snap =
-            {
-              Snapshot.key;
-              program_digest;
-              label = result.label;
-              seconds = result.seconds;
-              solution = result.solution;
-              metrics = Some (Ipa_core.Introspection.compute result.solution);
-            }
-          in
-          let bytes = Snapshot.encode snap in
-          Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc bytes);
-          Printf.printf "saved         %s (%d bytes, key %s)\n" out (String.length bytes) key);
+        Option.iter (save p result config) save_path;
         0)
   in
   let save_arg =
@@ -681,15 +707,6 @@ let solve_cmd =
       & opt (some string) None
       & info [ "save-solution" ] ~docv:"FILE"
           ~doc:"Write the solved analysis (tables, counters, metrics) as a snapshot file.")
-  in
-  let load_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "load-solution" ] ~docv:"FILE"
-          ~doc:
-            "Load a snapshot saved with $(b,--save-solution) instead of solving; the program \
-             must be the same one the snapshot was computed from.")
   in
   let edit_from_arg =
     Arg.(
@@ -705,32 +722,35 @@ let solve_cmd =
     (Cmd.info "solve"
        ~doc:"Run an analysis and save the solution as a snapshot, or reload a saved one.")
     Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ save_arg $ load_arg
+      const run $ request $ save_arg
+      $ load_solution_arg
+          ~doc:
+            "Load a snapshot saved with $(b,--save-solution) instead of solving; the program \
+             must be the same one the snapshot was computed from."
       $ edit_from_arg)
 
 (* ---------- cache maintenance ---------- *)
 
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt string (Ipa_harness.Cache.default_dir ())
-    & info [ "cache-dir" ] ~docv:"DIR"
+let cache_group_dir =
+  Term.(
+    const (Option.value ~default:(Cache.default_dir ()))
+    $ cache_dir_arg
         ~doc:"Snapshot cache directory (default: \\$XDG_CACHE_HOME/ipa or ~/.cache/ipa).")
 
 let cache_stats_cmd =
   let run dir =
-    let entries = Ipa_harness.Cache.entries ~dir in
+    let entries = Cache.entries ~dir in
     if entries = [] then Printf.printf "%s: no cached entries\n" dir
     else begin
       Printf.printf "%s: %d cached entr%s\n" dir (List.length entries)
         (if List.length entries = 1 then "y" else "ies");
       let rows =
         List.map
-          (fun (e : Ipa_harness.Cache.disk_entry) ->
+          (fun (e : Cache.disk_entry) ->
             [
               e.entry_file;
               (match e.entry_kind with
-              | Some k -> Ipa_harness.Cache.kind_name k
+              | Some k -> Cache.kind_name k
               | None -> "invalid");
               string_of_int e.entry_bytes;
               e.entry_describe;
@@ -744,14 +764,14 @@ let cache_stats_cmd =
       (* Per-kind rollup: entry counts and resident (on-disk) bytes. *)
       let bucket kind =
         List.fold_left
-          (fun (n, bytes) (e : Ipa_harness.Cache.disk_entry) ->
+          (fun (n, bytes) (e : Cache.disk_entry) ->
             if e.entry_kind = kind then (n + 1, bytes + e.entry_bytes) else (n, bytes))
           (0, 0) entries
       in
       let kinds =
         [
-          Some Ipa_harness.Cache.Snapshot_entry;
-          Some Ipa_harness.Cache.Demand_entry;
+          Some Cache.Snapshot_entry;
+          Some Cache.Demand_entry;
           None;
         ]
       in
@@ -761,7 +781,7 @@ let cache_stats_cmd =
           if n > 0 then
             Printf.printf "%s: %d entr%s, %d bytes\n"
               (match kind with
-              | Some k -> Ipa_harness.Cache.kind_name k
+              | Some k -> Cache.kind_name k
               | None -> "invalid")
               n
               (if n = 1 then "y" else "ies")
@@ -769,7 +789,7 @@ let cache_stats_cmd =
         kinds;
       let total =
         List.fold_left
-          (fun acc (e : Ipa_harness.Cache.disk_entry) -> acc + e.entry_bytes)
+          (fun acc (e : Cache.disk_entry) -> acc + e.entry_bytes)
           0 entries
       in
       Printf.printf "total %d bytes\n" total
@@ -779,13 +799,13 @@ let cache_stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:"List the cached entries: analysis snapshots and demand slices.")
-    Term.(const run $ cache_dir_arg)
+    Term.(const run $ cache_group_dir)
 
 let cache_kind_arg =
-  let kinds = Ipa_harness.Cache.[ Snapshot_entry; Demand_entry ] in
+  let kinds = Cache.[ Snapshot_entry; Demand_entry ] in
   Arg.(
     value
-    & opt (some (enum (List.map (fun k -> (Ipa_harness.Cache.kind_name k, k)) kinds))) None
+    & opt (some (enum (List.map (fun k -> (Cache.kind_name k, k)) kinds))) None
     & info [ "kind" ] ~docv:"KIND"
         ~doc:
           "Only remove entries of this kind: $(b,snapshot) or $(b,demand-slice-v1). Default: \
@@ -793,18 +813,18 @@ let cache_kind_arg =
 
 let cache_clear_cmd =
   let run dir kind =
-    let n = Ipa_harness.Cache.clear ?kind ~dir () in
+    let n = Cache.clear ?kind ~dir () in
     (match kind with
     | None -> Printf.printf "removed %d cached entr%s from %s\n" n (if n = 1 then "y" else "ies") dir
     | Some k ->
-      Printf.printf "removed %d %s entr%s from %s\n" n (Ipa_harness.Cache.kind_name k)
+      Printf.printf "removed %d %s entr%s from %s\n" n (Cache.kind_name k)
         (if n = 1 then "y" else "ies")
         dir);
     0
   in
   Cmd.v
     (Cmd.info "clear" ~doc:"Remove cached entries, optionally filtered by kind.")
-    Term.(const run $ cache_dir_arg $ cache_kind_arg)
+    Term.(const run $ cache_group_dir $ cache_kind_arg)
 
 let cache_cmd =
   Cmd.group
@@ -814,52 +834,24 @@ let cache_cmd =
 (* ---------- query / serve ---------- *)
 
 (* The initial solution of a query session: a saved snapshot when
-   --load-solution is given, otherwise a solve of the configured analysis
-   (through the snapshot cache when the server has one). *)
-let obtain_solution ?cache path flavor heuristic budget load =
-  match load_program path with
-  | Error msg -> Error msg
-  | Ok p -> (
-    match load with
-    | Some snap_path -> (
-      match In_channel.with_open_bin snap_path In_channel.input_all with
-      | exception Sys_error msg -> Error msg
-      | bytes -> (
-        match Snapshot.decode ~program:p bytes with
-        | Error e -> Error (Printf.sprintf "%s: %s" snap_path (Snapshot.error_to_string e))
-        | Ok snap -> Ok (p, snap.label, snap.solution)))
-    | None -> (
-      match cache with
-      | None ->
-        let r =
-          match heuristic with
-          | None -> Ipa_core.Analysis.run_plain ~budget p flavor
-          | Some h -> (Ipa_core.Analysis.run_introspective ~budget p flavor h).second
-        in
-        Ok (p, r.label, r.solution)
-      | Some cache -> (
-        match heuristic with
-        | None ->
-          let config = Ipa_core.Solver.plain p ~budget (Flavors.strategy p flavor) in
-          let r, _ = Ipa_harness.Cache.solve cache p ~label:(Flavors.to_string flavor) config in
-          Ok (p, r.label, r.solution)
-        | Some h ->
-          let base, metrics = Ipa_harness.Cache.base_pass cache ~budget p in
-          let refine = Heuristics.select base.solution metrics h in
-          let label = Flavors.to_string flavor ^ "-" ^ Heuristics.name h in
-          let config = Ipa_core.Analysis.second_pass_config ~budget p flavor refine in
-          let r, _ = Ipa_harness.Cache.solve cache p ~label config in
-          Ok (p, r.label, r.solution))))
+   --load-solution is given, otherwise the request solved (through the
+   snapshot cache when the server has one). *)
+let obtain_solution ?cache req load =
+  let ( let* ) = Result.bind in
+  let* p = load_program req.path in
+  match load with
+  | Some snap_path ->
+    let* snap = read_snapshot p snap_path in
+    Ok (p, snap.label, snap.solution)
+  | None ->
+    let r = (solve_request ?cache p req).result in
+    Ok (p, r.label, r.solution)
 
-let load_solution_arg =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "load-solution" ] ~docv:"FILE"
-        ~doc:"Answer queries over a snapshot saved with $(b,solve --save-solution) instead of solving.")
+let session_load_arg =
+  load_solution_arg
+    ~doc:"Answer queries over a snapshot saved with $(b,solve --save-solution) instead of solving."
 
-let json_arg =
-  Arg.(value & flag & info [ "json" ] ~doc:"Emit one JSON object per answer line.")
+let answers_json_arg = json_arg ~doc:"Emit one JSON object per answer line."
 
 let timings_arg =
   Arg.(value & flag & info [ "timings" ] ~doc:"Append per-query evaluation latency to each answer.")
@@ -896,17 +888,13 @@ let make_demand ?cache ~warm p flavor mode =
          config)
 
 let query_cmd =
-  let run path flavor heuristic budget load queries json timings demand_mode timeout =
-    match
-      match timeout with
-      | Some s when s <= 0.0 -> Error "query: --timeout must be > 0"
-      | _ -> obtain_solution path flavor heuristic budget load
-    with
+  let run req load queries json timings demand_mode timeout =
+    match obtain_solution req load with
     | Error msg ->
       prerr_endline msg;
       1
     | Ok (p, label, sol) ->
-      let demand = make_demand ~warm:false p flavor demand_mode in
+      let demand = make_demand ~warm:false p req.flavor demand_mode in
       let server =
         Ipa_query.Server.create ?demand ~demand_mode ?query_timeout:timeout ~json ~timings
           ~program:p ~label sol
@@ -928,7 +916,7 @@ let query_cmd =
   let timeout_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_positive) None
       & info [ "timeout" ] ~docv:"SECS"
           ~doc:
             "Per-query wall-clock guard: an evaluation running longer than SECS is abandoned \
@@ -939,13 +927,12 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:"Answer points-to queries (pts, alias, callees, reach, taint, ...) over a solution.")
     Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg
-      $ load_solution_arg $ queries_arg $ json_arg $ timings_arg $ demand_mode_arg
-      $ timeout_arg)
+      const run $ request $ session_load_arg $ queries_arg $ answers_json_arg $ timings_arg
+      $ demand_mode_arg $ timeout_arg)
 
 let serve_cmd =
-  let run path flavor heuristic budget load cache_dir mem_budget jobs json timings socket
-      log_path read_timeout max_line max_queries demand_mode =
+  let run req load cache_dir mem_budget jobs json timings socket log_path read_timeout max_line
+      max_queries demand_mode =
     let ( let* ) r k =
       match r with
       | Error msg ->
@@ -956,15 +943,15 @@ let serve_cmd =
     let* mem_budget =
       match mem_budget with
       | None -> Ok None
-      | Some s -> Result.map Option.some (Ipa_harness.Cache.parse_budget s)
+      | Some s -> Result.map Option.some (Cache.parse_budget s)
     in
-    let cache = Option.map (fun dir -> Ipa_harness.Cache.create ~dir ?mem_budget ()) cache_dir in
+    let cache = Option.map (fun dir -> Cache.create ~dir ?mem_budget ()) cache_dir in
     let* () =
       if mem_budget <> None && cache = None then
         Error "--mem-budget requires --cache-dir (it bounds the snapshot cache)"
       else Ok ()
     in
-    let* p, label, sol = obtain_solution ?cache path flavor heuristic budget load in
+    let* p, label, sol = obtain_solution ?cache req load in
     let limits =
       {
         Ipa_query.Server.max_line;
@@ -979,7 +966,7 @@ let serve_cmd =
     in
     with_log @@ fun log ->
     let serve pool =
-      let demand = make_demand ?cache ~warm:(pool <> None) p flavor demand_mode in
+      let demand = make_demand ?cache ~warm:(pool <> None) p req.flavor demand_mode in
       let server =
         Ipa_query.Server.create ?cache ?pool ?log ?demand ~demand_mode ~limits ~json ~timings
           ~program:p ~label sol
@@ -1002,29 +989,23 @@ let serve_cmd =
         (Ipa_query.Server.loads server)
         (Ipa_support.Timer.now () -. t0);
       prerr_endline (Ipa_query.Server.metrics_line server);
-      (match cache with Some c -> prerr_endline (Ipa_harness.Cache.stats_line c) | None -> ());
+      (match cache with Some c -> prerr_endline (Cache.stats_line c) | None -> ());
       status
     in
-    if jobs <= 1 then serve None
+    if jobs = 1 then serve None
     else Ipa_support.Domain_pool.with_pool ~jobs (fun pool -> serve (Some pool))
   in
-  let serve_cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Snapshot cache: the initial solve is cached under DIR and $(b,load key <key>) \
-             serves snapshots from it.")
+  let cache_dir_arg =
+    cache_dir_arg
+      ~doc:
+        "Snapshot cache: the initial solve is cached under DIR and $(b,load key <key>) serves \
+         snapshots from it."
   in
   let jobs_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for concurrent socket sessions ($(b,--socket)); a stdin session \
-             is unaffected. Answers are identical at any job count; only latency varies.")
+    jobs_arg ~default:1
+      ~doc:
+        "Worker domains for concurrent socket sessions ($(b,--socket)); a stdin session is \
+         unaffected. Answers are identical at any job count; only latency varies."
   in
   let socket_arg =
     Arg.(
@@ -1060,7 +1041,7 @@ let serve_cmd =
   let max_line_arg =
     Arg.(
       value
-      & opt int Ipa_query.Server.default_limits.max_line
+      & opt positive Ipa_query.Server.default_limits.max_line
       & info [ "max-line" ] ~docv:"BYTES"
           ~doc:"Longest accepted input line; an over-limit line answers an error record.")
   in
@@ -1077,16 +1058,15 @@ let serve_cmd =
          "Run a persistent query session: answers queries line by line, hot-loads snapshots \
           with $(b,load path/key), reports $(b,metrics), ends at $(b,quit) or end of input.")
     Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg
-      $ load_solution_arg $ serve_cache_dir_arg $ mem_budget_arg $ jobs_arg $ json_arg
-      $ timings_arg $ socket_arg $ log_arg $ read_timeout_arg $ max_line_arg $ max_queries_arg
-      $ demand_mode_arg)
+      const run $ request $ session_load_arg $ cache_dir_arg $ mem_budget_arg $ jobs_arg
+      $ answers_json_arg $ timings_arg $ socket_arg $ log_arg $ read_timeout_arg $ max_line_arg
+      $ max_queries_arg $ demand_mode_arg)
 
 (* ---------- lint ---------- *)
 
 let lint_cmd =
-  let run path flavor heuristic budget rules_spec no_solve format output baseline_path
-      update_baseline jobs mega taint_spec_path =
+  let run req rules_spec no_solve format output baseline_path update_baseline mega
+      taint_spec_path =
     let ( let* ) r k =
       match r with
       | Error msg ->
@@ -1100,15 +1080,11 @@ let lint_cmd =
       | None -> Ok None
       | Some sp -> Result.map Option.some (Ipa_clients.Taint.spec_of_file sp)
     in
-    let* p = load_program path in
+    let* p = load_program req.path in
     let solution =
       if no_solve then None
       else begin
-        let r =
-          match heuristic with
-          | None -> Ipa_core.Analysis.run_plain ~budget p flavor
-          | Some h -> (Ipa_core.Analysis.run_introspective ~budget p flavor h).second
-        in
+        let r = (solve_request p req).result in
         if r.timed_out then
           Printf.eprintf
             "lint: %s exceeded its derivation budget; solution-backed findings are partial\n"
@@ -1118,7 +1094,7 @@ let lint_cmd =
       end
     in
     let ctx = Ipa_lint.Lint.make_ctx ?solution ?taint_spec ~megamorphic_threshold:mega p in
-    let findings, timings = Ipa_lint.Lint.run ~jobs ~rules ctx in
+    let findings, timings = Ipa_lint.Lint.run ~rules ctx in
     if update_baseline then begin
       match baseline_path with
       | None ->
@@ -1184,12 +1160,6 @@ let lint_cmd =
           Ipa_lint.Report.Human
       & info [ "format" ] ~docv:"FMT" ~doc:"Report format: $(b,human), $(b,jsonl), or $(b,sarif).")
   in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to FILE instead of stdout.")
-  in
   let baseline_arg =
     Arg.(
       value
@@ -1204,15 +1174,6 @@ let lint_cmd =
       value & flag
       & info [ "update-baseline" ]
           ~doc:"Rewrite the $(b,--baseline) file to accept the current findings, then exit 0.")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for rule evaluation. The report is byte-identical at any job \
-             count; only timings vary.")
   in
   let mega_arg =
     Arg.(
@@ -1234,20 +1195,16 @@ let lint_cmd =
          "Run the diagnostics suite: syntactic rules plus solution-backed rules grounded in a \
           points-to analysis.")
     Term.(
-      const run $ file_arg $ analysis_arg $ heuristic_arg $ budget_arg $ rules_arg
-      $ no_solve_arg $ format_arg $ output_arg $ baseline_arg $ update_baseline_arg $ jobs_arg
-      $ mega_arg $ taint_spec_arg)
+      const run $ request $ rules_arg $ no_solve_arg $ format_arg
+      $ output_arg ~doc:"Write the report to FILE instead of stdout." ()
+      $ baseline_arg $ update_baseline_arg $ mega_arg $ taint_spec_arg)
 
 (* ---------- experiments ---------- *)
 
 let experiments_cmd =
   let run figure scale budget jobs cache_dir =
-    let cache =
-      match cache_dir with
-      | None -> Ipa_harness.Cache.create ()
-      | Some dir -> Ipa_harness.Cache.create ~dir ()
-    in
-    let cfg = { Ipa_harness.Config.scale; budget; jobs = max 1 jobs; cache } in
+    let cache = Cache.create ?dir:cache_dir () in
+    let cfg = { Ipa_harness.Config.scale; budget; jobs; cache } in
     match figure with
     | Some n when not (List.mem n [ 1; 4; 5; 6; 7 ]) ->
       Printf.eprintf "no figure %d (have 1, 4, 5, 6, 7)\n" n;
@@ -1264,39 +1221,30 @@ let experiments_cmd =
       | Some 7 ->
         Ipa_harness.Experiments.Figs567.print cfg (Flavors.Call_site { depth = 2; heap = 1 })
       | Some _ -> assert false);
-      print_endline (Ipa_harness.Cache.stats_line cache);
+      print_endline (Cache.stats_line cache);
       0
   in
   let figure_arg =
     Arg.(value & opt (some int) None & info [ "figure" ] ~docv:"N" ~doc:"Figure number (1, 4-7).")
   in
-  let budget_arg' =
-    Arg.(
-      value
-      & opt int Ipa_harness.Config.default.budget
-      & info [ "budget" ] ~docv:"N" ~doc:"Derivation budget per run.")
+  let budget_arg =
+    budget_arg ~default:Ipa_harness.Config.default.budget ~doc:"Derivation budget per run." ()
   in
   let jobs_arg =
-    Arg.(
-      value
-      & opt int Ipa_harness.Config.default.jobs
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for independent analyses (default: the machine's recommended domain \
-             count). Results are identical at any job count; only timings vary.")
+    jobs_arg ~default:Ipa_harness.Config.default.jobs
+      ~doc:
+        "Worker domains for independent analyses (default: the machine's recommended domain \
+         count). Results are identical at any job count; only timings vary."
   in
-  let exp_cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Persist and reuse the shared context-insensitive first passes under DIR. Without \
-             it the cache is in-memory only (still deduplicates within the run).")
+  let cache_dir_arg =
+    cache_dir_arg
+      ~doc:
+        "Persist and reuse the shared context-insensitive first passes under DIR. Without it \
+         the cache is in-memory only (still deduplicates within the run)."
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures.")
-    Term.(const run $ figure_arg $ scale_arg $ budget_arg' $ jobs_arg $ exp_cache_dir_arg)
+    Term.(const run $ figure_arg $ scale_arg $ budget_arg $ jobs_arg $ cache_dir_arg)
 
 let () =
   let info =
@@ -1328,10 +1276,4 @@ let () =
             export_dl_cmd;
           ]
   in
-  (* Every failure path prints a message to stderr and exits nonzero: no
-     subcommand lets an exception escape as a backtrace. *)
-  exit
-    (try Cmd.eval' group with
-    | e ->
-      Printf.eprintf "introspect: %s\n" (Printexc.to_string e);
-      1)
+  exit (Cmd.eval' group)

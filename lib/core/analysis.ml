@@ -35,18 +35,22 @@ type introspective = {
   second : result;
 }
 
-let run_introspective_from_base ?(budget = 0) p ~base ~metrics flavor heuristic =
+let run_introspective ?(budget = 0) ?base ?solve p flavor heuristic =
+  let base, metrics =
+    match base with
+    | Some bm -> bm
+    | None ->
+      let base = run_plain ~budget p Flavors.Insensitive in
+      (base, Introspection.compute base.solution)
+  in
   let refine = Heuristics.select base.solution metrics heuristic in
   let selection = Heuristics.selection_stats base.solution refine in
   let config = second_pass_config ~budget p flavor refine in
   let label = Printf.sprintf "%s-%s" (Flavors.to_string flavor) (Heuristics.name heuristic) in
-  let second = run_config p ~label config in
+  let second =
+    match solve with Some solve -> solve ~label config | None -> run_config p ~label config
+  in
   { base; metrics; heuristic; refine; selection; second }
-
-let run_introspective ?(budget = 0) p flavor heuristic =
-  let base = run_plain ~budget p Flavors.Insensitive in
-  let metrics = Introspection.compute base.solution in
-  run_introspective_from_base ~budget p ~base ~metrics flavor heuristic
 
 type client_driven = {
   cd_base : result;
@@ -54,16 +58,15 @@ type client_driven = {
   cd_second : result;
 }
 
-let run_client_driven_from_base ?(budget = 0) p ~base flavor query =
+let run_client_driven ?(budget = 0) ?base p flavor query =
+  let base =
+    match base with Some base -> base | None -> run_plain ~budget p Flavors.Insensitive
+  in
   let cd_refine = Client_driven.select base.solution query in
   let config = second_pass_config ~budget p flavor cd_refine in
   let label = Printf.sprintf "%s-query" (Flavors.to_string flavor) in
   let cd_second = run_config p ~label config in
   { cd_base = base; cd_refine; cd_second }
-
-let run_client_driven ?(budget = 0) p flavor query =
-  let base = run_plain ~budget p Flavors.Insensitive in
-  run_client_driven_from_base ~budget p ~base flavor query
 
 let run_incremental p ~base_program ~base_solution flavor =
   let strategy = Flavors.strategy p flavor in

@@ -47,25 +47,24 @@ type introspective = {
 }
 
 val run_introspective :
-  ?budget:int -> Ipa_ir.Program.t -> Flavors.spec -> Heuristics.t -> introspective
-(** The [budget] applies to each pass separately. If the first pass itself
-    exceeds the budget (which defeats the technique's premise), the
-    heuristics run on its partial results and [base.timed_out] is set. *)
-
-val run_introspective_from_base :
   ?budget:int ->
- 
+  ?base:result * Introspection.t ->
+  ?solve:(label:string -> Solver.config -> result) ->
   Ipa_ir.Program.t ->
-  base:result ->
-  metrics:Introspection.t ->
   Flavors.spec ->
   Heuristics.t ->
   introspective
-(** {!run_introspective} with the first pass supplied by the caller — the
-    shared context-insensitive solve and its metrics are identical across
-    every heuristic variant of a program, so harness drivers compute (or
-    fetch from the snapshot cache) the pair once and reuse it. [base] must
-    be a context-insensitive run of the same program. *)
+(** The [budget] applies to each pass separately. If the first pass itself
+    exceeds the budget (which defeats the technique's premise), the
+    heuristics run on its partial results and [base.timed_out] is set.
+
+    [base] supplies the first pass and its metrics instead of solving them:
+    the shared context-insensitive solve is identical across every
+    heuristic variant of a program, so callers compute (or fetch from the
+    snapshot cache) the pair once and reuse it. It must be a
+    context-insensitive run of the same program. [solve] runs the second
+    pass (default {!run_config}); the snapshot cache passes its memoizing
+    solve so the refined pass is cached too. *)
 
 (** {1 Client-driven baseline} *)
 
@@ -77,25 +76,15 @@ type client_driven = {
 
 val run_client_driven :
   ?budget:int ->
- 
+  ?base:result ->
   Ipa_ir.Program.t ->
   Flavors.spec ->
   Client_driven.query ->
   client_driven
 (** The §5 comparison baseline: refine only the dependence slice of the
     query variables (see {!Client_driven}), everything else stays
-    context-insensitive. *)
-
-val run_client_driven_from_base :
-  ?budget:int ->
- 
-  Ipa_ir.Program.t ->
-  base:result ->
-  Flavors.spec ->
-  Client_driven.query ->
-  client_driven
-(** {!run_client_driven} with the caller-supplied (possibly cached)
-    context-insensitive first pass. *)
+    context-insensitive. [base] supplies the (possibly cached)
+    context-insensitive first pass instead of solving it. *)
 
 (** {1 Incremental solving} *)
 
@@ -115,7 +104,6 @@ val run_incremental :
 
 val run_mixed :
   ?budget:int ->
- 
   Ipa_ir.Program.t ->
   default:Flavors.spec ->
   refined:Flavors.spec ->

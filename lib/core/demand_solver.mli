@@ -68,7 +68,7 @@ val field_relevant : t -> Program.field_id -> bool
 
 val key : config_key:string -> roots -> string
 (** Content address for the solved slice: digest of the full-solve snapshot
-    [config_key] (program digest + strategy + budget + order + field
+    [config_key] (program digest + strategies + refine sets + budget + field
     sensitivity) and the canonical root set. Derivable from the roots alone
     — no slicing needed to probe a memo or cache. Distinct from every
     full-solve snapshot key, stable across sessions. *)

@@ -54,8 +54,8 @@ let knob (cfg : Config.t) =
           | `Plain Flavors.Insensitive -> fst (Cache.base_pass cfg.cache ~budget:cfg.budget p)
           | `Plain flavor -> Analysis.run_plain ~budget:cfg.budget p flavor
           | `Intro h ->
-            let base, metrics = Cache.base_pass cfg.cache ~budget:cfg.budget p in
-            (Analysis.run_introspective_from_base ~budget:cfg.budget p ~base ~metrics obj2 h).second
+            let base = Cache.base_pass cfg.cache ~budget:cfg.budget p in
+            (Analysis.run_introspective ~budget:cfg.budget ~base p obj2 h).second
         in
         (name, [ label; cell_of_result r ] @ precision_cells r))
       cells
@@ -110,8 +110,8 @@ let components (cfg : Config.t) =
     Par.map cfg
       (fun (name, (label, h)) ->
         let p = build_bench cfg name in
-        let base, metrics = Cache.base_pass cfg.cache ~budget:cfg.budget p in
-        let ir = Analysis.run_introspective_from_base ~budget:cfg.budget p ~base ~metrics obj2 h in
+        let base = Cache.base_pass cfg.cache ~budget:cfg.budget p in
+        let ir = Analysis.run_introspective ~budget:cfg.budget ~base p obj2 h in
         let sel = ir.selection in
         ( name,
           [
@@ -226,7 +226,7 @@ let client_driven (cfg : Config.t) =
         (* one representative query: the first cast *)
         (match queries with
         | (src, _) :: _ ->
-          let cd = Analysis.run_client_driven_from_base ~budget:cfg.budget p ~base obj2 [ src ] in
+          let cd = Analysis.run_client_driven ~budget:cfg.budget ~base p obj2 [ src ] in
           let sites, objs = Ipa_core.Client_driven.selection_size base.solution cd.cd_refine in
           row "query-driven (1 cast)" (cell_of_result cd.cd_second)
             (string_of_int cd.cd_second.solution.derivations)
@@ -234,7 +234,7 @@ let client_driven (cfg : Config.t) =
         | [] -> ());
         (* every cast at once: the all-points regime of §5 *)
         let all_vars = List.map fst queries in
-        let cd_all = Analysis.run_client_driven_from_base ~budget:cfg.budget p ~base obj2 all_vars in
+        let cd_all = Analysis.run_client_driven ~budget:cfg.budget ~base p obj2 all_vars in
         let sites, objs = Ipa_core.Client_driven.selection_size base.solution cd_all.cd_refine in
         row "query-driven (all casts)" (cell_of_result cd_all.cd_second)
           (string_of_int cd_all.cd_second.solution.derivations)
@@ -242,13 +242,13 @@ let client_driven (cfg : Config.t) =
         (* the all-points limit: every variable is a query — client-driven
            selection degenerates to the full analysis (and its timeouts) *)
         let everything = List.init (Ipa_ir.Program.n_vars p) Fun.id in
-        let cd_pts = Analysis.run_client_driven_from_base ~budget:cfg.budget p ~base obj2 everything in
+        let cd_pts = Analysis.run_client_driven ~budget:cfg.budget ~base p obj2 everything in
         let sites, objs = Ipa_core.Client_driven.selection_size base.solution cd_pts.cd_refine in
         row "query-driven (all points)" (cell_of_result cd_pts.cd_second)
           (string_of_int cd_pts.cd_second.solution.derivations)
           (string_of_int sites) (string_of_int objs) (unsafe_of cd_pts.cd_second);
         let intro =
-          Analysis.run_introspective_from_base ~budget:cfg.budget p ~base ~metrics obj2
+          Analysis.run_introspective ~budget:cfg.budget ~base:(base, metrics) p obj2
             Heuristics.default_b
         in
         row "IntroB" (cell_of_result intro.second)
@@ -311,7 +311,7 @@ let hard_coded (cfg : Config.t) =
             row label r)
           policies;
         let intro =
-          Analysis.run_introspective_from_base ~budget:cfg.budget p ~base ~metrics obj2
+          Analysis.run_introspective ~budget:cfg.budget ~base:(base, metrics) p obj2
             Heuristics.default_a
         in
         row "IntroA" intro.second;

@@ -6,13 +6,15 @@
       {"selection": "incr",
        "params": {"scale": 0.1, "budget": 10000000, "jobs": 2, ...},
        "counters": {"cold_derivations": 2751, ...},
-       "measured": {"cold_seconds": 0.0057, ...}}
+       "measured": {"cold/mem_hits": 27.0, ...}}
     ]}
     [counters] are deterministic integers (derivations, per-row solver
     counters, served requests, ...) and are gated exactly. [measured] holds
-    whatever depends on the clock or the schedule (wall time, qps,
-    percentiles, cache hit splits under concurrency) and is never gated.
-    [params] describe the run and are not gated either. *)
+    the counts the schedule can move (cache hit splits and write conflicts
+    under concurrency, serve evictions) and is never gated. No record holds
+    a wall-clock figure: timing claims are made by the end-to-end
+    benchmark, not here. [params] describe the run and are not gated
+    either. *)
 
 type t = {
   selection : string;

@@ -159,7 +159,7 @@ module Figs567 = struct
     let base, metrics = Cache.base_pass cfg.cache ~budget:cfg.budget p in
     let insens = of_result spec.name base in
     let intro h =
-      let ir = Analysis.run_introspective_from_base ~budget:cfg.budget p ~base ~metrics flavor h in
+      let ir = Analysis.run_introspective ~budget:cfg.budget ~base:(base, metrics) p flavor h in
       of_result spec.name ir.second
     in
     let full = of_result spec.name (Analysis.run_plain ~budget:cfg.budget p flavor) in
@@ -228,10 +228,9 @@ module Taint_study = struct
           let base, _ = Cache.base_pass cfg.cache ~budget:cfg.budget p in
           of_result bench_name base
         | `Intro h ->
-          let base, metrics = Cache.base_pass cfg.cache ~budget:cfg.budget p in
-          of_result bench_name
-            (Analysis.run_introspective_from_base ~budget:cfg.budget p ~base ~metrics flavor h)
-              .second
+          let base = Cache.base_pass cfg.cache ~budget:cfg.budget p in
+          let ir = Analysis.run_introspective ~budget:cfg.budget ~base p flavor h in
+          of_result bench_name ir.second
         | `Full -> of_result bench_name (Analysis.run_plain ~budget:cfg.budget p flavor))
       [ `Insens; `Intro Heuristics.default_a; `Intro Heuristics.default_b; `Full ]
 

@@ -3,7 +3,6 @@ module Diagnostic = Ipa_ir.Diagnostic
 module Wf = Ipa_ir.Wf
 module Solution = Ipa_core.Solution
 module Taint = Ipa_clients.Taint
-module Domain_pool = Ipa_support.Domain_pool
 
 type ctx = {
   program : Program.t;
@@ -159,24 +158,14 @@ let select_rules spec =
 
 type timing = { rule_id : string; seconds : float; n_findings : int }
 
-(* Run the selected rules. With [jobs > 1] rules run on a domain pool;
-   [Domain_pool.map] returns results in input order and every solution
-   index is forced beforehand, so the output is identical to jobs=1. *)
-let run ?(jobs = 1) ?(rules : rule list option) (ctx : ctx) :
-    Diagnostic.t list * timing list =
+let run ?(rules : rule list option) (ctx : ctx) : Diagnostic.t list * timing list =
   let rules = match rules with Some rs -> rs | None -> all_rules in
-  (match ctx.solution with
-  | Some s when jobs > 1 -> Solution.warm_indexes s
-  | _ -> ());
   let timed (r : rule) =
     let t0 = Unix.gettimeofday () in
     let ds = r.run ctx in
     let dt = Unix.gettimeofday () -. t0 in
     (ds, { rule_id = r.id; seconds = dt; n_findings = List.length ds })
   in
-  let results =
-    if jobs <= 1 then List.map timed rules
-    else Domain_pool.with_pool ~jobs (fun pool -> Domain_pool.map_list pool timed rules)
-  in
+  let results = List.map timed rules in
   let ds = List.concat_map fst results in
   (List.sort_uniq Diagnostic.compare ds, List.map snd results)

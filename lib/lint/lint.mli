@@ -57,10 +57,7 @@ val select_rules : string option -> (rule list, string) result
 
 type timing = { rule_id : string; seconds : float; n_findings : int }
 
-val run : ?jobs:int -> ?rules:rule list -> ctx -> Diagnostic.t list * timing list
+val run : ?rules:rule list -> ctx -> Diagnostic.t list * timing list
 (** Runs the rules (all of them by default) and returns the de-duplicated
     findings sorted by {!Diagnostic.compare} plus per-rule wall-clock
-    timings (in the rules' registry order). [jobs > 1] fans rules out on a
-    {!Ipa_support.Domain_pool}; the solution's lazy indexes are forced
-    first, and results are collected in input order, so the findings are
-    identical to a [jobs = 1] run (timings differ, findings do not). *)
+    timings (in the rules' registry order). *)

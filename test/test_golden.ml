@@ -134,9 +134,9 @@ let test_cache_introspective_differential () =
       (* publish the base pass, then rebuild it from disk in a fresh cache *)
       ignore (Cache.base_pass (Cache.create ~dir ()) ~budget:0 p);
       let warm = Cache.create ~dir () in
-      let base, metrics = Cache.base_pass warm ~budget:0 p in
+      let base = Cache.base_pass warm ~budget:0 p in
       check Alcotest.int "base from disk" 1 (Cache.stats warm).disk_hits;
-      let cached = Analysis.run_introspective_from_base p ~base ~metrics obj2 Ipa_core.Heuristics.default_a in
+      let cached = Analysis.run_introspective ~base p obj2 Ipa_core.Heuristics.default_a in
       check Alcotest.bool "selection" true (direct.selection = cached.selection);
       check Alcotest.int "second-pass derivations" direct.second.solution.derivations
         cached.second.solution.derivations;
@@ -145,6 +145,35 @@ let test_cache_introspective_differential () =
         "second-pass relations"
         (Ipa_testlib.canon_native direct.second.solution)
         (Ipa_testlib.canon_native cached.second.solution))
+
+(* Both passes through the snapshot cache, as [serve --cache-dir] runs an
+   introspective request: a fresh cache over the same directory answers
+   the base and the refined pass from disk without re-solving either. *)
+let test_cache_introspective_second_pass () =
+  Ipa_testlib.with_temp_dir (fun dir ->
+      let p = chart () in
+      let h = Ipa_core.Heuristics.default_b in
+      let direct = Analysis.run_introspective p obj2 h in
+      let through cache =
+        let solve ~label config = fst (Cache.solve cache p ~label config) in
+        Analysis.run_introspective ~base:(Cache.base_pass cache ~budget:0 p) ~solve p obj2 h
+      in
+      let cold = Cache.create ~dir () in
+      let first = through cold in
+      check Alcotest.int "cold writes base and second pass" 2 (Cache.stats cold).writes;
+      let warm = Cache.create ~dir () in
+      let again = through warm in
+      check Alcotest.int "warm disk hits" 2 (Cache.stats warm).disk_hits;
+      check Alcotest.int "warm misses" 0 (Cache.stats warm).misses;
+      List.iter
+        (fun (name, (ir : Analysis.introspective)) ->
+          check Alcotest.string (name ^ " label") direct.second.label ir.second.label;
+          check
+            (Alcotest.list Alcotest.string)
+            (name ^ " second-pass relations")
+            (Ipa_testlib.canon_native direct.second.solution)
+            (Ipa_testlib.canon_native ir.second.solution))
+        [ ("cold", first); ("warm", again) ])
 
 let () =
   Alcotest.run "golden"
@@ -155,5 +184,7 @@ let () =
           Alcotest.test_case "hit equals cold, all flavors" `Quick test_cache_differential;
           Alcotest.test_case "introspective from cached base" `Quick
             test_cache_introspective_differential;
+          Alcotest.test_case "introspective second pass cached" `Quick
+            test_cache_introspective_second_pass;
         ] );
     ]

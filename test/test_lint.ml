@@ -1,7 +1,7 @@
 (* Tests for the lint engine: rule registry and selection, syntactic and
    solution-backed rules on handcrafted programs, reporter output shapes
    (SARIF 2.1.0 validated through the Json parser), baseline round-trips,
-   jobs=1 vs jobs=N byte-identity, and the QCheck monotonicity property
+   and the QCheck monotonicity property
    (monotone finding sets never grow as analysis precision increases). *)
 
 module P = Ipa_ir.Program
@@ -222,19 +222,6 @@ let test_select_rules () =
 
 (* ---------- determinism ---------- *)
 
-let test_jobs_byte_identity () =
-  let p = Ipa_testlib.parse_exn Ipa_testlib.boxes_src in
-  let ctx = Lint.make_ctx ~solution:(solve p) p in
-  let render jobs =
-    let ds, _ = Lint.run ~jobs ctx in
-    (Report.jsonl ds, Report.render Sarif ds, Report.human ds)
-  in
-  let j1, s1, h1 = render 1 in
-  let j4, s4, h4 = render 4 in
-  check Alcotest.string "jsonl identical" j1 j4;
-  check Alcotest.string "sarif identical" s1 s4;
-  check Alcotest.string "human identical" h1 h4
-
 let test_findings_sorted_and_deduped () =
   let ctx = syntactic_ctx () in
   let ds, _ = Lint.run ctx in
@@ -416,7 +403,6 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "jobs byte-identity" `Quick test_jobs_byte_identity;
           Alcotest.test_case "sorted and deduped" `Quick test_findings_sorted_and_deduped;
         ] );
       ( "spans", [ Alcotest.test_case "file positions" `Quick test_spans_from_file ] );
