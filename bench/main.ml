@@ -703,7 +703,7 @@ let run_demand_bench (cfg : Ipa_harness.Config.t) ~baseline =
 
 (* Snapshot bytes with the propagation counters and the derivation count
    zeroed. A warm solution differs from a cold one only in this phase
-   accounting: seeding re-asserts the baseline facts without counting them,
+   accounting: installing the baseline's facts does not count them,
    so those figures describe the incremental work, not the fixpoint.
    Identity is judged on everything else. *)
 let canonical_warm program (s : Ipa_core.Solution.t) =
@@ -730,7 +730,7 @@ let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
   (* 1. Cold solve of the base program. *)
   let cold = Analysis.run_plain program flavor in
   (* 2. Warm re-solve of the unchanged program: nothing is dirty, and the
-     seeded solve re-derives nothing. *)
+     installed solve re-derives nothing. *)
   let same, same_report =
     Analysis.run_incremental program ~base_program:program ~base_solution:cold.solution flavor
   in
@@ -786,6 +786,8 @@ let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
           ("edit_dirty_sccs", List.length warm_report.Comp.dirty_sccs);
           ("edit_cold_derivations", cold_derivations);
           ("edit_warm_derivations", warm_derivations);
+          ("edit_installed_facts", warm_report.Comp.installed_facts);
+          ("edit_installed_edges", warm_report.Comp.installed_edges);
         ];
       measured = [];
     }

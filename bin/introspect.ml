@@ -612,7 +612,8 @@ let solve_cmd =
     | Some reason -> Printf.printf "fallback      cold solve (%s)\n" reason
     | None ->
       Printf.printf "dirty sccs    [%s]\n"
-        (String.concat "; " (List.map string_of_int r.dirty_sccs))
+        (String.concat "; " (List.map string_of_int r.dirty_sccs));
+      Printf.printf "installed     %d facts, %d edges\n" r.installed_facts r.installed_edges
   in
   let load p snap_path =
     (* Load a previously saved snapshot instead of solving. *)
@@ -715,8 +716,8 @@ let solve_cmd =
       & info [ "edit-from" ] ~docv:"BASE.jir"
           ~doc:
             "Incremental mode: treat $(i,FILE) as an edited version of $(docv), solve the \
-             baseline, and re-solve the edit warm from its fixpoint — only digest-changed \
-             components and their consequences are re-derived.")
+             baseline, and re-solve the edit warm from its fixpoint — only the components \
+             of new or changed methods and their consequences are re-derived.")
   in
   Cmd.v
     (Cmd.info "solve"

@@ -1,21 +1,27 @@
 (** Incremental re-analysis after program edits.
 
-    An incremental solve condenses the (CHA-approximated) call graph of
-    both programs into strongly connected components ({!Summary}), diffs
-    their content digests, closes the dirty set over transitive callers,
-    and warm-starts {!Solver.run_incremental} from the baseline solution
-    with only the digest-changed bodies deferred — so the warm derivation
-    count measures the edit, not the program. When the edit is not a
-    monotone extension (or the config is budgeted, or the baseline
-    incomplete), it falls back to a cold {!Solver.run} and says so in the
-    report. *)
+    An incremental solve checks that the edited program monotonically
+    extends the baseline ({!Summary.delta}), which also marks the methods
+    the edit added or changed. It condenses the (CHA-approximated) call
+    graph of the edited program into strongly connected components
+    ({!Summary.condense}); the components holding a marked method are
+    dirty. It then warm-starts {!Solver.run_incremental}, which installs
+    the baseline solution and defers only the dirty components' bodies —
+    so the warm derivation count measures the edit, not the program. When
+    the edit is not a monotone extension, the config is budgeted, the
+    baseline incomplete, or installing finds the baseline stale, it falls
+    back to a cold {!Solver.run} and says so in the report. *)
 
 type report = {
   n_sccs : int;  (** components in the condensation of the solved program *)
   dirty_sccs : int list;
-      (** ascending: digest-changed components plus their transitive
-          callers; empty on a fallback *)
+      (** ascending: components holding a new or changed method, plus
+          their transitive callers; empty on a fallback *)
   fallback : string option;  (** why the warm path was refused, when it was *)
+  installed_facts : int;  (** baseline points-to facts installed; 0 on a fallback *)
+  installed_edges : int;
+      (** copy edges recorded without propagation while installing; 0 on a
+          fallback *)
 }
 
 val solve_incremental :
@@ -29,5 +35,7 @@ val solve_incremental :
     is byte-identical to a cold solve of the edited program modulo counters
     and derivation count; [Solution.derivations] counts only edit-enabled
     work. Falls back to {!Solver.run} — reporting [fallback = Some reason] —
-    when [cfg] is budgeted, the baseline is not [Complete], or the edit is
-    not a monotone extension ({!Summary.extends}). *)
+    when [cfg] is budgeted, the baseline is not [Complete], the edit is
+    not a monotone extension ({!Summary.delta}), or installing derives
+    something the baseline lacks (a baseline solved under another
+    configuration, say). *)

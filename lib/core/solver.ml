@@ -142,12 +142,14 @@ type state = {
   cg_seen : Int_set.t; (* packed (caller-pair, reach-pair) *)
   base_uses : use list array;
   filters : Filters.t;
-  (* Incremental solving seeds the state from a baseline fixpoint: while
-     [seeding] is set, [spend] neither counts nor enforces the budget (the
-     facts are not new), and bodies of methods marked in [defer_body] — the
-     dirty components of an edit — are postponed, along with the base-use
-     consumptions of their variables, to the counted phase that follows. *)
-  mutable seeding : bool;
+  (* Incremental solving installs a baseline fixpoint into the state: while
+     [installing] is set, [spend] neither counts nor enforces the budget
+     (the facts are not new), [add_edge] only records edges (both ends
+     already hold fixpoint sets), and bodies of methods marked in
+     [defer_body] — the dirty components of an edit — are postponed, along
+     with the base-use consumptions of their variables, to the counted
+     phase that follows. *)
+  mutable installing : bool;
   defer_body : bool array;
   deferred_bodies : int Dynarr.t; (* reach ids whose body processing waits *)
   deferred_uses : int Dynarr.t; (* flattened (var-node pair id, obj) *)
@@ -190,7 +192,7 @@ let create ?defer p cfg =
   {
     p;
     cfg;
-    seeding = false;
+    installing = false;
     defer_body =
       (match defer with
       | Some d -> d
@@ -281,9 +283,9 @@ let node_use_members st n =
     d
 
 let spend st =
-  (* Seeded facts are re-assertions of a baseline fixpoint, not new
-     derivations: they are neither counted nor charged to the budget. *)
-  if not st.seeding then begin
+  (* Installed facts come from a baseline fixpoint, not new derivations:
+     they are neither counted nor charged to the budget. *)
+  if not st.installing then begin
     st.derivations <- st.derivations + 1;
     if st.cfg.budget > 0 && st.derivations > st.cfg.budget then raise Out_of_budget
   end
@@ -348,6 +350,11 @@ let edge_linear_threshold = 16
    variables' base uses, which can dispatch calls, which process new method
    bodies, which add edges, which can close new cycles. *)
 
+(* Raised while installing when the clean part of the edited program
+   derives something the baseline lacks: the baseline is not a fixpoint of
+   this program and configuration, so the warm start would answer wrong. *)
+exception Stale_baseline of string
+
 (* Insert [obj] into [pts(node)], respecting the edge's filter spec. With
    collapsing, the insertion lands on the node's representative and counts
    one derivation per merged member, so [derivations] stays the semantic
@@ -359,6 +366,7 @@ let rec add_obj st node obj ~spec =
   if Filters.passes st.filters st.p spec (heap_class st (Pair_tbl.fst st.objs obj)) then begin
     let s = node_pts st node in
     if Int_set.add s obj then begin
+      if st.installing then raise (Stale_baseline "stale baseline: new object");
       st.gains_since_sweep <- st.gains_since_sweep + 1;
       let k = Dynarr.get st.member_count node in
       spend_n st k;
@@ -401,10 +409,16 @@ and add_edge st ~src ~dst ~spec =
     if fresh then begin
       st.edges_added <- st.edges_added + 1;
       Dynarr.push es packed;
-      (match Dynarr.get st.pts src with
-      | None -> ()
-      | Some s -> Int_set.iter (fun obj -> add_obj st dst obj ~spec) s);
-      if spec = Filters.none && not st.in_merge then try_collapse st ~src ~dst
+      (* An installed edge joins two installed fixpoint sets, which already
+         satisfy filter(pts src) ⊆ pts dst: nothing to flush. Objects that
+         arrive later sit in pending batches and cross it when [src] is
+         processed; the sweep before the counted drain finds its cycles. *)
+      if not st.installing then begin
+        (match Dynarr.get st.pts src with
+        | None -> ()
+        | Some s -> Int_set.iter (fun obj -> add_obj st dst obj ~spec) s);
+        if spec = Filters.none && not st.in_merge then try_collapse st ~src ~dst
+      end
     end
     else st.edges_deduped <- st.edges_deduped + 1
   end
@@ -553,11 +567,12 @@ and merge_into st ~rep ~loser =
 
 and apply_var_uses st vn obj =
   let var = Pair_tbl.fst st.var_nodes vn in
-  if st.seeding && st.defer_body.((Program.var_info st.p var).var_owner) then begin
+  if st.installing && st.defer_body.((Program.var_info st.p var).var_owner) then begin
     (* All uses of a variable sit in its owner's body. If that body is
        dirty, its loads/stores/dispatches may be new — firing them while
-       seeding would derive new facts uncounted. Buffer the consumption and
-       fire it in the counted phase (re-derived old edges dedup there). *)
+       installing would add edges without propagating across them. Buffer
+       the consumption and fire it in the counted phase (re-derived old
+       edges dedup there). *)
     Dynarr.push st.deferred_uses vn;
     Dynarr.push st.deferred_uses obj
   end
@@ -601,7 +616,7 @@ and ensure_reachable st meth ctx =
   | None ->
     let id = Pair_tbl.intern st.reach meth ctx in
     spend st;
-    if st.seeding && st.defer_body.(meth) then Dynarr.push st.deferred_bodies id
+    if st.installing && st.defer_body.(meth) then Dynarr.push st.deferred_bodies id
     else process_body st meth ctx ~reach_id:id;
     id
 
@@ -1098,79 +1113,90 @@ let drain st =
   done
 
 type seed = { base : Solution.t; defer : bool array }
+type installed = { facts : int; edges : int }
 
-(* Replay a previously materialized solution into fresh solver state:
-   re-intern its contexts and objects (context elements name heaps, invos
-   and classes by raw program id, all stable across a monotone program
-   extension), mark its reachable pairs — processing each clean body,
-   whose constraints dedup against the seeds — and re-assert every
-   recorded points-to fact. Runs with [st.seeding] set, so none of it is
-   counted or budgeted; only work enabled by deferred (dirty) bodies is
-   derived later, in the counted phase. *)
-let apply_seeds st (base : Solution.t) =
-  let n_ctxs = Ctx.count base.ctxs in
-  let ctx_of = Array.make (max 1 n_ctxs) 0 in
-  for i = 0 to n_ctxs - 1 do
-    ctx_of.(i) <- Ctx.intern st.ctxs (Array.copy (Ctx.elems base.ctxs i))
+(* Install a previously materialized fixpoint into fresh solver state as
+   already propagated: every pending batch stays empty. Contexts and
+   objects are re-interned in id order, so both maps are the identity
+   (context elements name heaps, invos and classes by raw program id, all
+   stable across a monotone program extension). Every base set goes
+   straight into its node; marking the base's reachable pairs processes
+   the clean bodies, whose edges are only recorded; the base-variable uses
+   of every installed (variable, object) pair fire the same way. Dirty
+   bodies, and the uses they own, are buffered for the counted phase.
+   Anything the clean part derives beyond the baseline raises
+   [Stale_baseline]. *)
+let install st (base : Solution.t) =
+  st.installing <- true;
+  for i = 0 to Ctx.count base.ctxs - 1 do
+    let id = Ctx.intern st.ctxs (Array.copy (Ctx.elems base.ctxs i)) in
+    assert (id = i)
   done;
-  let n_objs = Pair_tbl.count base.objs in
-  let obj_of = Array.make (max 1 n_objs) 0 in
-  for i = 0 to n_objs - 1 do
-    obj_of.(i) <-
-      Pair_tbl.intern st.objs (Pair_tbl.fst base.objs i) ctx_of.(Pair_tbl.snd base.objs i)
+  for i = 0 to Pair_tbl.count base.objs - 1 do
+    let id = Pair_tbl.intern st.objs (Pair_tbl.fst base.objs i) (Pair_tbl.snd base.objs i) in
+    assert (id = i)
   done;
-  for i = 0 to Pair_tbl.count base.reach - 1 do
-    ignore (ensure_reachable st (Pair_tbl.fst base.reach i) ctx_of.(Pair_tbl.snd base.reach i))
+  let facts = ref 0 in
+  let put node s =
+    ensure_node st node;
+    facts := !facts + Int_set.cardinal s;
+    Dynarr.set st.pts node (Some (Int_set.copy s))
+  in
+  let var_of vn =
+    Pair_tbl.intern st.var_nodes (Pair_tbl.fst base.var_nodes vn) (Pair_tbl.snd base.var_nodes vn)
+  in
+  Dynarr.iteri
+    (fun n set ->
+      match (set, Node.kind n) with
+      | None, _ | _, Node.Exc_node _ -> ()
+      | Some s, Node.Var_node vn -> put (Node.of_var_node (var_of vn)) s
+      | Some s, Node.Fld_node fn ->
+        put (fld_node st (Pair_tbl.fst base.fld_nodes fn) (Pair_tbl.snd base.fld_nodes fn)) s
+      | Some s, Node.Static_fld f -> put (Node.of_static_fld f) s)
+    base.pts;
+  let n_reach = Pair_tbl.count base.reach in
+  for i = 0 to n_reach - 1 do
+    ignore (ensure_reachable st (Pair_tbl.fst base.reach i) (Pair_tbl.snd base.reach i))
   done;
-  for n = 0 to Dynarr.length base.pts - 1 do
-    match Dynarr.get base.pts n with
-    | None -> ()
-    | Some s ->
-      let node =
-        match Node.kind n with
-        | Node.Var_node vn ->
-          var_node st (Pair_tbl.fst base.var_nodes vn) ctx_of.(Pair_tbl.snd base.var_nodes vn)
-        | Node.Fld_node fn ->
-          (* Field-based mode stores a literal 0 as every base object. *)
-          let obj = Pair_tbl.fst base.fld_nodes fn in
-          let obj' = if st.cfg.field_sensitive then obj_of.(obj) else obj in
-          fld_node st obj' (Pair_tbl.snd base.fld_nodes fn)
-        | Node.Static_fld f -> Node.of_static_fld f
-        | Node.Exc_node r -> (
-          match
-            Pair_tbl.find_opt st.reach (Pair_tbl.fst base.reach r)
-              ctx_of.(Pair_tbl.snd base.reach r)
-          with
-          | Some id -> Node.of_exc id
-          | None -> assert false (* every base reach pair was seeded above *))
-      in
-      (* Seeds carry no filter: each object already passed whatever filter
-         guarded its original derivation. *)
-      List.iter
-        (fun o -> add_obj st node obj_of.(o) ~spec:Filters.none)
-        (Int_set.to_sorted_list s)
-  done
+  Dynarr.iteri
+    (fun n set ->
+      match (set, Node.kind n) with
+      | Some s, Node.Exc_node r -> (
+        match Pair_tbl.find_opt st.reach (Pair_tbl.fst base.reach r) (Pair_tbl.snd base.reach r)
+        with
+        | Some id -> put (Node.of_exc id) s
+        | None -> assert false (* every base reach pair was marked above *))
+      | _ -> ())
+    base.pts;
+  Dynarr.iteri
+    (fun n set ->
+      match (set, Node.kind n) with
+      | Some s, Node.Var_node vn when st.base_uses.(Pair_tbl.fst base.var_nodes vn) <> [] ->
+        let vn = var_of vn in
+        Int_set.iter (fun obj -> apply_var_uses st vn obj) s
+      | _ -> ())
+    base.pts;
+  if Pair_tbl.count st.reach > n_reach then
+    raise (Stale_baseline "stale baseline: new reachable method");
+  if Dynarr.length st.cg > Dynarr.length base.cg then
+    raise (Stale_baseline "stale baseline: new call-graph edge");
+  st.installing <- false;
+  { facts = !facts; edges = st.edges_added }
 
 let solve ?seed p cfg =
   let st = create ?defer:(Option.map (fun s -> s.defer) seed) p cfg in
   let promotions_before = Int_set.promotion_count () in
+  let installed = ref { facts = 0; edges = 0 } in
   let outcome =
     try
       (match seed with
       | None -> ()
       | Some { base; _ } ->
-        (* Phase 1, uncounted: rebuild the base fixpoint. Clean bodies are
-           re-processed as they become reachable; dirty bodies — and the
-           base-variable uses owned by them — are buffered instead of
-           fired, because their instructions may be new. *)
-        st.seeding <- true;
-        apply_seeds st base;
-        sweep st;
-        drain st;
-        st.seeding <- false;
-        (* Phase 2, counted: everything the edit enables. Re-derivations of
-           facts already seeded dedup to nothing; only genuinely new flow
-           spends derivations. *)
+        (* Phase 1, uncounted: install the base fixpoint. Phase 2, counted:
+           everything the edit enables — the buffered dirty bodies and
+           uses. Re-derivations of installed facts dedup to nothing; only
+           genuinely new flow spends derivations. *)
+        installed := install st base;
         for i = 0 to Dynarr.length st.deferred_bodies - 1 do
           let id = Dynarr.get st.deferred_bodies i in
           process_body st (Pair_tbl.fst st.reach id) (Pair_tbl.snd st.reach id) ~reach_id:id
@@ -1182,15 +1208,19 @@ let solve ?seed p cfg =
             (Dynarr.get st.deferred_uses ((2 * i) + 1))
         done);
       List.iter (fun m -> ignore (ensure_reachable st m Ctx.empty)) (Program.entries p);
-      (* Rank the seeded graph (and collapse its static cycles) before the
-         first pop, so the heap starts in topological order. *)
+      (* Rank the graph (and collapse its static cycles) before the first
+         pop, so the heap starts in topological order. *)
       sweep st;
       drain st;
       Solution.Complete
     with Out_of_budget -> Solution.Budget_exceeded
   in
   let set_promotions = Int_set.promotion_count () - promotions_before in
-  materialize st outcome ~set_promotions
+  (materialize st outcome ~set_promotions, !installed)
 
-let run p cfg = solve p cfg
-let run_incremental ~seed p cfg = solve ~seed p cfg
+let run p cfg = fst (solve p cfg)
+
+let run_incremental ~seed p cfg =
+  match solve ~seed p cfg with
+  | sol_installed -> Ok sol_installed
+  | exception Stale_baseline reason -> Error reason

@@ -52,26 +52,37 @@ val run : Ipa_ir.Program.t -> config -> Solution.t
 
 (** A warm-start seed for {!run_incremental}: a previously materialized
     complete solution of a program that the current one monotonically
-    extends ({!Summary.extends}), plus a per-method mask of {e dirty}
+    extends ({!Summary.delta}), plus a per-method mask of {e dirty}
     bodies — methods whose instructions may differ from what [base] was
-    solved under (all methods of edited SCCs, and every method new to the
-    program). *)
+    solved under (all members of components that hold a new or changed
+    method). *)
 type seed = { base : Solution.t; defer : bool array }
 
-val run_incremental : seed:seed -> Ipa_ir.Program.t -> config -> Solution.t
-(** Re-solve after an edit, warm-starting from [seed.base]. Phase 1 replays
-    the base solution into fresh solver state without counting: contexts,
-    objects and reachable pairs are re-interned (context elements name
-    program entities by raw id, which a monotone extension keeps stable),
-    every recorded points-to fact is re-asserted, and consequences are
-    re-drained — deduping to nothing — except that dirty bodies and the
-    base-variable uses they own are buffered rather than fired. Phase 2
-    then processes the buffered work with counting on, so [derivations]
-    measures only what the edit enabled. The returned solution is
-    byte-identical to a cold solve of the edited program (modulo counters
-    and the derivation count — asserted by differential tests). Requires an
-    unbudgeted config and a [Complete] base (the caller —
-    {!Compositional_solver} — falls back to a cold solve otherwise). *)
+type installed = {
+  facts : int;  (** points-to facts installed from the baseline *)
+  edges : int;  (** copy edges recorded, without propagation, while installing *)
+}
+
+val run_incremental :
+  seed:seed -> Ipa_ir.Program.t -> config -> (Solution.t * installed, string) result
+(** Re-solve after an edit, warm-starting from [seed.base]. Phase 1
+    installs the base solution into fresh solver state as an already
+    propagated fixpoint, without counting: contexts and objects are
+    re-interned (context elements name program entities by raw id, which a
+    monotone extension keeps stable), every base points-to set goes
+    straight into its node with an empty pending batch, the clean bodies of
+    the base's reachable pairs and the base-variable uses of every
+    installed fact add their edges without flushing them, and dirty bodies
+    and the uses they own are buffered. Phase 2 processes the buffered work
+    with counting on, so [derivations] measures only what the edit enabled.
+    The returned solution is byte-identical to a cold solve of the edited
+    program (modulo counters and the derivation count — asserted by
+    differential tests). [Error reason] when installing derived something
+    the baseline lacks (a new object insertion, reachable pair or
+    call-graph edge): the baseline is then not a fixpoint of this program
+    and config. Requires an unbudgeted config and a [Complete] base (the
+    caller — {!Compositional_solver} — falls back to a cold solve
+    otherwise). *)
 
 (** {1 Packed copy-edge representation}
 

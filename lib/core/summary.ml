@@ -141,175 +141,93 @@ let dirty_closure cond seeds =
   List.iter mark seeds;
   dirty
 
-(* ---------- content digest ---------- *)
-
-(* The digest is computed over entity *names*, never raw ids: two programs
-   that contain the same methods (same bodies, same referenced classes,
-   fields, heaps and callees by name) produce the same per-SCC digests even
-   when the surrounding program assigns different ids. That is what lets an
-   edited program reuse the untouched components' cache entries. *)
-let digest p cond sid =
-  let b = Buffer.create 1024 in
-  let add s =
-    Buffer.add_string b s;
-    Buffer.add_char b '\n'
-  in
-  let var v = add (Program.var_full_name p v) in
-  let var_opt = function None -> add "-" | Some v -> var v in
-  let members = Array.copy cond.sccs.(sid).members in
-  let names = Array.map (fun m -> (Program.meth_full_name p m, m)) members in
-  Array.sort compare names;
-  Array.iter
-    (fun (full_name, m) ->
-      let mi = Program.meth_info p m in
-      add "meth";
-      add full_name;
-      add (Program.class_name p mi.meth_owner);
-      add (if mi.is_static_meth then "static" else "instance");
-      add (if mi.is_abstract then "abstract" else "concrete");
-      var_opt mi.this_var;
-      Array.iter var mi.formals;
-      add "|";
-      var_opt mi.ret_var;
-      Array.iter
-        (fun (c : Program.catch_clause) ->
-          add "catch";
-          add (Program.class_name p c.catch_type);
-          var c.catch_var)
-        mi.catches;
-      Array.iter
-        (fun (i : Program.instr) ->
-          match i with
-          | Alloc { target; heap } ->
-            add "alloc";
-            var target;
-            add (Program.heap_full_name p heap);
-            add (Program.class_name p (Program.heap_info p heap).heap_class)
-          | Move { target; source } ->
-            add "move";
-            var target;
-            var source
-          | Cast { target; source; cast_to } ->
-            add "cast";
-            var target;
-            var source;
-            add (Program.class_name p cast_to)
-          | Load { target; base; field } ->
-            add "load";
-            var target;
-            var base;
-            add (Program.field_full_name p field)
-          | Store { base; field; source } ->
-            add "store";
-            var base;
-            add (Program.field_full_name p field);
-            var source
-          | Load_static { target; field } ->
-            add "loadS";
-            var target;
-            add (Program.field_full_name p field)
-          | Store_static { field; source } ->
-            add "storeS";
-            add (Program.field_full_name p field);
-            var source
-          | Call invo ->
-            let ii = Program.invo_info p invo in
-            (match ii.call with
-            | Static { callee } ->
-              add "scall";
-              add (Program.meth_full_name p callee)
-            | Virtual { base; signature } ->
-              let si = Program.sig_info p signature in
-              add "vcall";
-              var base;
-              add (Printf.sprintf "%s/%d" si.sig_name si.arity));
-            Array.iter var ii.actuals;
-            add "|";
-            var_opt ii.recv
-          | Return { source } ->
-            add "return";
-            var source
-          | Throw { source } ->
-            add "throw";
-            var source)
-        mi.body)
-    names;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 (* ---------- monotone-extension check ---------- *)
 
-(* [extends ~old_p ~new_p] holds when [new_p] is a structural superset of
-   [old_p] with stable ids: every entity array of [old_p] is an identical
-   prefix of [new_p]'s (method bodies may gain appended instructions, a
-   missing return variable may appear), dispatch is preserved on every old
-   (class, signature) pair, and the entry set only grows. Under these
-   conditions every constraint of the old program is present unchanged in
-   the new one and all retained ids (hence context elements) are stable, so
-   the old fixpoint is a sound seed for the new solve. *)
-let extends ~old_p ~new_p =
+(* [delta ~old_p ~new_p] is [Some mask] when [new_p] is a structural
+   superset of [old_p] with stable ids: every entity array of [old_p] is an
+   identical prefix of [new_p]'s (method bodies may gain appended
+   instructions, a missing return variable may appear as a fresh
+   variable), dispatch is preserved on every old (class, signature) pair,
+   and the entry set only grows. Under these conditions every constraint
+   of the old program is present unchanged in the new one and all retained
+   ids (hence context elements) are stable, so the old fixpoint can be
+   installed as the start of the new solve. [mask] marks the methods that
+   are new, or whose body or return variable changed. The fresh-variable
+   rule matters: a clean caller's return edge from a method that gains a
+   return variable is installed without propagation, which is sound only
+   while that variable holds no baseline facts. *)
+let delta ~old_p ~new_p =
   let open Program in
-  n_classes old_p <= n_classes new_p
-  && n_fields old_p <= n_fields new_p
-  && n_sigs old_p <= n_sigs new_p
-  && n_meths old_p <= n_meths new_p
-  && n_vars old_p <= n_vars new_p
-  && n_heaps old_p <= n_heaps new_p
-  && n_invos old_p <= n_invos new_p
-  && (let ok = ref true in
-      for c = 0 to n_classes old_p - 1 do
-        let a = class_info old_p c and b = class_info new_p c in
-        if
-          a.class_name <> b.class_name || a.super <> b.super || a.interfaces <> b.interfaces
-          || a.is_interface <> b.is_interface
-        then ok := false
-      done;
-      for f = 0 to n_fields old_p - 1 do
-        if field_info old_p f <> field_info new_p f then ok := false
-      done;
-      for s = 0 to n_sigs old_p - 1 do
-        if sig_info old_p s <> sig_info new_p s then ok := false
-      done;
-      for v = 0 to n_vars old_p - 1 do
-        if var_info old_p v <> var_info new_p v then ok := false
-      done;
-      for h = 0 to n_heaps old_p - 1 do
-        if heap_info old_p h <> heap_info new_p h then ok := false
-      done;
-      for i = 0 to n_invos old_p - 1 do
-        if invo_info old_p i <> invo_info new_p i then ok := false
-      done;
-      for m = 0 to n_meths old_p - 1 do
-        let a = meth_info old_p m and b = meth_info new_p m in
-        let body_prefix =
-          Array.length a.body <= Array.length b.body
-          && (let pre = ref true in
-              Array.iteri (fun i ia -> if b.body.(i) <> ia then pre := false) a.body;
-              !pre)
-        in
-        let ret_ok =
-          match (a.ret_var, b.ret_var) with
-          | None, _ -> true (* a return variable may appear *)
-          | Some x, Some y -> x = y
-          | Some _, None -> false
-        in
-        if
-          not
-            (a.meth_name = b.meth_name && a.meth_owner = b.meth_owner
-           && a.meth_sig = b.meth_sig
-            && a.is_static_meth = b.is_static_meth
-            && a.is_abstract = b.is_abstract && a.this_var = b.this_var
-            && a.formals = b.formals && a.catches = b.catches && ret_ok && body_prefix)
-        then ok := false
-      done;
-      (* New classes and overrides must not redirect any old dispatch. *)
-      (if !ok then
-         for c = 0 to n_classes old_p - 1 do
-           for s = 0 to n_sigs old_p - 1 do
-             if dispatch old_p c s <> dispatch new_p c s then ok := false
-           done
-         done);
-      !ok)
-  && List.for_all (fun e -> List.mem e (entries new_p)) (entries old_p)
+  let n_old_meths = n_meths old_p in
+  let mask = Array.init (n_meths new_p) (fun m -> m >= n_old_meths) in
+  let ok =
+    n_classes old_p <= n_classes new_p
+    && n_fields old_p <= n_fields new_p
+    && n_sigs old_p <= n_sigs new_p
+    && n_old_meths <= n_meths new_p
+    && n_vars old_p <= n_vars new_p
+    && n_heaps old_p <= n_heaps new_p
+    && n_invos old_p <= n_invos new_p
+    && (let ok = ref true in
+        for c = 0 to n_classes old_p - 1 do
+          let a = class_info old_p c and b = class_info new_p c in
+          if
+            a.class_name <> b.class_name || a.super <> b.super || a.interfaces <> b.interfaces
+            || a.is_interface <> b.is_interface
+          then ok := false
+        done;
+        for f = 0 to n_fields old_p - 1 do
+          if field_info old_p f <> field_info new_p f then ok := false
+        done;
+        for s = 0 to n_sigs old_p - 1 do
+          if sig_info old_p s <> sig_info new_p s then ok := false
+        done;
+        for v = 0 to n_vars old_p - 1 do
+          if var_info old_p v <> var_info new_p v then ok := false
+        done;
+        for h = 0 to n_heaps old_p - 1 do
+          if heap_info old_p h <> heap_info new_p h then ok := false
+        done;
+        for i = 0 to n_invos old_p - 1 do
+          if invo_info old_p i <> invo_info new_p i then ok := false
+        done;
+        for m = 0 to n_old_meths - 1 do
+          let a = meth_info old_p m and b = meth_info new_p m in
+          let body_prefix =
+            Array.length a.body <= Array.length b.body
+            && (let pre = ref true in
+                Array.iteri (fun i ia -> if b.body.(i) <> ia then pre := false) a.body;
+                !pre)
+          in
+          let ret_ok =
+            match (a.ret_var, b.ret_var) with
+            | None, None -> true
+            | None, Some y -> y >= n_vars old_p
+            | Some x, Some y -> x = y
+            | Some _, None -> false
+          in
+          if
+            not
+              (a.meth_name = b.meth_name && a.meth_owner = b.meth_owner
+             && a.meth_sig = b.meth_sig
+              && a.is_static_meth = b.is_static_meth
+              && a.is_abstract = b.is_abstract && a.this_var = b.this_var
+              && a.formals = b.formals && a.catches = b.catches && ret_ok && body_prefix)
+          then ok := false
+          else if Array.length a.body < Array.length b.body || a.ret_var <> b.ret_var then
+            mask.(m) <- true
+        done;
+        (* New classes and overrides must not redirect any old dispatch. *)
+        (if !ok then
+           for c = 0 to n_classes old_p - 1 do
+             for s = 0 to n_sigs old_p - 1 do
+               if dispatch old_p c s <> dispatch new_p c s then ok := false
+             done
+           done);
+        !ok)
+    && List.for_all (fun e -> List.mem e (entries new_p)) (entries old_p)
+  in
+  if ok then Some mask else None
 
 (* ---------- name-based id realignment ---------- *)
 
@@ -319,7 +237,7 @@ let extends ~old_p ~new_p =
    entity kind carries a program-unique name (classes by name, fields and
    methods by qualified name, variables by [Meth$var], heaps and invocation
    sites by their builder labels), a parsed edit can be renumbered back
-   onto the baseline's ids — after which [extends] sees the edit for the
+   onto the baseline's ids — after which [delta] sees the edit for the
    monotone extension it is. *)
 let align ~old_p ~new_p =
   let ( let* ) = Option.bind in

@@ -76,9 +76,9 @@ let pick ?(kinds = all_kinds) ~seed ~n p =
 
 (* Rebuild the program through [Program.make] with the edit spliced in.
    Entity ids are append-only (nothing is renumbered), which is what makes
-   a monotone edit a [Summary.extends] of the original — and what keeps an
-   edit list picked against the original valid across sequential
-   application. Source locations are dropped: the edited entities have
+   [Summary.delta] accept a monotone edit as an extension of the original —
+   and what keeps an edit list picked against the original valid across
+   sequential application. Source locations are dropped: the edited entities have
    none, and a stale table would misattribute diagnostics. *)
 let apply p e =
   let classes = Array.init (Program.n_classes p) (Program.class_info p) in

@@ -3,7 +3,7 @@
     An edit names a method of a {e base} program plus a salt; applying it
     rebuilds the program with the delta spliced in, never renumbering an
     existing entity. [Add_alloc] and [Add_call] are monotone extensions
-    ({!Ipa_core.Summary.extends} holds), so the incremental solver can
+    ({!Ipa_core.Summary.delta} accepts them), so the incremental solver can
     warm-start across them; [Rewrite_body] replaces an instruction in
     place, which the monotonicity check must refuse — it exists to exercise
     the cold-fallback path. Picking is seeded and independent of the edits'

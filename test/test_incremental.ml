@@ -5,8 +5,13 @@
      must agree with the Datalog encoding of Fig. 3;
    - the dirty set after an edit is exactly the edited component plus its
      transitive callers;
-   - each fallback (budgeted config, truncated baseline, non-monotone edit)
-     reports its reason and returns exactly the cold solve;
+   - each fallback (budgeted config, truncated baseline, non-monotone edit,
+     a baseline solved under another flavor) reports its reason and returns
+     exactly the cold solve;
+   - installing an unchanged program's fixpoint derives nothing, and an
+     edit that adds a return variable reaches a clean caller;
+   - deltas that do not come from [Edits] are either refused or solve to
+     the cold fixpoint and the Datalog oracle's;
    - a reparsed edited program realigns onto the baseline's ids;
    - edit picking is deterministic in its seed (the CLI's --seed). *)
 
@@ -20,6 +25,7 @@ module Comp = Ipa_core.Compositional_solver
 module Flavors = Ipa_core.Flavors
 module Datalog_backend = Ipa_core.Datalog_backend
 module Edits = Ipa_synthetic.Edits
+module Splitmix = Ipa_support.Splitmix
 
 let check = Alcotest.check
 
@@ -154,6 +160,8 @@ let check_fallback name ~reason ~base_program ~base_solution p cfg =
   let sol, report = Comp.solve_incremental ~base_program ~base_solution p cfg in
   check Alcotest.(option string) (name ^ ": reason") (Some reason) report.Comp.fallback;
   check Alcotest.(list int) (name ^ ": no dirty set") [] report.Comp.dirty_sccs;
+  check Alcotest.(pair int int) (name ^ ": nothing installed") (0, 0)
+    (report.Comp.installed_facts, report.Comp.installed_edges);
   check Alcotest.bool (name ^ ": bytes = Solver.run") true
     (String.equal (snapshot_bytes p sol) (snapshot_bytes p (Solver.run p cfg)))
 
@@ -174,9 +182,369 @@ let test_fallbacks () =
   let rewrite = List.hd (Edits.pick ~kinds:[ Edits.Rewrite_body ] ~seed:5 ~n:1 p0) in
   let p2 = Edits.apply p0 rewrite in
   check Alcotest.bool "rewrite is not an extension" false
-    (Summary.extends ~old_p:p0 ~new_p:p2);
+    (Summary.delta ~old_p:p0 ~new_p:p2 <> None);
   check_fallback "rewrite-body edit" ~reason:"non-monotone delta" ~base_program:p0
     ~base_solution:s0 p2 (config p2 flavor)
+
+(* A baseline solved under another flavor is not a fixpoint of this
+   configuration. On this program installing it under 2typeH derives an
+   object the baseline lacks, which must refuse the warm path. *)
+let test_stale_baseline () =
+  let p0 = Ipa_testlib.random_program 5 in
+  let insens = Solver.run p0 (config p0 Flavors.Insensitive) in
+  check_fallback "insens baseline, 2typeH solve" ~reason:"stale baseline: new object"
+    ~base_program:p0 ~base_solution:insens p0
+    (config p0 (Flavors.Type_sens { depth = 2; heap = 1 }))
+
+(* ---------- installing the baseline ---------- *)
+
+let total_facts (s : Solution.t) =
+  let n = ref 0 in
+  Ipa_support.Dynarr.iter
+    (function None -> () | Some set -> n := !n + Ipa_support.Int_set.cardinal set)
+    s.Solution.pts;
+  !n
+
+(* Re-solving an unchanged program installs every fact of the cold
+   fixpoint and derives nothing. *)
+let test_install_unchanged () =
+  List.iter
+    (fun flavor ->
+      let name = Flavors.to_string flavor in
+      let p = Ipa_testlib.random_program 11 in
+      let cold = Solver.run p (config p flavor) in
+      let warm, report =
+        Comp.solve_incremental ~base_program:p ~base_solution:cold p (config p flavor)
+      in
+      check Alcotest.(option string) (name ^ ": no fallback") None report.Comp.fallback;
+      check Alcotest.int (name ^ ": no derivations") 0 warm.Solution.derivations;
+      check Alcotest.(list int) (name ^ ": nothing dirty") [] report.Comp.dirty_sccs;
+      check Alcotest.int (name ^ ": installed = cold facts") (total_facts cold)
+        report.Comp.installed_facts;
+      check Alcotest.bool (name ^ ": edges installed") true (report.Comp.installed_edges > 0);
+      check Alcotest.bool (name ^ ": warm == cold") true
+        (String.equal (warm_bytes p warm) (warm_bytes p cold)))
+    flavors
+
+(* main: r = m(); s = r. m returns nothing until the edit appends
+   [ev = new K; return ev], which gives m a fresh return variable. main's
+   body is unchanged, so installing records the ret -> r edge of its call
+   without propagating; the object must still reach r and s. *)
+let test_install_new_return () =
+  let b = B.create () in
+  let obj = B.add_class b "Object" in
+  let cls = B.add_class b ~super:obj "K" in
+  let main = B.add_method b ~owner:cls ~name:"main" ~static:true ~params:[] () in
+  let m = B.add_method b ~owner:cls ~name:"m" ~static:true ~params:[] () in
+  let r = B.add_var b main "r" in
+  let s = B.add_var b main "s" in
+  ignore (B.scall b main ~callee:m ~actuals:[] ~recv:r ());
+  B.move b main ~target:s ~source:r;
+  ignore (B.alloc b m ~target:(B.add_var b m "x") ~cls);
+  B.add_entry b main;
+  let base = B.finish b in
+  let edited = Edits.apply base { Edits.kind = Edits.Add_alloc; meth = m; salt = 0 } in
+  check Alcotest.bool "m gains a return variable" true
+    ((Program.meth_info base m).ret_var = None && (Program.meth_info edited m).ret_var <> None);
+  List.iter
+    (fun flavor ->
+      let name = Flavors.to_string flavor in
+      let s0 = Solver.run base (config base flavor) in
+      let warm, report =
+        Comp.solve_incremental ~base_program:base ~base_solution:s0 edited (config edited flavor)
+      in
+      check Alcotest.(option string) (name ^ ": no fallback") None report.Comp.fallback;
+      let reaches v =
+        let hit = ref false in
+        Solution.iter_var_pts warm (fun ~var ~ctx:_ ~heap ~hctx:_ ->
+            if var = v && heap >= Program.n_heaps base then hit := true);
+        !hit
+      in
+      check Alcotest.bool (name ^ ": new object reaches r") true (reaches r);
+      check Alcotest.bool (name ^ ": and s") true (reaches s);
+      let cold = Solver.run edited (config edited flavor) in
+      check Alcotest.bool (name ^ ": warm == cold") true
+        (String.equal (warm_bytes edited warm) (warm_bytes edited cold)))
+    flavors
+
+(* ---------- adversarial deltas ---------- *)
+
+(* Program changes that [Edits] never makes. Each must be refused as a
+   non-monotone delta, or be accepted and solve warm to exactly the cold
+   fixpoint and the Datalog oracle's, with no stale-baseline fallback: a
+   hole in [Summary.delta] would otherwise drop facts silently. *)
+type delta =
+  | Swap  (** two different instructions of a body trade places *)
+  | Retarget  (** a static call names another callee of the same arity *)
+  | Drop_last  (** a body loses its last instruction *)
+  | Resuper  (** a class gets another superclass *)
+  | Override
+      (** a new subclass of an old class overrides a method it inherits,
+          and an old method allocates it *)
+  | Old_var_return  (** a method without a return variable returns an old local *)
+
+let deltas = [| Swap; Retarget; Drop_last; Resuper; Override; Old_var_return |]
+
+let delta_name = function
+  | Swap -> "swap"
+  | Retarget -> "retarget"
+  | Drop_last -> "drop-last"
+  | Resuper -> "resuper"
+  | Override -> "override"
+  | Old_var_return -> "old-var-return"
+
+(* [apply_delta p d salt] is the changed program, or [None] when [p] offers
+   no site for [d]. *)
+let apply_delta p d salt =
+  let rng = Splitmix.create salt in
+  let classes = Array.init (Program.n_classes p) (Program.class_info p) in
+  let meths = Array.init (Program.n_meths p) (Program.meth_info p) in
+  let vars = ref (Array.init (Program.n_vars p) (Program.var_info p)) in
+  let heaps = ref (Array.init (Program.n_heaps p) (Program.heap_info p)) in
+  let invos = Array.init (Program.n_invos p) (Program.invo_info p) in
+  let new_classes = ref [||] and new_meths = ref [||] in
+  let pick l = match l with [] -> None | l -> Some (Splitmix.choose rng (Array.of_list l)) in
+  let ids n keep = List.filter keep (List.init n Fun.id) in
+  let fresh_var owner name =
+    vars := Array.append !vars [| { Program.var_name = name; var_owner = owner } |];
+    Array.length !vars - 1
+  in
+  let fresh_heap owner cls =
+    let h = Array.length !heaps in
+    heaps :=
+      Array.append !heaps
+        [|
+          { Program.heap_name = Printf.sprintf "adv%d" h; heap_class = cls; heap_owner = owner };
+        |];
+    h
+  in
+  (* Surface locals of [m]: not [this], not the return variable. *)
+  let locals m =
+    let mi = meths.(m) in
+    ids (Program.n_vars p) (fun v ->
+        let vi = Program.var_info p v in
+        vi.var_owner = m && Some v <> mi.this_var && Some v <> mi.ret_var)
+  in
+  let changed =
+    match d with
+    | Swap -> (
+      let pairs m =
+        let body = meths.(m).body in
+        List.concat_map
+          (fun i ->
+            List.filter_map
+              (fun j -> if body.(i) <> body.(j) then Some (m, i, j) else None)
+              (ids (Array.length body) (fun j -> j > i)))
+          (ids (Array.length body) (fun _ -> true))
+      in
+      match pick (List.concat_map pairs (ids (Array.length meths) (fun _ -> true))) with
+      | None -> false
+      | Some (m, i, j) ->
+        let body = Array.copy meths.(m).body in
+        let t = body.(i) in
+        body.(i) <- body.(j);
+        body.(j) <- t;
+        meths.(m) <- { (meths.(m)) with body };
+        true)
+    | Retarget -> (
+      let static_of_arity n =
+        ids (Array.length meths) (fun m ->
+            meths.(m).is_static_meth && (not meths.(m).is_abstract)
+            && Array.length meths.(m).formals = n)
+      in
+      let sites =
+        List.concat_map
+          (fun i ->
+            match invos.(i).call with
+            | Static { callee } ->
+              List.filter_map
+                (fun c -> if c <> callee then Some (i, c) else None)
+                (static_of_arity (Array.length invos.(i).actuals))
+            | Virtual _ -> [])
+          (ids (Array.length invos) (fun _ -> true))
+      in
+      match pick sites with
+      | None -> false
+      | Some (i, callee) ->
+        invos.(i) <- { (invos.(i)) with call = Static { callee } };
+        true)
+    | Drop_last -> (
+      match pick (ids (Array.length meths) (fun m -> Array.length meths.(m).body > 0)) with
+      | None -> false
+      | Some m ->
+        let body = meths.(m).body in
+        meths.(m) <- { (meths.(m)) with body = Array.sub body 0 (Array.length body - 1) };
+        true)
+    | Resuper -> (
+      (* Supers precede their subclasses in id order, so any earlier class
+         keeps the hierarchy acyclic. *)
+      let moves =
+        List.concat_map
+          (fun c ->
+            List.filter_map
+              (fun s ->
+                if (not classes.(s).is_interface) && Some s <> classes.(c).super then Some (c, s)
+                else None)
+              (ids c (fun _ -> true)))
+          (ids (Array.length classes) (fun c -> not classes.(c).is_interface))
+      in
+      match pick moves with
+      | None -> false
+      | Some (c, s) ->
+        classes.(c) <- { (classes.(c)) with super = Some s };
+        true)
+    | Override -> (
+      let inherited =
+        List.concat_map
+          (fun c ->
+            List.filter_map
+              (fun s ->
+                match Program.dispatch p c s with
+                | Some m0 when not meths.(m0).is_static_meth -> Some (c, s)
+                | _ -> None)
+              (ids (Program.n_sigs p) (fun _ -> true)))
+          (ids (Array.length classes) (fun c -> not classes.(c).is_interface))
+      in
+      let hosts = ids (Array.length meths) (fun m -> locals m <> []) in
+      match (pick inherited, pick hosts) with
+      | None, _ | _, None -> false
+      | Some (c, s), Some host ->
+        let sub = Array.length classes in
+        let m' = Array.length meths in
+        let si = Program.sig_info p s in
+        let this = fresh_var m' "this" in
+        let formals = Array.init si.arity (fun k -> fresh_var m' (Printf.sprintf "p%d" k)) in
+        let a = fresh_var m' "a" in
+        let ret = fresh_var m' "$ret" in
+        let inner = fresh_heap m' sub in
+        new_classes :=
+          [|
+            {
+              Program.class_name = "Adv";
+              super = Some c;
+              interfaces = [];
+              is_interface = false;
+              declared = [ (s, m') ];
+            };
+          |];
+        new_meths :=
+          [|
+            {
+              Program.meth_name = si.sig_name;
+              meth_owner = sub;
+              meth_sig = s;
+              is_static_meth = false;
+              is_abstract = false;
+              this_var = Some this;
+              formals;
+              ret_var = Some ret;
+              catches = [||];
+              body = [| Alloc { target = a; heap = inner }; Return { source = a } |];
+            };
+          |];
+        let target = Splitmix.choose rng (Array.of_list (locals host)) in
+        let outer = fresh_heap host sub in
+        meths.(host) <-
+          {
+            (meths.(host)) with
+            body = Array.append meths.(host).body [| Alloc { target; heap = outer } |];
+          };
+        true)
+    | Old_var_return -> (
+      (* Aim where a wrong answer would show: a local that an allocation
+         fills, in a method some call site reads a result from. *)
+      let read_from m =
+        Array.exists
+          (fun (ii : Program.invo_info) ->
+            ii.recv <> None
+            &&
+            match ii.call with
+            | Static { callee } -> callee = m
+            | Virtual { signature; _ } -> signature = meths.(m).meth_sig)
+          invos
+      in
+      let allocated m v =
+        Array.exists
+          (function Program.Alloc { target; _ } -> target = v | _ -> false)
+          meths.(m).body
+      in
+      let sites =
+        List.concat_map
+          (fun m ->
+            List.filter_map (fun v -> if allocated m v then Some (m, v) else None) (locals m))
+          (ids (Array.length meths) (fun m ->
+               meths.(m).ret_var = None && (not meths.(m).is_abstract) && read_from m))
+      in
+      match pick sites with
+      | None -> false
+      | Some (m, v) ->
+        meths.(m) <-
+          {
+            (meths.(m)) with
+            ret_var = Some v;
+            body = Array.append meths.(m).body [| Return { source = v } |];
+          };
+        true)
+  in
+  if not changed then None
+  else
+    Some
+      (Program.make
+         ~classes:(Array.append classes !new_classes)
+         ~fields:(Array.init (Program.n_fields p) (Program.field_info p))
+         ~sigs:(Array.init (Program.n_sigs p) (Program.sig_info p))
+         ~meths:(Array.append meths !new_meths) ~vars:!vars ~heaps:!heaps ~invos
+         ~entries:(Program.entries p) ())
+
+(* [true] when the warm path took the delta; fails unless it was refused
+   as non-monotone or solved to the cold and oracle fixpoints. *)
+let delta_accepted d p0 p1 flavor =
+  let what = Printf.sprintf "%s delta, %s" (delta_name d) (Flavors.to_string flavor) in
+  let s0 = Solver.run p0 (config p0 flavor) in
+  let warm, report =
+    Comp.solve_incremental ~base_program:p0 ~base_solution:s0 p1 (config p1 flavor)
+  in
+  match report.Comp.fallback with
+  | Some "non-monotone delta" -> false
+  | Some reason -> QCheck2.Test.fail_reportf "%s: accepted, then fell back: %s" what reason
+  | None ->
+    let cold = Solver.run p1 (config p1 flavor) in
+    if not (String.equal (warm_bytes p1 warm) (warm_bytes p1 cold)) then
+      QCheck2.Test.fail_reportf "%s: warm differs from cold" what;
+    let oracle = Datalog_backend.run_plain p1 (Flavors.strategy p1 flavor) in
+    if Ipa_testlib.canon_native warm <> Ipa_testlib.canon_datalog p1 oracle then
+      QCheck2.Test.fail_reportf "%s: warm differs from the Datalog oracle" what;
+    true
+
+let prop_adversarial (seed, d, salt) =
+  let p0 = Ipa_testlib.random_program seed in
+  (match apply_delta p0 deltas.(d) salt with
+  | None -> ()
+  | Some p1 -> List.iter (fun flavor -> ignore (delta_accepted deltas.(d) p0 p1 flavor)) flavors);
+  true
+
+let test_adversarial =
+  qtest ~count:300 "adversarial deltas: refused or warm == cold == oracle"
+    QCheck2.Gen.(triple (int_range 700 999) (int_range 0 (Array.length deltas - 1)) nat)
+    prop_adversarial
+
+(* The property's two ends, pinned: an override in a new subclass is a
+   monotone extension the warm path takes, and an old local promoted to a
+   return variable is refused — its baseline facts would never cross the
+   return edge a clean caller installs. *)
+let test_adversarial_pinned () =
+  let count d =
+    let n = ref 0 in
+    for seed = 700 to 719 do
+      let p0 = Ipa_testlib.random_program seed in
+      match apply_delta p0 d seed with
+      | Some p1 when delta_accepted d p0 p1 Flavors.Insensitive -> incr n
+      | _ -> ()
+    done;
+    !n
+  in
+  check Alcotest.bool "some override is accepted" true (count Override > 0);
+  check Alcotest.int "old-var returns are refused" 0 (count Old_var_return)
 
 (* ---------- realignment of reparsed programs ---------- *)
 
@@ -193,12 +561,12 @@ let test_align_reparsed () =
     let edits = Edits.pick ~kinds:Edits.monotone_kinds ~seed ~n:2 p0 in
     let base = reparse p0 in
     let edited = reparse (Edits.apply_all p0 edits) in
-    if not (Summary.extends ~old_p:base ~new_p:edited) then incr realigned;
+    if Summary.delta ~old_p:base ~new_p:edited = None then incr realigned;
     match Summary.align ~old_p:base ~new_p:edited with
     | None -> Alcotest.failf "seed %d: a monotone edit did not realign" seed
     | Some aligned ->
       check Alcotest.bool (Printf.sprintf "seed %d: extends after align" seed) true
-        (Summary.extends ~old_p:base ~new_p:aligned);
+        (Summary.delta ~old_p:base ~new_p:aligned <> None);
       List.iter
         (fun flavor ->
           let s0 = Solver.run base (config base flavor) in
@@ -252,7 +620,21 @@ let () =
          Alcotest truncates long test names: keep it at 13 characters so
          the printed names stay stable. *)
       ( "warm-fallback",
-        [ Alcotest.test_case "budget, truncated baseline, rewrite" `Quick test_fallbacks ] );
+        [
+          Alcotest.test_case "budget, truncated baseline, rewrite" `Quick test_fallbacks;
+          Alcotest.test_case "baseline of another flavor" `Quick test_stale_baseline;
+        ] );
+      ( "install",
+        [
+          Alcotest.test_case "unchanged program" `Quick test_install_unchanged;
+          Alcotest.test_case "new return var, clean caller" `Quick test_install_new_return;
+        ] );
+      ( "extends",
+        [
+          test_adversarial;
+          Alcotest.test_case "override taken, old-var return refused" `Quick
+            test_adversarial_pinned;
+        ] );
       ( "align",
         [
           Alcotest.test_case "reparsed edit realigns" `Quick test_align_reparsed;
