@@ -9,6 +9,9 @@
    - QCheck robustness: any single-byte corruption or truncation of a
      snapshot yields a versioned [error] — never an exception, never a
      silently different solution;
+   - golden bytes: pinned MD5s of the snapshots and configuration keys of
+     fixed solves (the boxes program and a small generated bloat), one of
+     them holding sets shared between slots;
    - framing: version bumps, wrong program, wrong key, trailing garbage and
      [inspect] on the header. *)
 
@@ -296,6 +299,90 @@ let prop_corrupt_inspect (pos, mask) =
     QCheck2.Test.fail_reportf "inspect: byte %d ^ 0x%02x raised %s" pos mask
       (Printexc.to_string e)
 
+(* ---------- golden bytes ---------- *)
+
+(* Pinned MD5s of whole snapshots (with [seconds] zeroed, the one field a
+   rerun changes) and of their configuration keys. The round trips above
+   only prove that one build reads back what it wrote; these prove that
+   the bytes a build writes, and so every cache entry's address, do not
+   drift between builds. A deliberate format change bumps
+   [Snapshot.version] and re-pins them. *)
+
+let bloat =
+  lazy (Ipa_synthetic.Dacapo.build ~scale:0.05 (Option.get (Ipa_synthetic.Dacapo.find "bloat")))
+
+let obj2 = Flavors.Object_sens { depth = 2; heap = 1 }
+let call2 = Flavors.Call_site { depth = 2; heap = 1 }
+
+(* name, program, flavor, heuristic, budget, snapshot MD5, key *)
+let golden_cases =
+  [
+    ( "boxes insens", boxes, Flavors.Insensitive, None, 0,
+      "d4af4a40dfd00afba3e765bbb6f63e1c",
+      "42dbe5e570b63eb249b83de50b5e990e" );
+    ( "boxes 2objH", boxes, obj2, None, 0,
+      "42833a6f1565f33d06caf1219cc9e76b",
+      "f7550db589fb185c4478ba7e59f54bd3" );
+    ( "boxes 2callH-IntroB", boxes, call2, Some Heuristics.default_b, 0,
+      "f75456a0559709490d3c7d99923cbca8",
+      "2be1c8f64dd7dd0953b74b32475ef3a8" );
+    ( "boxes 2objH budget 5", boxes, obj2, None, 5,
+      "fc2ad6e7380cc6b1e58ee67e9e8ca4f3",
+      "b62b26fe1905751295198f5225e09bff" );
+    ( "bloat insens", bloat, Flavors.Insensitive, None, 0,
+      "c1699b00d83a766f3a7977fe792a3d91",
+      "50091f6ab8b36da8a69e47aeb65e64b7" );
+    ( "bloat 2objH", bloat, obj2, None, 0,
+      "c7f3a62c716d9672c53eab2f45b3c4c9",
+      "004a3fb9b8507f8006117dc8c61db7ec" );
+    ( "bloat 2callH-IntroB", bloat, call2, Some Heuristics.default_b, 0,
+      "d4365fe5ab7aa7c6935bbcbb74d3aad4",
+      "ff4514f40f29b1379db5bc65ce430423" );
+    ( "bloat 2callH-IntroB budget 100000",
+      bloat,
+      call2,
+      Some Heuristics.default_b,
+      100_000,
+      "b2fe80a8a3be2c95f5134182c53c4766",
+      "bca8500112cf6026f991268b6ce00723" );
+  ]
+
+(* Two [pts] slots holding the very same set object: what a collapsed copy
+   cycle leaves behind after materialization. *)
+module Phys_tbl = Hashtbl.Make (struct
+  type t = Int_set.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let shares_a_set (s : Ipa_core.Solution.t) =
+  let seen = Phys_tbl.create 64 in
+  let shared = ref false in
+  Ipa_support.Dynarr.iter
+    (function
+      | None -> ()
+      | Some set -> if Phys_tbl.mem seen set then shared := true else Phys_tbl.add seen set ())
+    s.pts;
+  !shared
+
+let golden_case (name, p, flavor, heuristic, budget, want_snapshot, want_key) =
+  Alcotest.test_case name `Quick (fun () ->
+      let p = Lazy.force p in
+      let r, key, metrics = solved ~budget p flavor heuristic in
+      let snap = { (snapshot_of p r key metrics) with seconds = 0.0 } in
+      check Alcotest.string "config key" want_key key;
+      check Alcotest.string "snapshot bytes" want_snapshot
+        (Digest.to_hex (Digest.string (Snapshot.encode snap)));
+      if budget > 0 then check Alcotest.bool "budget exceeded" true r.timed_out)
+
+let test_golden_sharing () =
+  (* The bloat 2callH-IntroB solve collapses copy cycles, so its solution
+     holds sets shared between slots: the golden bytes above cover them. *)
+  let r, _, _ = solved (Lazy.force bloat) call2 (Some Heuristics.default_b) in
+  check Alcotest.bool "cycles collapsed" true (r.solution.counters.nodes_merged > 0);
+  check Alcotest.bool "two slots share one set" true (shares_a_set r.solution)
+
 (* ---------- framing errors ---------- *)
 
 let test_version_mismatch () =
@@ -406,6 +493,9 @@ let () =
           Alcotest.test_case "budget-exceeded solution" `Quick test_roundtrip_budget_exceeded;
           qtest ~count:25 "random solved programs" gen_case prop_roundtrip;
         ] );
+      ( "golden",
+        List.map golden_case golden_cases
+        @ [ Alcotest.test_case "shared sets" `Quick test_golden_sharing ] );
       ( "robustness",
         [
           qtest ~count:200 "single-byte corruption" gen_mutation prop_corruption_fails_cleanly;
