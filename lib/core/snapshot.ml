@@ -2,6 +2,7 @@ module Codec = Ipa_support.Codec
 module Writer = Codec.Writer
 module Reader = Codec.Reader
 module Dynarr = Ipa_support.Dynarr
+module Int_set = Ipa_support.Int_set
 module Pair_tbl = Ipa_support.Pair_tbl
 module Program = Ipa_ir.Program
 
@@ -225,14 +226,44 @@ let decode_ctxs r =
   done;
   t
 
+(* Sets by physical identity: the members of a collapsed copy cycle share
+   their representative's set object (see [Solver.materialize]). *)
+module Phys_tbl = Hashtbl.Make (struct
+  type t = Int_set.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* Each slot is written as [Writer.option w Writer.int_set] would write it.
+   A hashed set is sorted and encoded at its first slot only; every later
+   slot holding the same object repeats those bytes. Small sets are cheap
+   to encode and often equal without being shared, so they skip the memo. *)
+let encode_pts w pts =
+  let seen = Phys_tbl.create 64 in
+  Writer.uint w (Dynarr.length pts);
+  Dynarr.iter
+    (function
+      | None -> Writer.bool w false
+      | Some set -> (
+        Writer.bool w true;
+        if Int_set.is_small set then Writer.int_set w set
+        else
+          match Phys_tbl.find_opt seen set with
+          | Some (pos, len) -> Writer.raw w (Writer.sub w pos len)
+          | None ->
+            let pos = Writer.length w in
+            Writer.int_set w set;
+            Phys_tbl.add seen set (pos, Writer.length w - pos)))
+    pts
+
 let encode_solution w (s : Solution.t) =
   encode_ctxs w s.ctxs;
   encode_pair_tbl w s.objs;
   encode_pair_tbl w s.var_nodes;
   encode_pair_tbl w s.fld_nodes;
   encode_pair_tbl w s.reach;
-  Writer.uint w (Dynarr.length s.pts);
-  Dynarr.iter (fun set -> Writer.option w Writer.int_set set) s.pts;
+  encode_pts w s.pts;
   Writer.uint w (Dynarr.length s.cg);
   Dynarr.iter (fun v -> Writer.uint w v) s.cg;
   Writer.u8 w (match s.outcome with Solution.Complete -> 0 | Solution.Budget_exceeded -> 1);
@@ -378,13 +409,12 @@ let encode t =
   Writer.option w encode_metrics t.metrics;
   Writer.raw w trailer;
   let payload = Writer.contents w in
-  let out = Writer.create ~capacity:(String.length payload + 32) () in
-  Writer.raw out magic;
-  Writer.uint out version;
-  Writer.uint out (String.length payload);
-  Writer.raw out (Digest.string payload);
-  Writer.raw out payload;
-  Writer.contents out
+  let header = Writer.create ~capacity:32 () in
+  Writer.raw header magic;
+  Writer.uint header version;
+  Writer.uint header (String.length payload);
+  Writer.raw header (Digest.string payload);
+  Writer.contents header ^ payload
 
 (* Header validation shared by [decode] and [inspect]: returns the verified
    payload. The version varint lives outside the checksum so format bumps

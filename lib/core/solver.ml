@@ -554,13 +554,13 @@ and merge_into st ~rep ~loser =
     Dynarr.iter (fun m -> Dynarr.push rum m) transferred;
     let objs =
       match Dynarr.get st.pts rep with
-      | None -> []
-      | Some s -> Int_set.to_sorted_list s
+      | None -> [||]
+      | Some s -> Int_set.to_sorted_array s
     in
     Dynarr.iter
       (fun m ->
         match Node.kind m with
-        | Node.Var_node vn -> List.iter (fun obj -> apply_var_uses st vn obj) objs
+        | Node.Var_node vn -> Array.iter (fun obj -> apply_var_uses st vn obj) objs
         | _ -> assert false)
       transferred
   end
@@ -1035,7 +1035,11 @@ let materialize st outcome ~set_promotions =
     match Hashtbl.find_opt remapped_sets rep with
     | Some s' -> s'
     | None ->
-      let s' = Int_set.of_list (List.map (fun o -> obj_map.(o)) (Int_set.to_sorted_list s)) in
+      (* Insert in ascending old id order: a hashed set's slot layout, and
+         with it every later iteration order, depends on insertion order. *)
+      let elems = Int_set.to_sorted_array s in
+      let s' = Int_set.create ~capacity:(2 * Array.length elems) () in
+      Array.iter (fun o -> ignore (Int_set.add s' obj_map.(o))) elems;
       Hashtbl.add remapped_sets rep s';
       s'
   in

@@ -84,7 +84,7 @@ let resolve_field t name =
 
 (* ---------- evaluation ---------- *)
 
-let sorted_names of_id set = List.sort compare (List.map of_id (Int_set.to_sorted_list set))
+let sorted_names of_id set = List.sort compare (Int_set.fold (fun id acc -> of_id id :: acc) set [])
 
 let eval t (q : Query.t) : (answer, string) result =
   let s = t.sol in

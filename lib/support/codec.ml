@@ -41,17 +41,17 @@ module Writer = struct
     uint t (Array.length a);
     Array.iter (fun v -> uint t v) a
 
+  (* Gaps between ascending non-negative elements, the first taken from 0:
+     exactly the first element absolute. *)
   let int_set t s =
-    let elems = Int_set.to_sorted_list s in
-    uint t (List.length elems);
-    ignore
-      (List.fold_left
-         (fun prev e ->
-           (match prev with
-           | None -> uint t e
-           | Some p -> uint t (e - p));
-           Some e)
-         None elems)
+    let elems = Int_set.to_sorted_array s in
+    uint t (Array.length elems);
+    let prev = ref 0 in
+    Array.iter
+      (fun e ->
+        uint_bits t (e - !prev);
+        prev := e)
+      elems
 
   let option t f = function
     | None -> bool t false
@@ -60,6 +60,8 @@ module Writer = struct
       f t v
 
   let length t = Buffer.length t
+
+  let sub t pos len = Buffer.sub t pos len
 
   let contents t = Buffer.contents t
 end

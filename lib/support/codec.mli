@@ -62,6 +62,12 @@ module Writer : sig
 
   val length : t -> int
 
+  val sub : t -> int -> int -> string
+  (** [sub t pos len] is a copy of the [len] bytes written from offset
+      [pos] on: the bytes of a value already written, so a caller can repeat
+      them (with {!raw}) rather than encode the value again. Raises
+      [Invalid_argument] when the range is not within {!length}. *)
+
   val contents : t -> string
 end
 

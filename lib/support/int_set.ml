@@ -164,9 +164,90 @@ let exists p t =
   in
   loop 0
 
-let to_sorted_list t =
-  if t.mask < 0 then List.init t.count (fun i -> t.slots.(i))
-  else List.sort compare (fold (fun x acc -> x :: acc) t [])
+(* ---------- sorting ---------- *)
+
+(* A hashed set whose largest element is below [dense_factor] times its
+   cardinal is sorted by marking a byte map and scanning it; any other one
+   by a radix sort, or an insertion sort up to [insertion_cutoff]
+   elements. *)
+let dense_factor = 32
+let insertion_cutoff = 32
+
+let insertion_sort a =
+  for i = 1 to Array.length a - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* LSD radix sort on 8-bit digits, one counting pass and one scatter pass
+   per digit of [hi] (the largest element), alternating between [a] and a
+   scratch array. Returns whichever of the two holds the result. *)
+let radix_sort a hi =
+  let n = Array.length a in
+  let counts = Array.make 257 0 in
+  let src = ref a and dst = ref (Array.make n 0) and shift = ref 0 in
+  while hi lsr !shift > 0 do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill counts 0 257 0;
+    for i = 0 to n - 1 do
+      let b = ((s.(i) lsr sh) land 0xff) + 1 in
+      counts.(b) <- counts.(b) + 1
+    done;
+    for b = 1 to 255 do
+      counts.(b) <- counts.(b) + counts.(b - 1)
+    done;
+    for i = 0 to n - 1 do
+      let v = s.(i) in
+      let b = (v lsr sh) land 0xff in
+      d.(counts.(b)) <- v;
+      counts.(b) <- counts.(b) + 1
+    done;
+    src := d;
+    dst := s;
+    shift := sh + 8
+  done;
+  !src
+
+let to_sorted_array t =
+  if t.mask < 0 then Array.sub t.slots 0 t.count
+  else begin
+    let n = t.count in
+    let out = Array.make n 0 in
+    let slots = t.slots in
+    let k = ref 0 and hi = ref 0 in
+    for i = 0 to Array.length slots - 1 do
+      let v = slots.(i) in
+      if v <> empty_slot then begin
+        out.(!k) <- v;
+        incr k;
+        if v > !hi then hi := v
+      end
+    done;
+    if !hi < dense_factor * n then begin
+      let marks = Bytes.make (!hi + 1) '\000' in
+      Array.iter (fun v -> Bytes.unsafe_set marks v '\001') out;
+      let k = ref 0 in
+      for v = 0 to !hi do
+        if Bytes.unsafe_get marks v <> '\000' then begin
+          out.(!k) <- v;
+          incr k
+        end
+      done;
+      out
+    end
+    else if n <= insertion_cutoff then begin
+      insertion_sort out;
+      out
+    end
+    else radix_sort out !hi
+  end
+
+let to_sorted_list t = Array.to_list (to_sorted_array t)
 
 let of_list xs =
   let t = create ~capacity:(2 * List.length xs) () in

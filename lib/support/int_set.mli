@@ -29,7 +29,20 @@ val fold : (int -> 'acc -> 'acc) -> t -> 'acc -> 'acc
 
 val exists : (int -> bool) -> t -> bool
 
+val to_sorted_array : t -> int array
+(** The elements in ascending order, in a fresh array. The one sort every
+    ordered view of a set goes through:
+    - a small set copies its inline sorted prefix, O(n);
+    - a hashed set first scans its slot table into an array. If it is
+      dense (largest element + 1 at most 32 × cardinal), each element
+      marks a byte map that is then scanned: O(n + max) time, at most
+      32 bytes of scratch per element. Otherwise up to 32 elements are
+      insertion-sorted, and more are LSD radix-sorted on 8-bit digits:
+      one counting and one scatter pass per byte of the largest element,
+      so O(n × bytes) time and one scratch array of n ints. *)
+
 val to_sorted_list : t -> int list
+(** [Array.to_list (to_sorted_array t)]. *)
 
 val of_list : int list -> t
 

@@ -6,6 +6,7 @@ module Interner = Ipa_support.Interner
 module Pair_tbl = Ipa_support.Pair_tbl
 module Splitmix = Ipa_support.Splitmix
 module Ascii_table = Ipa_support.Ascii_table
+module Codec = Ipa_support.Codec
 
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop =
@@ -203,6 +204,69 @@ let prop_int_set_vs_stdlib =
       Int_set.cardinal s = S.cardinal reference
       && S.for_all (Int_set.mem s) reference
       && List.sort_uniq compare xs = Int_set.to_sorted_list s)
+
+(* Element lists aimed at each branch of [Int_set.to_sorted_array]: the
+   small representation (at most 8 elements); hashed and dense (largest
+   element below 16 × length, so below 32 × cardinal); hashed, sparse and
+   at most 32 elements (insertion sort); hashed and sparse past 32
+   (radix sort). Sparse elements mix 0, bytes, values past 2^16 and 2^24
+   (two and three radix digits) and values up to 2^40. *)
+let gen_sort_case =
+  QCheck2.Gen.(
+    let wide =
+      oneof
+        [
+          return 0;
+          int_bound 255;
+          int_range (1 lsl 16) ((1 lsl 17) - 1);
+          int_range (1 lsl 24) ((1 lsl 25) - 1);
+          int_bound (1 lsl 40);
+        ]
+    in
+    let* shape = int_bound 3 in
+    match shape with
+    | 0 -> list_size (int_bound 8) wide
+    | 1 ->
+      let* n = int_range 9 400 in
+      list_repeat n (int_bound ((16 * n) - 1))
+    | 2 ->
+      let* n = int_range 9 32 in
+      list_repeat n wide
+    | _ ->
+      let* n = int_range 33 400 in
+      let+ xs = list_repeat n wide in
+      (1 lsl 40) :: xs)
+
+let int_set_of xs =
+  let s = Int_set.create () in
+  List.iter (fun x -> ignore (Int_set.add s x)) xs;
+  s
+
+let prop_to_sorted_array =
+  qtest "to_sorted_array = sort_uniq, every branch" gen_sort_case (fun xs ->
+      Array.to_list (Int_set.to_sorted_array (int_set_of xs)) = List.sort_uniq compare xs)
+
+(* The canonical set encoding as it was first written: cardinal, first
+   element absolute, then gaps, over a sorted list. *)
+let reference_int_set_bytes xs =
+  let w = Codec.Writer.create () in
+  let elems = List.sort_uniq compare xs in
+  Codec.Writer.uint w (List.length elems);
+  ignore
+    (List.fold_left
+       (fun prev e ->
+         (match prev with
+         | None -> Codec.Writer.uint w e
+         | Some p -> Codec.Writer.uint w (e - p));
+         Some e)
+       None elems);
+  Codec.Writer.contents w
+
+let prop_codec_int_set =
+  qtest "Writer.int_set bytes = list-based reference" gen_sort_case (fun xs ->
+      let w = Codec.Writer.create () in
+      Codec.Writer.int_set w (int_set_of xs);
+      Codec.Writer.contents w = reference_int_set_bytes xs)
 
 (* ---------- Interner ---------- *)
 
@@ -416,6 +480,8 @@ let () =
           Alcotest.test_case "small rep" `Quick test_int_set_small_rep;
           prop_int_set_small_vs_stdlib;
           prop_int_set_vs_stdlib;
+          prop_to_sorted_array;
+          prop_codec_int_set;
         ] );
       ( "interner",
         [ Alcotest.test_case "basic" `Quick test_interner; prop_interner_roundtrip ] );
