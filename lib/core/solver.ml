@@ -1,4 +1,5 @@
 module Int_set = Ipa_support.Int_set
+module Int_sort = Ipa_support.Int_sort
 module Pair_tbl = Ipa_support.Pair_tbl
 module Dynarr = Ipa_support.Dynarr
 module Union_find = Ipa_support.Union_find
@@ -118,6 +119,10 @@ type state = {
      on the node's current representative; merged-away nodes have their
      slots cleared. *)
   pts : Int_set.t option Dynarr.t;
+  (* [borrowed n]: [pts n] is a set object of the installed baseline,
+     shared with it and possibly with other nodes. It is copied before its
+     first insertion, so the baseline is never written through. *)
+  borrowed : bool Dynarr.t;
   edges : int Dynarr.t option Dynarr.t;
   (* Dedup index over [edges]: built lazily once a node's out-degree crosses
      the linear-scan threshold; [None] while a scan of the edge list itself
@@ -150,6 +155,7 @@ type state = {
      with the base-use consumptions of their variables, to the counted
      phase that follows. *)
   mutable installing : bool;
+  mutable base_objs : int; (* objects installed from the baseline *)
   defer_body : bool array;
   deferred_bodies : int Dynarr.t; (* reach ids whose body processing waits *)
   deferred_uses : int Dynarr.t; (* flattened (var-node pair id, obj) *)
@@ -193,6 +199,7 @@ let create ?defer p cfg =
     p;
     cfg;
     installing = false;
+    base_objs = 0;
     defer_body =
       (match defer with
       | Some d -> d
@@ -204,6 +211,7 @@ let create ?defer p cfg =
     var_nodes = Pair_tbl.create ~capacity:1024 ();
     fld_nodes = Pair_tbl.create ~capacity:1024 ();
     pts = Dynarr.create ~capacity:1024 ~dummy:None ();
+    borrowed = Dynarr.create ~capacity:1024 ~dummy:false ();
     edges = Dynarr.create ~capacity:1024 ~dummy:None ();
     edge_seen = Dynarr.create ~capacity:1024 ~dummy:None ();
     pending = Dynarr.create ~capacity:1024 ~dummy:None ();
@@ -237,6 +245,7 @@ let create ?defer p cfg =
 let ensure_node st n =
   while Dynarr.length st.pts <= n do
     Dynarr.push st.pts None;
+    Dynarr.push st.borrowed false;
     Dynarr.push st.edges None;
     Dynarr.push st.edge_seen None;
     Dynarr.push st.pending None;
@@ -254,6 +263,18 @@ let node_pts st n =
     let s = Int_set.create ~capacity:8 () in
     Dynarr.set st.pts n (Some s);
     s
+
+(* [pts n], ready for insertion: a borrowed set is replaced by a copy of
+   its own first (copy on write). *)
+let own_pts st n =
+  let s = node_pts st n in
+  if Dynarr.get st.borrowed n then begin
+    let s = Int_set.copy s in
+    Dynarr.set st.pts n (Some s);
+    Dynarr.set st.borrowed n false;
+    s
+  end
+  else s
 
 let node_edges st n =
   ensure_node st n;
@@ -365,7 +386,12 @@ let rec add_obj st node obj ~spec =
   st.attempts_since_sweep <- st.attempts_since_sweep + 1;
   if Filters.passes st.filters st.p spec (heap_class st (Pair_tbl.fst st.objs obj)) then begin
     let s = node_pts st node in
-    if Int_set.add s obj then begin
+    let fresh =
+      if Dynarr.get st.borrowed node then
+        (not (Int_set.mem s obj)) && Int_set.add (own_pts st node) obj
+      else Int_set.add s obj
+    in
+    if fresh then begin
       if st.installing then raise (Stale_baseline "stale baseline: new object");
       st.gains_since_sweep <- st.gains_since_sweep + 1;
       let k = Dynarr.get st.member_count node in
@@ -517,11 +543,13 @@ and merge_into st ~rep ~loser =
     st.repropagations_avoided <-
       st.repropagations_avoided + ((cr - 1) * fresh_to_rep) + (cl * fresh_to_loser);
     if fresh_to_rep > 0 then begin
+      let pr = own_pts st rep in
       let pending = node_pending st rep in
       Int_set.iter (fun o -> if Int_set.add pr o then Dynarr.push pending o) pl;
       enqueue st rep
     end;
-    Dynarr.set st.pts loser None);
+    Dynarr.set st.pts loser None;
+    Dynarr.set st.borrowed loser false);
   (* Splice the loser's out-edges onto the representative. [add_edge]
      resolves, drops the resulting self-loops, dedups against the rep's
      list, and re-flushes the (now unioned) source set along each spliced
@@ -931,9 +959,12 @@ let sweep st =
    the solver, bit for bit: the solution is renumbered into a canonical
    order — contexts by their element sequences, pair tables by their
    (renumbered) components, call-graph edges sorted — and every merged node
-   gets its own copy of the representative's points-to set. The resulting
-   tables are a pure function of the semantic fixpoint, independent of
-   propagation order and of which nodes were merged. *)
+   gets its representative's points-to set, laid out by
+   [Int_set.of_sorted_array]. The resulting tables, set layouts included,
+   are a pure function of the semantic fixpoint, independent of
+   propagation order, of which nodes were merged and of whether the solve
+   started warm. Only which slots share one set object follows the merged
+   classes; no output depends on it. *)
 
 let cmp_int_arrays a b =
   let la = Array.length a and lb = Array.length b in
@@ -947,25 +978,6 @@ let cmp_int_arrays a b =
     in
     go 0
   end
-
-(* Renumber a pair table by sorting on a caller-supplied (already renumbered)
-   key; keys are injective, so the order is total and the permutation
-   canonical. Returns the rebuilt table and the old-id -> new-id map. *)
-let renumber_pairs tbl key_of =
-  let n = Pair_tbl.count tbl in
-  let keys = Array.init n key_of in
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> compare keys.(a) keys.(b)) order;
-  let map = Array.make (max 1 n) 0 in
-  Array.iteri (fun new_id old_id -> map.(old_id) <- new_id) order;
-  let tbl' = Pair_tbl.create ~capacity:(max 16 n) () in
-  Array.iter
-    (fun old_id ->
-      let k1, k2 = keys.(old_id) in
-      let id = Pair_tbl.intern tbl' k1 k2 in
-      assert (id = map.(old_id)))
-    order;
-  (tbl', map)
 
 let materialize st outcome ~set_promotions =
   (* Contexts first: every other table's canonical key depends on them. The
@@ -981,43 +993,34 @@ let materialize st outcome ~set_promotions =
       let id = Ctx.intern ctxs' (Array.copy (Ctx.elems st.ctxs old_id)) in
       assert (id = ctx_map.(old_id)))
     ctx_order;
-  let objs', obj_map =
-    renumber_pairs st.objs (fun id ->
-        (Pair_tbl.fst st.objs id, ctx_map.(Pair_tbl.snd st.objs id)))
-  in
-  let var_nodes', var_map =
-    renumber_pairs st.var_nodes (fun id ->
-        (Pair_tbl.fst st.var_nodes id, ctx_map.(Pair_tbl.snd st.var_nodes id)))
-  in
+  let ctx c = ctx_map.(c) in
+  let objs', obj_map = Pair_tbl.renumber st.objs ~fst:Fun.id ~snd:ctx in
+  let var_nodes', var_map = Pair_tbl.renumber st.var_nodes ~fst:Fun.id ~snd:ctx in
   let fld_nodes', fld_map =
-    renumber_pairs st.fld_nodes (fun id ->
-        (* Field-based mode stores a literal 0 as every base object; keep it
-           (it is not an object id there). *)
-        let obj = Pair_tbl.fst st.fld_nodes id in
-        let obj' = if st.cfg.field_sensitive then obj_map.(obj) else obj in
-        (obj', Pair_tbl.snd st.fld_nodes id))
+    (* Field-based mode stores a literal 0 as every base object; keep it
+       (it is not an object id there). *)
+    Pair_tbl.renumber st.fld_nodes
+      ~fst:(if st.cfg.field_sensitive then fun o -> obj_map.(o) else Fun.id)
+      ~snd:Fun.id
   in
-  let reach', reach_map =
-    renumber_pairs st.reach (fun id ->
-        (Pair_tbl.fst st.reach id, ctx_map.(Pair_tbl.snd st.reach id)))
-  in
+  let reach', reach_map = Pair_tbl.renumber st.reach ~fst:Fun.id ~snd:ctx in
+  (* Call-graph edges sort on two packed keys, (invo, caller) then (meth,
+     callee): the order of the 4-tuples. Every half fits [cg_key_bits]:
+     invos and methods are program ids, and both pairs were interned into
+     Pair_tbls ([cg_caller], [reach]), which bound their components. *)
   let n_cg = Dynarr.length st.cg / 4 in
-  let quads =
-    Array.init n_cg (fun i ->
-        ( Dynarr.get st.cg (4 * i),
-          ctx_map.(Dynarr.get st.cg ((4 * i) + 1)),
-          Dynarr.get st.cg ((4 * i) + 2),
-          ctx_map.(Dynarr.get st.cg ((4 * i) + 3)) ))
-  in
-  Array.sort compare quads;
+  let cg_at i k = Dynarr.get st.cg ((4 * i) + k) in
+  let site = Array.init n_cg (fun i -> (cg_at i 0 lsl cg_key_bits) lor ctx (cg_at i 1)) in
+  let target = Array.init n_cg (fun i -> (cg_at i 2 lsl cg_key_bits) lor ctx (cg_at i 3)) in
+  let order = Int_sort.sort_perm site (Int_sort.sort_perm target (Array.init n_cg Fun.id)) in
   let cg' = Dynarr.create ~capacity:(max 16 (4 * n_cg)) ~dummy:0 () in
   Array.iter
-    (fun (invo, caller, meth, callee) ->
-      Dynarr.push cg' invo;
-      Dynarr.push cg' caller;
-      Dynarr.push cg' meth;
-      Dynarr.push cg' callee)
-    quads;
+    (fun i ->
+      Dynarr.push cg' (cg_at i 0);
+      Dynarr.push cg' (ctx (cg_at i 1));
+      Dynarr.push cg' (cg_at i 2);
+      Dynarr.push cg' (ctx (cg_at i 3)))
+    order;
   let remap_node n =
     match Node.kind n with
     | Node.Var_node vn -> Node.of_var_node var_map.(vn)
@@ -1028,36 +1031,50 @@ let materialize st outcome ~set_promotions =
   (* Expand representatives: every original node gets the (renumbered)
      points-to set of its representative. Sets are shared within a merged
      class — the solution is read-only above the solver. Slots are written
-     sparsely, so the array length is max populated slot + 1: canonical. *)
+     sparsely, so the array length is max populated slot + 1: canonical.
+     A set is built by [Int_set.of_sorted_array] from its renumbered
+     elements, so its layout is canonical too. A warm solve whose object
+     renumbering is the identity on the installed objects hands every set
+     it still borrows back as it is: the baseline built it the same way
+     from the same elements. *)
+  let borrow =
+    let rec identity o = o >= st.base_objs || (obj_map.(o) = o && identity (o + 1)) in
+    identity 0
+  in
   let n_old = Dynarr.length st.pts in
-  let remapped_sets = Hashtbl.create 64 in
+  let remapped = Array.make (max 1 n_old) None in
   let remap_set rep s =
-    match Hashtbl.find_opt remapped_sets rep with
+    match remapped.(rep) with
     | Some s' -> s'
     | None ->
-      (* Insert in ascending old id order: a hashed set's slot layout, and
-         with it every later iteration order, depends on insertion order. *)
-      let elems = Int_set.to_sorted_array s in
-      let s' = Int_set.create ~capacity:(2 * Array.length elems) () in
-      Array.iter (fun o -> ignore (Int_set.add s' obj_map.(o))) elems;
-      Hashtbl.add remapped_sets rep s';
+      let s' =
+        if borrow && Dynarr.get st.borrowed rep then s
+        else begin
+          let elems = Array.make (Int_set.cardinal s) 0 in
+          let k = ref 0 in
+          Int_set.iter
+            (fun o ->
+              elems.(!k) <- obj_map.(o);
+              incr k)
+            s;
+          Int_set.of_sorted_array (Int_sort.sort_distinct elems)
+        end
+      in
+      remapped.(rep) <- Some s';
       s'
   in
-  let pts' = Dynarr.create ~capacity:(max 16 n_old) ~dummy:None () in
   let slots = Array.make (max 1 n_old) (-1) in
   let max_slot = ref (-1) in
   for n = 0 to n_old - 1 do
     let r = Union_find.find st.uf n in
     match (if r < n_old then Dynarr.get st.pts r else None) with
-    | None -> ()
-    | Some s ->
-      if Int_set.cardinal s > 0 then begin
-        let n' = remap_node n in
-        ignore (remap_set r s);
-        slots.(n) <- n';
-        if n' > !max_slot then max_slot := n'
-      end
+    | Some s when Int_set.cardinal s > 0 ->
+      let n' = remap_node n in
+      slots.(n) <- n';
+      if n' > !max_slot then max_slot := n'
+    | _ -> ()
   done;
+  let pts' = Dynarr.create ~capacity:(max 16 n_old) ~dummy:None () in
   for _ = 0 to !max_slot do
     Dynarr.push pts' None
   done;
@@ -1124,12 +1141,13 @@ type installed = { facts : int; edges : int }
    objects are re-interned in id order, so both maps are the identity
    (context elements name heaps, invos and classes by raw program id, all
    stable across a monotone program extension). Every base set goes
-   straight into its node; marking the base's reachable pairs processes
-   the clean bodies, whose edges are only recorded; the base-variable uses
-   of every installed (variable, object) pair fire the same way. Dirty
-   bodies, and the uses they own, are buffered for the counted phase.
-   Anything the clean part derives beyond the baseline raises
-   [Stale_baseline]. *)
+   straight into its node, borrowed: the node holds the baseline's own set
+   object until its first insertion copies it (see [own_pts]). Marking the
+   base's reachable pairs processes the clean bodies, whose edges are only
+   recorded; the base-variable uses of every installed (variable, object)
+   pair fire the same way. Dirty bodies, and the uses they own, are
+   buffered for the counted phase. Anything the clean part derives beyond
+   the baseline raises [Stale_baseline]. *)
 let install st (base : Solution.t) =
   st.installing <- true;
   for i = 0 to Ctx.count base.ctxs - 1 do
@@ -1140,11 +1158,13 @@ let install st (base : Solution.t) =
     let id = Pair_tbl.intern st.objs (Pair_tbl.fst base.objs i) (Pair_tbl.snd base.objs i) in
     assert (id = i)
   done;
+  st.base_objs <- Pair_tbl.count base.objs;
   let facts = ref 0 in
   let put node s =
     ensure_node st node;
     facts := !facts + Int_set.cardinal s;
-    Dynarr.set st.pts node (Some (Int_set.copy s))
+    Dynarr.set st.pts node (Some s);
+    Dynarr.set st.borrowed node true
   in
   let var_of vn =
     Pair_tbl.intern st.var_nodes (Pair_tbl.fst base.var_nodes vn) (Pair_tbl.snd base.var_nodes vn)

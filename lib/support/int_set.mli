@@ -22,8 +22,10 @@ val add : t -> int -> bool
     Raises [Invalid_argument] on negative [x]. *)
 
 val iter : (int -> unit) -> t -> unit
-(** Iteration order is unspecified (ascending while the set is small). The
-    small-set path walks the inline array directly and allocates nothing. *)
+(** Iteration order is unspecified (ascending while the set is small). It
+    follows the slot layout, which depends on the order of insertion
+    ({!of_sorted_array} fixes one). The small-set path walks the inline
+    array directly and allocates nothing. *)
 
 val fold : (int -> 'acc -> 'acc) -> t -> 'acc -> 'acc
 
@@ -31,15 +33,17 @@ val exists : (int -> bool) -> t -> bool
 
 val to_sorted_array : t -> int array
 (** The elements in ascending order, in a fresh array. The one sort every
-    ordered view of a set goes through:
-    - a small set copies its inline sorted prefix, O(n);
-    - a hashed set first scans its slot table into an array. If it is
-      dense (largest element + 1 at most 32 × cardinal), each element
-      marks a byte map that is then scanned: O(n + max) time, at most
-      32 bytes of scratch per element. Otherwise up to 32 elements are
-      insertion-sorted, and more are LSD radix-sorted on 8-bit digits:
-      one counting and one scatter pass per byte of the largest element,
-      so O(n × bytes) time and one scratch array of n ints. *)
+    ordered view of a set goes through: a small set copies its inline
+    sorted prefix, O(n); a hashed set scans its slot table into an array
+    and sorts it with {!Int_sort.sort_distinct}. *)
+
+val of_sorted_array : int array -> t
+(** [of_sorted_array a] is the set of [a]'s elements, which must be
+    strictly ascending and non-negative ([Invalid_argument] otherwise),
+    in a table sized for twice their number. Its slot layout, and with it
+    its iteration order, is a function of the elements alone: two sets
+    built this way from the same elements iterate alike. The solver builds
+    every set of a materialized solution this way. *)
 
 val to_sorted_list : t -> int list
 (** [Array.to_list (to_sorted_array t)]. *)

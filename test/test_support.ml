@@ -2,6 +2,7 @@
 
 module Dynarr = Ipa_support.Dynarr
 module Int_set = Ipa_support.Int_set
+module Int_sort = Ipa_support.Int_sort
 module Interner = Ipa_support.Interner
 module Pair_tbl = Ipa_support.Pair_tbl
 module Splitmix = Ipa_support.Splitmix
@@ -246,6 +247,82 @@ let prop_to_sorted_array =
   qtest "to_sorted_array = sort_uniq, every branch" gen_sort_case (fun xs ->
       Array.to_list (Int_set.to_sorted_array (int_set_of xs)) = List.sort_uniq compare xs)
 
+(* [of_sorted_array] fixes a set's slot layout: the same elements give the
+   same iteration order, however the elements were gathered. *)
+let prop_of_sorted_array =
+  qtest "of_sorted_array: elements and layout" gen_sort_case (fun xs ->
+      let sorted = Array.of_list (List.sort_uniq compare xs) in
+      let a = Int_set.of_sorted_array sorted in
+      let b = Int_set.of_sorted_array (Int_set.to_sorted_array (int_set_of (List.rev xs))) in
+      let order s = Int_set.fold (fun x acc -> x :: acc) s [] in
+      Int_set.to_sorted_array a = sorted && order a = order b)
+
+let test_of_sorted_array_rejects () =
+  let bad = Invalid_argument "Int_set.of_sorted_array: not strictly ascending and non-negative" in
+  Alcotest.check_raises "descending" bad (fun () -> ignore (Int_set.of_sorted_array [| 2; 1 |]));
+  Alcotest.check_raises "duplicate" bad (fun () -> ignore (Int_set.of_sorted_array [| 1; 1 |]));
+  Alcotest.check_raises "negative" bad (fun () -> ignore (Int_set.of_sorted_array [| -1; 1 |]))
+
+(* ---------- Int_sort ---------- *)
+
+(* Keys for the permutation sort: few distinct values so that duplicates
+   are common (stability shows), drawn from 0, bytes, values at and past
+   2^31 (a packed pair's first component) and values near 2^61 (the top
+   radix digits); lengths on both sides of the insertion-sort cutoff. *)
+let gen_keys =
+  QCheck2.Gen.(
+    let* pool =
+      list_size (int_range 1 12)
+        (oneof
+           [
+             return 0;
+             int_bound 255;
+             int_range (1 lsl 31) ((1 lsl 32) + 5);
+             int_range ((1 lsl 61) - 300) ((1 lsl 61) + 300);
+             return max_int;
+           ])
+    in
+    let pool = Array.of_list pool in
+    let* n = int_bound 300 in
+    let+ picks = list_repeat n (int_bound (Array.length pool - 1)) in
+    Array.of_list (List.map (fun i -> pool.(i)) picks))
+
+let stable_order keys =
+  let idx = Array.init (Array.length keys) Fun.id in
+  Array.stable_sort (fun a b -> compare keys.(a) keys.(b)) idx;
+  idx
+
+let prop_sort_perm =
+  qtest "sort_perm = Array.stable_sort" gen_keys (fun keys ->
+      let before = Array.copy keys in
+      Int_sort.sort_perm keys (Array.init (Array.length keys) Fun.id) = stable_order keys
+      && keys = before)
+
+(* Two passes, the less significant key first, sort lexicographically:
+   how the solver orders call-graph edges. *)
+let prop_sort_perm_two_keys =
+  qtest "sort_perm twice = sort on (hi, lo)"
+    QCheck2.Gen.(pair gen_keys (int_bound 1_000_000))
+    (fun (hi, salt) ->
+      let n = Array.length hi in
+      let lo = Array.init n (fun i -> (i * 7919 + salt) mod 13) in
+      let idx = Array.init n Fun.id in
+      let expected = Array.copy idx in
+      Array.stable_sort (fun a b -> compare (hi.(a), lo.(a)) (hi.(b), lo.(b))) expected;
+      Int_sort.sort_perm hi (Int_sort.sort_perm lo idx) = expected)
+
+let prop_sort_distinct =
+  qtest "sort_distinct = sort_uniq, every branch" gen_sort_case (fun xs ->
+      let xs = List.sort_uniq compare xs in
+      let shuffled = Array.of_list (List.rev xs) in
+      Array.to_list (Int_sort.sort_distinct shuffled) = xs)
+
+let test_int_sort_negative () =
+  Alcotest.check_raises "sort_perm" (Invalid_argument "Int_sort.sort_perm: negative key")
+    (fun () -> ignore (Int_sort.sort_perm [| 3; -1 |] [| 0; 1 |]));
+  Alcotest.check_raises "sort_distinct" (Invalid_argument "Int_sort.sort_distinct: negative key")
+    (fun () -> ignore (Int_sort.sort_distinct [| 3; -1 |]))
+
 (* The canonical set encoding as it was first written: cardinal, first
    element absolute, then gaps, over a sorted list. *)
 let reference_int_set_bytes xs =
@@ -313,6 +390,38 @@ let prop_pair_tbl_roundtrip =
       let t = Pair_tbl.create () in
       let id = Pair_tbl.intern t a b in
       Pair_tbl.fst t id = a && Pair_tbl.snd t id = b)
+
+(* [renumber] interns the mapped pairs in ascending order of their packed
+   keys, which must be the order [compare] gives the tuples. Components
+   reach past 2^30 and up to 2^31 - 1. *)
+let prop_pair_tbl_renumber =
+  let comp = QCheck2.Gen.(oneof [ int_bound 40; int_range ((1 lsl 31) - 50) ((1 lsl 31) - 1) ]) in
+  qtest "renumber orders pairs as compare does"
+    QCheck2.Gen.(list_size (int_bound 200) (pair comp comp))
+    (fun pairs ->
+      let t = Pair_tbl.create () in
+      List.iter (fun (a, b) -> ignore (Pair_tbl.intern t a b)) pairs;
+      (* An injective map that reverses the order of second components. *)
+      let flip b = (1 lsl 31) - 1 - b in
+      let t', map = Pair_tbl.renumber t ~fst:Fun.id ~snd:flip in
+      let images = List.sort_uniq compare (List.map (fun (a, b) -> (a, flip b)) pairs) in
+      let got =
+        List.init (Pair_tbl.count t') (fun id -> (Pair_tbl.fst t' id, Pair_tbl.snd t' id))
+      in
+      got = images
+      && List.for_all
+           (fun (a, b) ->
+             let id = Option.get (Pair_tbl.find_opt t a b) in
+             Pair_tbl.find_opt t' a (flip b) = Some map.(id))
+           pairs)
+
+let test_pair_tbl_renumber_collision () =
+  let t = Pair_tbl.create () in
+  ignore (Pair_tbl.intern t 1 2);
+  ignore (Pair_tbl.intern t 1 3);
+  Alcotest.check_raises "two pairs, one image"
+    (Invalid_argument "Pair_tbl.renumber: two pairs map to one") (fun () ->
+      ignore (Pair_tbl.renumber t ~fst:Fun.id ~snd:(fun _ -> 0)))
 
 (* ---------- Splitmix ---------- *)
 
@@ -481,11 +590,26 @@ let () =
           prop_int_set_small_vs_stdlib;
           prop_int_set_vs_stdlib;
           prop_to_sorted_array;
+          prop_of_sorted_array;
+          Alcotest.test_case "of_sorted_array rejects" `Quick test_of_sorted_array_rejects;
           prop_codec_int_set;
+        ] );
+      ( "int_sort",
+        [
+          prop_sort_perm;
+          prop_sort_perm_two_keys;
+          prop_sort_distinct;
+          Alcotest.test_case "negative keys" `Quick test_int_sort_negative;
         ] );
       ( "interner",
         [ Alcotest.test_case "basic" `Quick test_interner; prop_interner_roundtrip ] );
-      ("pair_tbl", [ Alcotest.test_case "basic" `Quick test_pair_tbl; prop_pair_tbl_roundtrip ]);
+      ( "pair_tbl",
+        [
+          Alcotest.test_case "basic" `Quick test_pair_tbl;
+          prop_pair_tbl_roundtrip;
+          prop_pair_tbl_renumber;
+          Alcotest.test_case "renumber collision" `Quick test_pair_tbl_renumber_collision;
+        ] );
       ( "splitmix",
         [
           Alcotest.test_case "determinism" `Quick test_splitmix_determinism;
