@@ -169,20 +169,3 @@ let analyze ?(spec = default_spec) (s : Solution.t) =
 
 let tainted_sink_count ?spec s = List.length (analyze ?spec s).findings
 
-let print (s : Solution.t) (r : result) =
-  let p = s.Solution.program in
-  match r.findings with
-  | [] -> Printf.printf "no tainted sinks (%d taint seeds)\n" r.n_seeds
-  | findings ->
-    List.iter
-      (fun { invo; sink; arg; path } ->
-        let ii = Program.invo_info p invo in
-        Printf.printf "%s (in %s): arg %d of %s is TAINTED\n" ii.invo_name
-          (Program.meth_full_name p ii.invo_owner)
-          arg (Program.meth_full_name p sink);
-        match (path, r.vfg) with
-        | _ :: _, Some vfg ->
-          Printf.printf "  via %s\n"
-            (String.concat " -> " (List.map (Value_flow.node_to_string vfg) path))
-        | _ -> ())
-      findings

@@ -58,5 +58,3 @@ val analyze : ?spec:spec -> Ipa_core.Solution.t -> result
 val tainted_sink_count : ?spec:spec -> Ipa_core.Solution.t -> int
 (** [List.length (analyze s).findings]. *)
 
-val print : Ipa_core.Solution.t -> result -> unit
-(** One line per finding, with its witness path. *)

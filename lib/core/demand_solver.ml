@@ -228,9 +228,6 @@ let slice p roots =
     root_key = root_key roots;
   }
 
-let var_relevant t v = t.relevant_vars.(v)
-let field_relevant t f = t.relevant_fields.(f)
-
 let key ~config_key roots =
   Digest.to_hex
     (Digest.string

@@ -13,9 +13,9 @@
     loads, stores, returns, throws that cannot flow into a root) is pruned.
 
     {b Soundness contract.} For any variable or field {e inside} the slice
-    ([var_relevant]/[field_relevant]), the restricted solution's points-to
-    set equals the full solve's, byte-for-byte after rendering (asserted by
-    property tests across all four flavors). For entities {e outside} the
+    (marked in [relevant_vars]/[relevant_fields]), the restricted
+    solution's points-to set equals the full solve's, byte-for-byte after
+    rendering (asserted by property tests across all four flavors). For entities {e outside} the
     slice the tables are a lower bound only — callers must treat such facts
     as partial and either widen the root set or fall back to a full solve.
     The call graph and reachable-method set are exact regardless.
@@ -59,12 +59,6 @@ type t = {
 val slice : Program.t -> roots -> t
 (** Compute the backward closure and build the pruned program. Cost is one
     pass to index def-use structure plus the closure worklist — no solving. *)
-
-val var_relevant : t -> Program.var_id -> bool
-(** Is this variable's points-to set exact in the restricted solution? *)
-
-val field_relevant : t -> Program.field_id -> bool
-(** Are all [(_, field)] slots exact in the restricted solution? *)
 
 val key : config_key:string -> roots -> string
 (** Content address for the solved slice: digest of the full-solve snapshot

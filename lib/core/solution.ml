@@ -261,9 +261,6 @@ let stats t =
     n_objects = Pair_tbl.count t.objs;
   }
 
-let heap_of_obj t obj = Pair_tbl.fst t.objs obj
-let hctx_of_obj t obj = Pair_tbl.snd t.objs obj
-
 (* --- soundness validator ---
 
    Checks the invariants clients (value-flow graph, taint, precision

@@ -153,11 +153,6 @@ type stats = {
 
 val stats : t -> stats
 
-val heap_of_obj : t -> int -> int
-(** Allocation site of an interned object. *)
-
-val hctx_of_obj : t -> int -> int
-
 (** {1 Soundness validation} *)
 
 val self_check : t -> string list

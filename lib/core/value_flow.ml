@@ -25,7 +25,6 @@ type t = {
   mutable n_edges : int;
 }
 
-let solution t = t.sol
 let n_nodes t = t.n_nodes
 let n_edges t = t.n_edges
 
@@ -59,9 +58,6 @@ let iter_succs t n f =
   match Hashtbl.find_opt t.succs n with
   | None -> ()
   | Some l -> List.iter f !l
-
-let iter_edges t f =
-  Hashtbl.iter (fun src l -> List.iter (fun dst -> f ~src ~dst) !l) t.succs
 
 (* --- construction --- *)
 

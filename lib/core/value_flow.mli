@@ -33,7 +33,6 @@ val build : Solution.t -> t
 (** Materialize the graph from a solved program. Only instructions of
     methods reachable in the solution contribute edges. *)
 
-val solution : t -> Solution.t
 
 (** {1 Nodes} *)
 
@@ -55,8 +54,6 @@ val n_edges : t -> int
 (** {1 Traversal} *)
 
 val iter_succs : t -> node -> (node -> unit) -> unit
-
-val iter_edges : t -> (src:node -> dst:node -> unit) -> unit
 
 val reachable : ?blocked:(node -> bool) -> t -> seeds:node list -> Ipa_support.Int_set.t
 (** Forward closure of [seeds] over the edges. Nodes satisfying [blocked]

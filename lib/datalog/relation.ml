@@ -53,7 +53,6 @@ let add t tup =
 
 let mem t tup = Hashtbl.mem t.seen tup
 
-let get t i = Dynarr.get t.tuples i
 
 let iter f t = Dynarr.iter f t.tuples
 

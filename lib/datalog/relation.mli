@@ -23,8 +23,6 @@ val add : t -> int array -> bool
 
 val mem : t -> int array -> bool
 
-val get : t -> int -> int array
-(** [get t i] is the [i]-th inserted tuple (do not mutate). *)
 
 val iter : (int array -> unit) -> t -> unit
 

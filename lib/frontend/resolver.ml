@@ -3,7 +3,6 @@ module Program = Ipa_ir.Program
 
 type error = { pos : Ast.pos; msg : string }
 
-let error_to_string { pos; msg } = Printf.sprintf "%s: %s" (Ast.pos_to_string pos) msg
 
 exception Err of error
 

@@ -8,7 +8,6 @@
 
 type error = { pos : Ast.pos; msg : string }
 
-val error_to_string : error -> string
 
 val resolve : ?file:string -> Ast.program -> (Ipa_ir.Program.t, error) result
 (** [resolve ?file ast] names the source file in the resulting program's

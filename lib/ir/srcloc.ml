@@ -25,7 +25,6 @@ let class_pos t c = get t.classes c
 let field_pos t f = get t.fields f
 let meth_pos t m = get t.meths m
 let var_pos t v = get t.vars v
-let heap_pos t h = get t.heaps h
 let invo_pos t i = get t.invos i
 let instr_pos t m k = get2 t.instrs m k
 let catch_pos t m k = get2 t.catches m k

@@ -40,7 +40,6 @@ val class_pos : t -> int -> pos
 val field_pos : t -> int -> pos
 val meth_pos : t -> int -> pos
 val var_pos : t -> int -> pos
-val heap_pos : t -> int -> pos
 val invo_pos : t -> int -> pos
 val instr_pos : t -> int -> int -> pos
 val catch_pos : t -> int -> int -> pos

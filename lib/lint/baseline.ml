@@ -13,11 +13,6 @@ let empty () : t = Hashtbl.create 16
 
 let mem (t : t) (d : Diagnostic.t) = Hashtbl.mem t (Diagnostic.fingerprint d)
 
-let of_diagnostics ds : t =
-  let t = empty () in
-  List.iter (fun d -> Hashtbl.replace t (Diagnostic.fingerprint d) ()) ds;
-  t
-
 let to_json ds =
   let entries =
     List.map

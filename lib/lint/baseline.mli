@@ -13,8 +13,6 @@ type t
 
 val empty : unit -> t
 
-val of_diagnostics : Diagnostic.t list -> t
-
 val mem : t -> Diagnostic.t -> bool
 
 val filter_new : t -> Diagnostic.t list -> Diagnostic.t list

@@ -123,11 +123,5 @@ let sarif ?(rules : Lint.rule list = Lint.all_rules) (ds : Diagnostic.t list) =
 
 type format = Human | Jsonl | Sarif
 
-let format_of_string = function
-  | "human" -> Ok Human
-  | "jsonl" -> Ok Jsonl
-  | "sarif" -> Ok Sarif
-  | s -> Error (Printf.sprintf "unknown format %S (expected human, jsonl, or sarif)" s)
-
 let render ?rules fmt ds =
   match fmt with Human -> human ds | Jsonl -> jsonl ds | Sarif -> sarif ?rules ds

@@ -22,7 +22,4 @@ val sarif : ?rules:Lint.rule list -> Diagnostic.t list -> string
 
 type format = Human | Jsonl | Sarif
 
-val format_of_string : string -> (format, string) result
-(** ["human"], ["jsonl"], ["sarif"]. *)
-
 val render : ?rules:Lint.rule list -> format -> Diagnostic.t list -> string

@@ -23,4 +23,3 @@ let value t id =
 
 let count t = Dynarr.length t.values
 
-let iter f t = Dynarr.iteri f t.values

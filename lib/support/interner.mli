@@ -23,5 +23,3 @@ val value : 'a t -> int -> 'a
 val count : 'a t -> int
 (** Number of distinct keys interned so far. *)
 
-val iter : (int -> 'a -> unit) -> 'a t -> unit
-(** [iter f t] applies [f id key] in increasing id order. *)
