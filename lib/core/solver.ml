@@ -194,7 +194,21 @@ let compute_base_uses (p : Program.t) : use list array =
   done;
   uses
 
-let create ?defer p cfg =
+(* A warm solve re-creates every node, pair and call-graph edge of its
+   [base] before the edit adds a few more, so it sizes its tables from the
+   base, with headroom for the edit, instead of growing them one doubling
+   at a time while installing. *)
+let create ?defer ?base p cfg =
+  let size count =
+    match base with
+    | None -> 1024
+    | Some (b : Solution.t) ->
+      let n = count b in
+      max 1024 (n + (n / 8))
+  in
+  let nodes = size (fun b -> Dynarr.length b.pts) in
+  let pairs = size (fun b -> max (Pair_tbl.count b.var_nodes) (Pair_tbl.count b.fld_nodes)) in
+  let n_cg = size (fun b -> Dynarr.length b.cg / 4) in
   {
     p;
     cfg;
@@ -207,27 +221,27 @@ let create ?defer p cfg =
     deferred_bodies = Dynarr.create ~capacity:16 ~dummy:0 ();
     deferred_uses = Dynarr.create ~capacity:64 ~dummy:0 ();
     ctxs = Ctx.create ();
-    objs = Pair_tbl.create ~capacity:1024 ();
-    var_nodes = Pair_tbl.create ~capacity:1024 ();
-    fld_nodes = Pair_tbl.create ~capacity:1024 ();
-    pts = Dynarr.create ~capacity:1024 ~dummy:None ();
-    borrowed = Dynarr.create ~capacity:1024 ~dummy:false ();
-    edges = Dynarr.create ~capacity:1024 ~dummy:None ();
-    edge_seen = Dynarr.create ~capacity:1024 ~dummy:None ();
-    pending = Dynarr.create ~capacity:1024 ~dummy:None ();
-    on_list = Dynarr.create ~capacity:1024 ~dummy:false ();
+    objs = Pair_tbl.create ~capacity:(size (fun b -> Pair_tbl.count b.objs)) ();
+    var_nodes = Pair_tbl.create ~capacity:pairs ();
+    fld_nodes = Pair_tbl.create ~capacity:pairs ();
+    pts = Dynarr.create ~capacity:nodes ~dummy:None ();
+    borrowed = Dynarr.create ~capacity:nodes ~dummy:false ();
+    edges = Dynarr.create ~capacity:nodes ~dummy:None ();
+    edge_seen = Dynarr.create ~capacity:nodes ~dummy:None ();
+    pending = Dynarr.create ~capacity:nodes ~dummy:None ();
+    on_list = Dynarr.create ~capacity:nodes ~dummy:false ();
     heap = Int_heap.create ~capacity:1024 ();
-    rank = Dynarr.create ~capacity:1024 ~dummy:unranked ();
+    rank = Dynarr.create ~capacity:nodes ~dummy:unranked ();
     uf = Union_find.create ~capacity:1024 ();
-    member_count = Dynarr.create ~capacity:1024 ~dummy:1 ();
-    use_members = Dynarr.create ~capacity:1024 ~dummy:None ();
+    member_count = Dynarr.create ~capacity:nodes ~dummy:1 ();
+    use_members = Dynarr.create ~capacity:nodes ~dummy:None ();
     in_merge = false;
     attempts_since_sweep = 0;
     gains_since_sweep = 0;
-    reach = Pair_tbl.create ~capacity:1024 ();
-    cg = Dynarr.create ~capacity:4096 ~dummy:0 ();
-    cg_caller = Pair_tbl.create ~capacity:1024 ();
-    cg_seen = Int_set.create ~capacity:1024 ();
+    reach = Pair_tbl.create ~capacity:(size (fun b -> Pair_tbl.count b.reach)) ();
+    cg = Dynarr.create ~capacity:(4 * n_cg) ~dummy:0 ();
+    cg_caller = Pair_tbl.create ~capacity:n_cg ();
+    cg_seen = Int_set.create ~capacity:n_cg ();
     base_uses = compute_base_uses p;
     filters = Filters.create ();
     catch_specs = Array.make (Program.n_meths p) None;
@@ -438,7 +452,10 @@ and add_edge st ~src ~dst ~spec =
       (* An installed edge joins two installed fixpoint sets, which already
          satisfy filter(pts src) ⊆ pts dst: nothing to flush. Objects that
          arrive later sit in pending batches and cross it when [src] is
-         processed; the sweep before the counted drain finds its cycles. *)
+         processed. Installed cycles are not collapsed: their members hold
+         equal sets, so only what the edit adds goes round them, unless a
+         counted edge closes one again ([try_collapse]) or the periodic
+         sweep fires. *)
       if not st.installing then begin
         (match Dynarr.get st.pts src with
         | None -> ()
@@ -1205,10 +1222,20 @@ let install st (base : Solution.t) =
   if Dynarr.length st.cg > Dynarr.length base.cg then
     raise (Stale_baseline "stale baseline: new call-graph edge");
   st.installing <- false;
+  (* Re-asserting installed facts is not propagation: left counted, it
+     would make the periodic sweep fire on the first pop of the counted
+     drain. *)
+  st.attempts_since_sweep <- 0;
+  st.gains_since_sweep <- 0;
   { facts = !facts; edges = st.edges_added }
 
 let solve ?seed p cfg =
-  let st = create ?defer:(Option.map (fun s -> s.defer) seed) p cfg in
+  let st =
+    create
+      ?defer:(Option.map (fun s -> s.defer) seed)
+      ?base:(Option.map (fun s -> s.base) seed)
+      p cfg
+  in
   let promotions_before = Int_set.promotion_count () in
   let installed = ref { facts = 0; edges = 0 } in
   let outcome =
@@ -1232,9 +1259,15 @@ let solve ?seed p cfg =
             (Dynarr.get st.deferred_uses ((2 * i) + 1))
         done);
       List.iter (fun m -> ignore (ensure_reachable st m Ctx.empty)) (Program.entries p);
-      (* Rank the graph (and collapse its static cycles) before the first
-         pop, so the heap starts in topological order. *)
-      sweep st;
+      (* A cold solve ranks the graph (and collapses its static cycles)
+         before the first pop, so the heap starts in topological order. A
+         warm solve does not: its installed part is already a fixpoint
+         whose cycles hold equal sets, and re-finding them and re-ranking
+         the whole graph would cost more than a drain that touches the few
+         nodes the edit reaches. Its nodes drain in id order; the periodic
+         sweep still fires if propagation turns out to be mostly
+         re-delivery. *)
+      if Option.is_none seed then sweep st;
       drain st;
       Solution.Complete
     with Out_of_budget -> Solution.Budget_exceeded

@@ -104,20 +104,26 @@ let condense p =
   for sid = 0 to n_sccs - 1 do
     Array.iter (fun m -> scc_of_meth.(m) <- sid) (Dynarr.get comps sid)
   done;
+  (* [seen.(c) = sid] once component [sid] has collected callee [c]. *)
+  let seen = Array.make (max 1 n_sccs) (-1) in
   let sccs =
     Array.init n_sccs (fun sid ->
         let members = Dynarr.get comps sid in
+        seen.(sid) <- sid;
         let callee_sccs = ref [] in
         Array.iter
           (fun m ->
             List.iter
               (fun callee ->
                 let c = scc_of_meth.(callee) in
-                if c <> sid && not (List.mem c !callee_sccs) then callee_sccs := c :: !callee_sccs)
+                if seen.(c) <> sid then begin
+                  seen.(c) <- sid;
+                  callee_sccs := c :: !callee_sccs
+                end)
               succs.(m))
           members;
         let callees = Array.of_list !callee_sccs in
-        Array.sort compare callees;
+        Array.sort Int.compare callees;
         { scc_id = sid; members; callees })
   in
   { sccs; scc_of_meth }
@@ -217,13 +223,23 @@ let delta ~old_p ~new_p =
           else if Array.length a.body < Array.length b.body || a.ret_var <> b.ret_var then
             mask.(m) <- true
         done;
-        (* New classes and overrides must not redirect any old dispatch. *)
-        (if !ok then
-           for c = 0 to n_classes old_p - 1 do
-             for s = 0 to n_sigs old_p - 1 do
-               if dispatch old_p c s <> dispatch new_p c s then ok := false
-             done
-           done);
+        (* New classes and overrides must not redirect any old dispatch:
+           the two tables agree on every old (class, signature) pair. Every
+           old entry must resolve to the same target in the new table, and
+           the new table must hold no more entries over old pairs than the
+           old one, so that no old pair newly resolves. *)
+        (if !ok then begin
+           let n_old_entries = ref 0 in
+           iter_dispatch old_p (fun c s m ->
+               incr n_old_entries;
+               match dispatch new_p c s with
+               | Some m' when m' = m -> ()
+               | _ -> ok := false);
+           let n_new_entries = ref 0 in
+           iter_dispatch new_p (fun c s _ ->
+               if c < n_classes old_p && s < n_sigs old_p then incr n_new_entries);
+           if !n_new_entries <> !n_old_entries then ok := false
+         end);
         !ok)
     && List.for_all (fun e -> List.mem e (entries new_p)) (entries old_p)
   in
