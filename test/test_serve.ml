@@ -79,11 +79,17 @@ let simulate ~engines ~labels script =
         | Ok q -> Engine.render_text q (Engine.eval engines.(!cur) q)))
     script
 
+(* One query of each of the nine forms. *)
 let base_queries =
   [|
     "pts Main::main/0$ra";
+    "pointed-by \"Main::main/new A#2\"";
     "alias Main::main/0$ra Main::main/0$rb";
+    "callees \"Main::main/call get#2\"";
     "callers Box::get/0";
+    "reach Main::main/0 Box::get/0";
+    "fieldpts \"Main::main/new Box#0\" Box::val";
+    "taint";
     "stats";
   |]
 
@@ -185,7 +191,7 @@ let join_clients domains =
    transcript must be byte-identical to its private sequential
    simulation; a swap leaking across sessions, a batch answered out of
    order, or an eviction corrupting a pinned snapshot all surface as a
-   byte diff. *)
+   byte diff. Returns the server, the cache and every line sent. *)
 let run_swap_workload ~jobs ~n_clients ~mem_budget () =
   let p, s1 = solve insens in
   let _, s2 = solve twoobj in
@@ -209,11 +215,11 @@ let run_swap_workload ~jobs ~n_clients ~mem_budget () =
                  (fun script want -> Domain.spawn (fun () -> lockstep_client path script want))
                  scripts expected))
       in
-      (server, cache, List.length (List.concat scripts)))
+      (server, cache, List.concat scripts))
 
 let test_concurrent_hot_swaps () =
-  let server, _, total = run_swap_workload ~jobs:4 ~n_clients:4 ~mem_budget:`Unbounded () in
-  check Alcotest.int "every line answered exactly once" total (Server.served server);
+  let server, _, sent = run_swap_workload ~jobs:4 ~n_clients:4 ~mem_budget:`Unbounded () in
+  check Alcotest.int "every line answered exactly once" (List.length sent) (Server.served server);
   check Alcotest.int "no errors" 0 (Server.errors server);
   check Alcotest.int "four sessions" 4 (List.assoc "sessions" (Server.metrics server));
   check Alcotest.int "all sessions drained" 0
@@ -236,6 +242,19 @@ let test_eviction_under_live_queries () =
       (stats.resident_bytes <= b));
   check Alcotest.int "all sessions drained" 0
     (List.assoc "active_sessions" (Server.metrics server))
+
+(* A fixed script fixes the serving counters exactly, however many
+   sessions interleave: every line sent is answered once, none is an
+   error, and every [load key] line loads. The cache holds one snapshot
+   only, so the swaps must evict. *)
+let test_exact_counters_one_snapshot n_clients () =
+  let server, cache, sent = run_swap_workload ~jobs:n_clients ~n_clients ~mem_budget:`One () in
+  let load_lines = List.filter (String.starts_with ~prefix:"load key ") sent in
+  check Alcotest.int "served = lines sent" (List.length sent) (Server.served server);
+  check Alcotest.int "no errors" 0 (Server.errors server);
+  check Alcotest.int "loads = load key lines" (List.length load_lines) (Server.loads server);
+  check Alcotest.bool "one-snapshot budget forced evictions" true
+    ((Cache.stats cache).evictions > 0)
 
 (* Every counter the metrics endpoint reports must be identical at jobs=1
    and jobs=4 for the same workload — concurrency changes wall-clock
@@ -589,6 +608,10 @@ let () =
             test_eviction_under_live_queries;
           Alcotest.test_case "metrics counters: jobs=4 = jobs=1" `Quick
             test_metrics_jobs_determinism;
+          Alcotest.test_case "1 client, one-snapshot budget: exact counters" `Quick
+            (test_exact_counters_one_snapshot 1);
+          Alcotest.test_case "8 clients, one-snapshot budget: exact counters" `Quick
+            (test_exact_counters_one_snapshot 8);
         ] );
       ( "faults",
         [
