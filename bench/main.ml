@@ -3,19 +3,21 @@
    Default run (no arguments): regenerate every table and figure of the
    paper's evaluation at full scale, then the ablations. Wall-clock
    benchmarking lives in benchmark/; this harness reproduces the paper's
-   numbers and pins their deterministic counters.
+   numbers and pins their deterministic counters. A single figure is
+   printed by [introspect experiments --figure N].
 
    The figure suites fan out over a domain pool (--jobs N, default
    Domain.recommended_domain_count); results are ordered and identical to a
    sequential run.
 
-   Five selections are gated. Each writes one Bench_record (see
+   Four selections are gated. Each writes one Bench_record (see
    lib/harness/bench_record.mli) to its BENCH_*.json: the run's params,
    its deterministic [counters] and its schedule-dependent [measured]
    counts; no record holds a wall-clock figure (timing claims go through
    benchmark/). --check-against FILE reads a committed record when the
    arguments are parsed and, after the run, fails unless the fresh
    counters have the same names and values; measured values are ignored.
+   [ablation] writes no record, so it refuses the flag.
 
    - [figs] (also part of [all]): every figure row of the report, written
      to BENCH_solver.json with the solver's propagation counters per row.
@@ -23,11 +25,6 @@
      warm through a second process-fresh cache over the same directory;
      asserts identical tables, disk hits and no warm re-solve
      (BENCH_cache.json).
-   - [serve]: a socket server over a snapshot cache, driven by N
-     concurrent clients (1, 2, 4, 8 by default) each streaming a seeded
-     zipf mix of queries interleaved with [load key] hot-swaps between two
-     snapshots. Every answer is checked byte-identical to a sequential
-     simulation over the same engines (BENCH_serve.json).
    - [demand]: demand slices vs the full solve; every answer identical,
      every repeat a memo hit, the worst slice below the full solve
      (BENCH_demand.json).
@@ -37,9 +34,9 @@
      edited program (BENCH_incr.json).
 
    Usage:
-     main.exe [fig1|fig4|fig5|fig6|fig7|figs|ablation|cache|serve|demand|incr|all]
+     main.exe [figs|ablation|cache|demand|incr|all]
               [--scale S] [--budget N] [--jobs N]
-              [--clients N1,N2,...] [--cache-dir DIR] [--check-against FILE]
+              [--cache-dir DIR] [--check-against FILE]
 *)
 
 module Flavors = Ipa_core.Flavors
@@ -49,7 +46,7 @@ module J = Ipa_support.Json
 
 let usage () =
   prerr_endline
-    "usage: main.exe [fig1|fig4|fig5|fig6|fig7|figs|ablation|cache|serve|demand|incr|all] [--scale S] [--budget N] [--jobs N] [--clients N1,N2,...] [--cache-dir DIR] [--check-against FILE]";
+    "usage: main.exe [figs|ablation|cache|demand|incr|all] [--scale S] [--budget N] [--jobs N] [--cache-dir DIR] [--check-against FILE]";
   exit 2
 
 (* The one failure path of every selection. *)
@@ -57,41 +54,15 @@ let fail what msg =
   prerr_endline (Printf.sprintf "%s FAILED: %s" what msg);
   exit 1
 
-type selection =
-  | Fig1
-  | Fig4
-  | Fig of Flavors.spec
-  | Figs
-  | Ablation
-  | Cache_smoke
-  | Serve_bench
-  | Demand_bench
-  | Incr_bench
-  | All
+type selection = Figs | Ablation | Cache_smoke | Demand_bench | Incr_bench | All
 
 let parse_args () =
   let selection = ref All in
   let cfg = ref Ipa_harness.Config.default in
   let cache_dir = ref "_ipa_cache" in
   let baseline = ref None in
-  let clients_list = ref [ 1; 2; 4; 8 ] in
   let rec go = function
     | [] -> ()
-    | "fig1" :: rest ->
-      selection := Fig1;
-      go rest
-    | "fig4" :: rest ->
-      selection := Fig4;
-      go rest
-    | "fig5" :: rest ->
-      selection := Fig (Flavors.Object_sens { depth = 2; heap = 1 });
-      go rest
-    | "fig6" :: rest ->
-      selection := Fig (Flavors.Type_sens { depth = 2; heap = 1 });
-      go rest
-    | "fig7" :: rest ->
-      selection := Fig (Flavors.Call_site { depth = 2; heap = 1 });
-      go rest
     | "figs" :: rest ->
       selection := Figs;
       go rest
@@ -100,6 +71,15 @@ let parse_args () =
       go rest
     | "cache" :: rest ->
       selection := Cache_smoke;
+      go rest
+    | "demand" :: rest ->
+      selection := Demand_bench;
+      go rest
+    | "incr" :: rest ->
+      selection := Incr_bench;
+      go rest
+    | "all" :: rest ->
+      selection := All;
       go rest
     | "--cache-dir" :: v :: rest ->
       cache_dir := v;
@@ -110,27 +90,9 @@ let parse_args () =
       | Ok r -> baseline := Some r
       | Error e -> fail "bench check" (Record.error_to_string e));
       go rest
-    | "serve" :: rest ->
-      selection := Serve_bench;
-      go rest
-    | "demand" :: rest ->
-      selection := Demand_bench;
-      go rest
-    | "incr" :: rest ->
-      selection := Incr_bench;
-      go rest
-    | "--clients" :: v :: rest ->
-      let ns = List.map int_of_string_opt (String.split_on_char ',' v) in
-      if ns <> [] && List.for_all (function Some n -> n >= 1 | None -> false) ns then
-        clients_list := List.filter_map Fun.id ns
-      else usage ();
-      go rest
-    | "all" :: rest ->
-      selection := All;
-      go rest
     | "--scale" :: v :: rest ->
       (match float_of_string_opt v with
-      | Some s when s > 0.0 -> cfg := { !cfg with scale = s }
+      | Some s when Float.is_finite s && s > 0.0 -> cfg := { !cfg with scale = s }
       | _ -> usage ());
       go rest
     | "--budget" :: v :: rest ->
@@ -146,7 +108,9 @@ let parse_args () =
     | _ -> usage ()
   in
   go (List.tl (Array.to_list Sys.argv));
-  (!selection, !cfg, !cache_dir, !baseline, !clients_list)
+  (* A baseline that no record is checked against would pass silently. *)
+  if !selection = Ablation && !baseline <> None then usage ();
+  (!selection, !cfg, !cache_dir, !baseline)
 
 (* ---------- the one record writer and gate ---------- *)
 
@@ -283,286 +247,6 @@ let run_cache_smoke (cfg : Ipa_harness.Config.t) ~dir ~baseline =
       (* The warm pass re-solves nothing whatever the schedule. *)
       counters = cold_counters @ warm_counters @ [ ("warm/misses", warm.misses) ];
       measured = (("cold/misses", float_of_int cold.misses) :: cold_measured) @ warm_measured;
-    }
-
-(* ---------- BENCH_serve.json: concurrent socket-serving load harness ---------- *)
-
-(* A deterministic query mix covering every form, built from the program's
-   own entity tables (capped per category so the mix size scales gently). *)
-let query_mix program =
-  let module P = Ipa_ir.Program in
-  let cap = 250 in
-  let take n of_i = List.init (min n cap) of_i in
-  let var v = P.var_full_name program v in
-  let heap h = P.heap_full_name program h in
-  let meth m = P.meth_full_name program m in
-  let invo i = (P.invo_info program i).invo_name in
-  let n_vars = P.n_vars program and n_heaps = P.n_heaps program in
-  let n_meths = P.n_meths program and n_invos = P.n_invos program in
-  let instance_fields =
-    List.filter
-      (fun f -> not (P.field_info program f).is_static_field)
-      (List.init (P.n_fields program) Fun.id)
-  in
-  List.concat
-    [
-      take n_vars (fun v -> Ipa_query.Query.Pts (var v));
-      take n_heaps (fun h -> Ipa_query.Query.Pointed_by (heap h));
-      take (max 0 (n_vars - 1)) (fun v -> Ipa_query.Query.Alias (var v, var (v + 1)));
-      take n_invos (fun i -> Ipa_query.Query.Callees (invo i));
-      take n_meths (fun m -> Ipa_query.Query.Callers (meth m));
-      take (max 0 (n_meths - 7)) (fun m -> Ipa_query.Query.Reach (meth m, meth (m + 7)));
-      (match instance_fields with
-      | [] -> []
-      | fields ->
-        let fields = Array.of_list fields in
-        take n_heaps (fun h ->
-            Ipa_query.Query.Fieldpts
-              (heap h, P.field_full_name program fields.(h mod Array.length fields))));
-      [ Ipa_query.Query.Taint None; Ipa_query.Query.Stats ];
-    ]
-
-(* Client c's request stream: a seeded zipf mix over the query corpus
-   (hot queries dominate, the tail is long), interleaved with [load key]
-   hot-swaps between the two snapshots every [swap_every] requests. The
-   streams are fully deterministic — fixed seeds, no wall-clock input —
-   so served/errors/loads are reproducible counters a drift gate can
-   compare across machines. *)
-let serve_swap_every = 40
-
-let serve_requests_per_client = 320
-
-(* Integer-weight zipf sampler: weight of rank r is ~1/r. *)
-let zipf_pick rng cum total =
-  let r = Ipa_support.Splitmix.int rng total in
-  let n = Array.length cum in
-  let rec bisect lo hi = (* first index with cum.(i) > r *)
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if cum.(mid) > r then bisect lo mid else bisect (mid + 1) hi
-  in
-  bisect 0 (n - 1)
-
-let client_script ~corpus ~keys c =
-  let rng = Ipa_support.Splitmix.create (0xC0FFEE + (c * 7919)) in
-  let n = Array.length corpus in
-  let cum = Array.make n 0 in
-  let total = ref 0 in
-  for i = 0 to n - 1 do
-    total := !total + (1_000_000 / (i + 1));
-    cum.(i) <- !total
-  done;
-  List.init serve_requests_per_client (fun i ->
-      if i > 0 && i mod serve_swap_every = 0 then
-        (* alternate snapshots, staggered per client so swaps interleave *)
-        Printf.sprintf "load key %s" keys.((((i / serve_swap_every) + c) mod Array.length keys))
-      else corpus.(zipf_pick rng cum !total))
-
-(* The expected byte-exact transcript of one client's session, replayed
-   sequentially over private engines (mirroring the server's per-session
-   views: a swap changes only this client's answers). *)
-let expected_transcript ~program ~engines ~labels ~keys script =
-  let current = ref 0 in
-  List.map
-    (fun line ->
-      match Ipa_query.Query.tokens line with
-      | Ok [ "load"; "key"; key ] ->
-        let i = ref 0 in
-        Array.iteri (fun j k -> if k = key then i := j) keys;
-        current := !i;
-        Printf.sprintf "load key %s: ok (%s)" (Ipa_query.Query.quote key) labels.(!current)
-      | _ -> (
-        match Ipa_query.Query.parse line with
-        | Error e -> Ipa_query.Engine.render_error ~json:false ~q:line e
-        | Ok q ->
-          ignore program;
-          Ipa_query.Engine.render_text q (Ipa_query.Engine.eval engines.(!current) q)))
-    script
-
-(* One lockstep client: write a request, read the answer, check it against
-   the expected transcript, record the round-trip. Returns the latencies
-   (us) or the first mismatch. *)
-let run_client ~path ~script ~expected =
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let rec connect tries =
-    match Unix.connect sock (Unix.ADDR_UNIX path) with
-    | () -> true
-    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when tries > 0 ->
-      Unix.sleepf 0.02;
-      connect (tries - 1)
-    | exception Unix.Unix_error _ -> false
-  in
-  if not (connect 250) then Error "cannot connect"
-  else begin
-    let ic = Unix.in_channel_of_descr sock and oc = Unix.out_channel_of_descr sock in
-    let latencies = ref [] in
-    let mismatch = ref None in
-    (try
-       List.iter2
-         (fun line want ->
-           if !mismatch = None then begin
-             let t0 = Ipa_support.Timer.now () in
-             output_string oc line;
-             output_char oc '\n';
-             flush oc;
-             let got = input_line ic in
-             latencies := int_of_float ((Ipa_support.Timer.now () -. t0) *. 1e6) :: !latencies;
-             if got <> want then
-               mismatch := Some (Printf.sprintf "sent %S\n  want %S\n  got  %S" line want got)
-           end)
-         script expected;
-       output_string oc "quit\n";
-       flush oc
-     with End_of_file | Sys_error _ -> mismatch := Some "server closed the connection early");
-    match !mismatch with Some m -> Error m | None -> Ok !latencies
-  end
-
-let percentile_us sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0 else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
-
-let run_serve_bench (cfg : Ipa_harness.Config.t) ~clients_list ~baseline =
-  let module Snapshot = Ipa_core.Snapshot in
-  let spec = List.hd Ipa_synthetic.Dacapo.all in
-  let program = Ipa_synthetic.Dacapo.build ~scale:cfg.scale spec in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ipa-serve-bench-%d" (Unix.getpid ()))
-  in
-  let fail = fail "serve bench" in
-  (* Two snapshots of the same program — the base pass and a
-     context-sensitive solve — published to a shared cache directory so
-     the server can hot-load either by cache key. *)
-  let solve_cache = Ipa_harness.Cache.create ~dir () in
-  let program_digest = Snapshot.digest_program program in
-  let configs =
-    [
-      ("insens", Ipa_core.Solver.plain program ~budget:cfg.budget (Flavors.strategy program Flavors.Insensitive));
-      ( "2objH",
-        Ipa_core.Solver.plain program ~budget:cfg.budget
-          (Flavors.strategy program (Flavors.Object_sens { depth = 2; heap = 1 })) );
-    ]
-  in
-  let solved =
-    List.map
-      (fun (label, config) ->
-        ignore (Ipa_harness.Cache.solve solve_cache program ~label config);
-        let key = Snapshot.config_key ~program_digest config in
-        match Ipa_harness.Cache.find_bytes solve_cache ~key with
-        | None -> fail (Printf.sprintf "snapshot %s not in cache after solve" label)
-        | Some bytes -> (
-          match Snapshot.decode ~program ~expect_key:key bytes with
-          | Error e -> fail (Snapshot.error_to_string e)
-          | Ok snap -> (key, label, String.length bytes, snap)))
-      configs
-  in
-  let keys = Array.of_list (List.map (fun (k, _, _, _) -> k) solved) in
-  let labels = Array.of_list (List.map (fun (_, l, _, _) -> l) solved) in
-  let sizes = List.map (fun (_, _, s, _) -> s) solved in
-  (* A budget below the working set: holding both snapshots resident is
-     impossible, so the swap traffic exercises eviction + disk re-loads on
-     the serving path (evictions are schedule-dependent under concurrency,
-     so they are measured, not counted). *)
-  let mem_budget = List.fold_left max 0 sizes + (List.fold_left min max_int sizes / 2) in
-  let engines =
-    Array.of_list
-      (List.map
-         (fun (_, _, _, (snap : Snapshot.t)) ->
-           let e = Ipa_query.Engine.create snap.solution in
-           Ipa_query.Engine.warm e;
-           e)
-         solved)
-  in
-  let corpus =
-    Array.of_list (List.map Ipa_query.Query.to_string (query_mix program))
-  in
-  Printf.printf
-    "serve bench: %s at scale %g; snapshots %s (%s bytes); corpus %d queries; %d requests/client\n%!"
-    spec.name cfg.scale
-    (String.concat ", " (Array.to_list labels))
-    (String.concat ", " (List.map string_of_int sizes))
-    (Array.length corpus) serve_requests_per_client;
-  let max_clients = List.fold_left max 1 clients_list in
-  let scripts = Array.init max_clients (fun c -> client_script ~corpus ~keys c) in
-  let expected =
-    Array.map (fun s -> expected_transcript ~program ~engines ~labels ~keys s) scripts
-  in
-  let jobs = max 2 (List.fold_left max cfg.jobs clients_list) in
-  let rows =
-    List.map
-      (fun n ->
-        (* A fresh server (and counters) per client count: the row's
-           served/errors/loads depend only on the fixed scripts. *)
-        let serve_cache = Ipa_harness.Cache.create ~dir ~mem_budget () in
-        let path = Filename.concat dir (Printf.sprintf "serve-%d.sock" n) in
-        let _, _, _, (snap0 : Snapshot.t) = List.hd solved in
-        Ipa_support.Domain_pool.with_pool ~jobs (fun pool ->
-            let server =
-              Ipa_query.Server.create ~cache:serve_cache ~pool ~json:false ~timings:false
-                ~program ~label:labels.(0) snap0.solution
-            in
-            let server_domain =
-              Domain.spawn (fun () -> Ipa_query.Server.serve_socket server ~path)
-            in
-            let t0 = Ipa_support.Timer.now () in
-            let client_domains =
-              List.init n (fun c ->
-                  Domain.spawn (fun () ->
-                      run_client ~path ~script:scripts.(c) ~expected:expected.(c)))
-            in
-            let results = List.map Domain.join client_domains in
-            let seconds = Ipa_support.Timer.now () -. t0 in
-            Ipa_query.Server.request_stop server;
-            (match Domain.join server_domain with
-            | Ok () -> ()
-            | Error msg -> fail ("server: " ^ msg));
-            let latencies =
-              List.concat_map
-                (function
-                  | Ok ls -> ls
-                  | Error msg -> fail (Printf.sprintf "client answer drift (%d clients): %s" n msg))
-                results
-            in
-            let sorted = Array.of_list latencies in
-            Array.sort compare sorted;
-            let served = Ipa_query.Server.served server in
-            if served <> n * serve_requests_per_client then
-              fail
-                (Printf.sprintf "%d client(s): served %d, expected %d" n served
-                   (n * serve_requests_per_client));
-            let errors = Ipa_query.Server.errors server in
-            let loads = Ipa_query.Server.loads server in
-            let evictions = (Ipa_harness.Cache.stats serve_cache).evictions in
-            let qps =
-              if seconds > 0.0 then float_of_int (List.length latencies) /. seconds else 0.0
-            in
-            let p50 = percentile_us sorted 0.50 and p99 = percentile_us sorted 0.99 in
-            Printf.printf
-              "%d client(s): %d served (%d errors), %d loads, %d evictions, %.3fs, %.0f qps, p50 %dus, p99 %dus\n%!"
-              n served errors loads evictions seconds qps p50 p99;
-            let row = Printf.sprintf "clients_%d" n in
-            ( under row [ ("served", served); ("errors", errors); ("loads", loads) ],
-              under row [ ("evictions", float_of_int evictions) ] )))
-      clients_list
-  in
-  print_endline
-    "serve bench OK: every answer byte-identical to the sequential simulation, served counts exact";
-  finish ~path:"BENCH_serve.json" ~baseline
-    {
-      selection = "serve";
-      params =
-        params cfg
-          [
-            ("bench", J.Str spec.name);
-            ("snapshots", J.List (Array.to_list (Array.map (fun l -> J.Str l) labels)));
-            ("requests_per_client", J.Int serve_requests_per_client);
-            ("clients", J.List (List.map (fun n -> J.Int n) clients_list));
-          ];
-      counters = ("mem_budget", mem_budget) :: List.concat_map fst rows;
-      measured = List.concat_map snd rows;
     }
 
 (* ---------- BENCH_demand.json: slice-vs-full demand solving ---------- *)
@@ -793,17 +477,13 @@ let run_incr_bench (cfg : Ipa_harness.Config.t) ~baseline =
     }
 
 let () =
-  let selection, cfg, cache_dir, baseline, clients_list = parse_args () in
+  let selection, cfg, cache_dir, baseline = parse_args () in
   match selection with
-  | Fig1 -> Experiments.Fig1.print cfg
-  | Fig4 -> Experiments.Fig4.print cfg
-  | Fig flavor -> Experiments.Figs567.print cfg flavor
   | Figs -> run_figs ~baseline cfg
   | All ->
     run_figs ~baseline cfg;
     Ipa_harness.Ablation.print_all cfg
   | Ablation -> Ipa_harness.Ablation.print_all cfg
   | Cache_smoke -> run_cache_smoke cfg ~dir:cache_dir ~baseline
-  | Serve_bench -> run_serve_bench cfg ~clients_list ~baseline
   | Demand_bench -> run_demand_bench cfg ~baseline
   | Incr_bench -> run_incr_bench cfg ~baseline

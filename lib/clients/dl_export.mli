@@ -12,14 +12,9 @@
     the external routing function that the pure surface language does not
     have (the {!Ipa_core.Datalog_backend} covers it with guards). *)
 
-val facts : Ipa_ir.Program.t -> string
-(** Declarations plus ground facts for every input relation, including the
-    subtype and dispatch tables. *)
-
-val insens_rules : string
-(** The context-insensitive analysis rules ([.decl]s of the computed
-    relations included). *)
-
 val script : Ipa_ir.Program.t -> string
-(** [insens_rules ^ facts p] plus [.output] directives for [vpt], [fpt],
-    [cg] and [reach] — a complete, runnable program. *)
+(** The context-insensitive analysis rules (with the [.decl]s of the
+    computed relations), declarations plus ground facts for every input
+    relation of [p] (subtype and dispatch tables included), and [.output]
+    directives for [vpt], [fpt], [cg] and [reach] — a complete, runnable
+    program. *)

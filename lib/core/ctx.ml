@@ -65,7 +65,3 @@ let trunc t ctx ~keep =
   end
 
 let count = Interner.count
-
-let to_string t p ctx =
-  let parts = Array.to_list (Array.map (Elem.to_string p) (elems t ctx)) in
-  "[" ^ String.concat ", " parts ^ "]"

@@ -51,6 +51,3 @@ val trunc : t -> int -> keep:int -> int
 
 val count : t -> int
 (** Number of distinct contexts interned (including the empty one). *)
-
-val to_string : t -> Ipa_ir.Program.t -> int -> string
-(** ["[e1, e2]"] with human-readable element names. *)

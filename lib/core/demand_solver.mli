@@ -40,9 +40,6 @@ val all_var_roots : Program.t -> roots
 (** Every variable is a root; the slice degenerates to the whole program.
     The honest encoding for inverted (pointed-by) demands. *)
 
-val root_key : roots -> string
-(** Canonical rendering of a root set (sorted, deduplicated). *)
-
 type t = {
   original : Program.t;
   pruned : Program.t;  (** same entity arrays, bodies filtered to the slice *)

@@ -33,8 +33,3 @@ val top_objects : ?limit:int -> Solution.t -> obj_row list
 
 val print : ?limit:int -> Solution.t -> unit
 (** Render both hotspot tables, then the solver counters, to stdout. *)
-
-val print_counters : Solution.t -> unit
-(** Render the solver's propagation counters ({!Solution.counters}): copy
-    edges added vs. deduped, worklist batch statistics, and small-set
-    promotions. *)

@@ -31,7 +31,7 @@
 
     {2 Invalidation / version bump policy}
 
-    Bump {!version} whenever decoded bytes could mean something different:
+    Bump the format version whenever decoded bytes could mean something different:
     a change to this wire format, to the meaning of any serialized field
     (e.g. counter semantics), or to solver behavior that changes results for
     the same configuration. Cached snapshots from other versions then fail
@@ -48,9 +48,6 @@ type t = {
       (** first-pass cost metrics, stored so cached base passes skip
           recomputation *)
 }
-
-val version : int
-(** Current snapshot format version (see the bump policy above). *)
 
 val digest_program : Ipa_ir.Program.t -> string
 (** MD5 (hex) over a canonical encoding of the whole program: every table

@@ -87,13 +87,12 @@ val run_incremental :
 (** {1 Packed copy-edge representation}
 
     Exposed for tests and diagnostics: destination node in the high bits,
-    filter-spec id in the low {!filter_bits} bits. *)
+    filter-spec id in the low bits that {!filter_mask} selects. *)
 
-val filter_bits : int
 val filter_mask : int
 
 val pack_edge : dst:int -> spec:int -> int
-(** Raises [Invalid_argument] when [spec] does not fit in {!filter_bits} bits
+(** Raises [Invalid_argument] when [spec] does not fit in the filter bits
     (a silent wrap would corrupt the destination field). *)
 
 val edge_dst : int -> int

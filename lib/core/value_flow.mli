@@ -37,9 +37,6 @@ val build : Solution.t -> t
 (** {1 Nodes} *)
 
 val var_node : t -> Ipa_ir.Program.var_id -> node
-val fld_node : t -> heap:Ipa_ir.Program.heap_id -> field:Ipa_ir.Program.field_id -> node
-val static_fld_node : t -> Ipa_ir.Program.field_id -> node
-val exc_node : t -> Ipa_ir.Program.meth_id -> node
 
 val kind : t -> node -> kind
 val node_to_string : t -> node -> string
@@ -52,8 +49,6 @@ val n_edges : t -> int
 (** Distinct edges materialized. *)
 
 (** {1 Traversal} *)
-
-val iter_succs : t -> node -> (node -> unit) -> unit
 
 val reachable : ?blocked:(node -> bool) -> t -> seeds:node list -> Ipa_support.Int_set.t
 (** Forward closure of [seeds] over the edges. Nodes satisfying [blocked]

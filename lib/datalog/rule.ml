@@ -72,7 +72,6 @@ let make ?name ~n_vars ~heads ~body ?(neg = []) ?(lets = []) ?(guards = []) () =
     rule_guards = Array.of_list guards;
   }
 
-let name t = t.rule_name
 let n_vars t = t.rule_n_vars
 let heads t = t.rule_heads
 let body t = t.rule_body

@@ -39,8 +39,6 @@ val make :
       checked for lets via a conservative "all body vars" rule: a let may
       read anything bound before it). *)
 
-val name : t -> string
-
 (** {1 Engine interface} *)
 
 val n_vars : t -> int

@@ -1,7 +1,8 @@
 (** Ablation studies around the paper's design choices (§3's "mix-and-match"
     discussion and the constants' robustness claim).
 
-    Three studies, each printing a table:
+    Six studies, each printing a table ({!print_all} runs them in this
+    order):
 
     - {b knob}: sweep the heuristic constants across orders of magnitude on
       the explosive benchmarks. The paper claims "even relatively large
@@ -15,31 +16,24 @@
       asserts.
     - {b components}: Heuristic A with parts disabled (only the in-flow
       condition, only the var-field condition, only the object condition),
-      quantifying what each cost signal contributes. *)
-
-val knob : Config.t -> unit
+      quantifying what each cost signal contributes.
+    - {b field sensitivity}: field-sensitive (the paper's model) vs
+      field-based (all base objects of a field merged) handling: cost and
+      precision, context-insensitive and 2objH, on the moderate benchmarks.
+    - {b client-driven}: the §5 comparison with a query-driven refinement
+      baseline (dependence-slice selection, {!Ipa_core.Client_driven}).
+      Per-query it is cheap; asked to serve {e all} cast queries at once it
+      converges to the full analysis and its timeouts — the paper's
+      argument for cost-based, query-agnostic selection in the all-points
+      setting.
+    - {b hard-coded}: the §5 status quo, expert-written static skip lists
+      (Doop/Wala-style "analyze these classes/methods
+      context-insensitively"). The list tuned for hsqldb's registry rescues
+      hsqldb but not jython and vice versa — hard-coded heuristics do not
+      transfer, which is the motivation for introspection. *)
 
 val grid : Config.t -> unit
 
 val components : Config.t -> unit
-
-val field_sensitivity : Config.t -> unit
-(** Field-sensitive (the paper's model) vs field-based (all base objects of
-    a field merged) handling: cost and precision, context-insensitive and
-    2objH, on the moderate benchmarks. *)
-
-val client_driven : Config.t -> unit
-(** The §5 comparison: a query-driven refinement baseline (dependence-slice
-    selection, {!Ipa_core.Client_driven}) against introspection. Per-query it
-    is cheap; asked to serve {e all} cast queries at once it converges to the
-    full analysis and its timeouts — the paper's argument for cost-based,
-    query-agnostic selection in the all-points setting. *)
-
-val hard_coded : Config.t -> unit
-(** The §5 status quo: expert-written static skip lists (Doop/Wala-style
-    "analyze these classes/methods context-insensitively"). The list tuned
-    for hsqldb's registry rescues hsqldb but not jython and vice versa —
-    hard-coded heuristics do not transfer, which is the motivation for
-    introspection. *)
 
 val print_all : Config.t -> unit

@@ -9,9 +9,9 @@
        "measured": {"cold/mem_hits": 27.0, ...}}
     ]}
     [counters] are deterministic integers (derivations, per-row solver
-    counters, served requests, ...) and are gated exactly. [measured] holds
+    counters, cache lookups, ...) and are gated exactly. [measured] holds
     the counts the schedule can move (cache hit splits and write conflicts
-    under concurrency, serve evictions) and is never gated. No record holds
+    under concurrency) and is never gated. No record holds
     a wall-clock figure: timing claims are made by the end-to-end
     benchmark, not here. [params] describe the run and are not gated
     either. *)

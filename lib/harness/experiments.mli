@@ -1,8 +1,9 @@
 (** Reproduction of every table and figure of the paper's evaluation (§4).
 
     Each experiment has a [compute] function returning structured results
-    (used by tests at small scales) and a [print] function rendering the
-    paper-style table to stdout. Timings are wall-clock seconds of the
+    (used by tests at small scales); each figure also has a [print]
+    function rendering the paper-style table to stdout, and the taint study
+    is printed as part of {!print_report}. Timings are wall-clock seconds of the
     introspective second pass / plain run, as in the paper (the shared
     context-insensitive first pass is reported separately).
 
@@ -25,13 +26,8 @@ type run = {
           timed out, [Some 0] on workloads without taint sources *)
   counters : Ipa_core.Solution.counters;
       (** solver propagation counters for this run (see
-          {!Ipa_core.Diagnostics.print_counters}) *)
+          {!Ipa_core.Solution.counters}) *)
 }
-
-val of_result : string -> Ipa_core.Analysis.result -> run
-(** [of_result bench r] summarizes a solved analysis as a {!run} row —
-    precision and tainted sinks are computed here (and skipped on budget
-    exhaustion, where they would be misleading). *)
 
 val run_to_row : run -> string list
 (** Table cells: analysis, time, derivations, the three precision metrics,
@@ -43,7 +39,6 @@ module Fig1 : sig
   val compute : Config.t -> run list
   (** Two runs (insens, 2objH) per benchmark, in benchmark order. *)
 
-  val print_runs : run list -> unit
   val print : Config.t -> unit
 end
 
@@ -62,7 +57,6 @@ module Fig4 : sig
   (** One row per hard benchmark; the final row is the average (named
       ["average"]). *)
 
-  val print_rows : row list -> unit
   val print : Config.t -> unit
 end
 
@@ -72,9 +66,6 @@ end
 module Figs567 : sig
   val compute : Config.t -> Ipa_core.Flavors.spec -> run list
   (** Per benchmark: insens, <flavor>-IntroA, <flavor>-IntroB, <flavor>. *)
-
-  val print_runs : Ipa_core.Flavors.spec -> run list -> unit
-  (** Expects [compute]'s layout: four runs per benchmark, benchmark order. *)
 
   val print : Config.t -> Ipa_core.Flavors.spec -> unit
   (** [print cfg flavor] — Figure 5 is [2objH], 6 is [2typeH], 7 is
@@ -92,9 +83,6 @@ module Taint_study : sig
 
   val compute : Config.t -> run list
   (** [insens; 2objH-IntroA; 2objH-IntroB; 2objH] on the taint workload. *)
-
-  val print_runs : Config.t -> run list -> unit
-  val print : Config.t -> unit
 end
 
 (** {1 The whole evaluation as data} — computed once, printable and

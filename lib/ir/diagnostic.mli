@@ -16,9 +16,6 @@ type span = { file : string; line : int; col : int }
 val no_span : span
 val span_of_pos : file:string -> Srcloc.pos -> span
 
-val span_to_string : span -> string
-(** ["file:line:col"], or ["line:col"] when the file is unknown. *)
-
 type t = {
   rule : string;  (** stable rule id *)
   severity : severity;

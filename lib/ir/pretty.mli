@@ -27,7 +27,3 @@
 
 val program : Program.t -> string
 (** Render the whole program. *)
-
-val instr : Program.t -> Program.instr -> string
-(** One statement, as it appears in a method body (no indentation, with the
-    trailing [";"]). Useful in error messages and tests. *)

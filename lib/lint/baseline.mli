@@ -11,10 +11,6 @@ module Diagnostic = Ipa_ir.Diagnostic
 
 type t
 
-val empty : unit -> t
-
-val mem : t -> Diagnostic.t -> bool
-
 val filter_new : t -> Diagnostic.t list -> Diagnostic.t list
 (** The findings not covered by the baseline, order preserved. *)
 

@@ -7,8 +7,6 @@ module Diagnostic = Ipa_ir.Diagnostic
 val human : Diagnostic.t list -> string
 (** One {!Diagnostic.to_human} block per finding. *)
 
-val json_of_diag : Diagnostic.t -> Ipa_support.Json.t
-
 val jsonl : Diagnostic.t list -> string
 (** One compact JSON object per line: rule, severity, file/line/col, entity,
     message, witnesses, fingerprint. *)

@@ -39,9 +39,6 @@ type t =
           against both source methods and allocated classes. *)
   | Stats
 
-val forms : string list
-(** The leading keywords, in documentation order. *)
-
 val tokens : string -> (string list, string) result
 (** Split a line into whitespace-separated tokens with double-quoting
     (backslash escapes a quote or a backslash inside quotes). Errors on

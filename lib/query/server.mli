@@ -45,9 +45,6 @@ type t
     slice machinery did not certify. *)
 type demand_mode = Demand_off | Demand_auto | Demand_on
 
-val demand_mode_to_string : demand_mode -> string
-val demand_mode_of_string : string -> demand_mode option
-
 (** Per-session limits, enforced with structured error replies. *)
 type limits = {
   max_line : int;

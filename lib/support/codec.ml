@@ -73,8 +73,6 @@ module Reader = struct
     if pos < 0 || pos > String.length src then invalid_arg "Codec.Reader.of_string";
     { src; pos }
 
-  let pos t = t.pos
-
   let remaining t = String.length t.src - t.pos
 
   let at_end t = remaining t = 0

@@ -77,8 +77,6 @@ module Reader : sig
   val of_string : ?pos:int -> string -> t
   (** Reads from [pos] (default 0) to the end of the string. *)
 
-  val pos : t -> int
-
   val remaining : t -> int
 
   val at_end : t -> bool

@@ -38,9 +38,6 @@ val submit : t -> (unit -> unit) -> unit
     {!shutdown} drains already-submitted tasks before joining the workers.
     Raises [Invalid_argument] after {!shutdown}. *)
 
-val on_worker : t -> bool
-(** Whether the calling domain is one of this pool's workers. *)
-
 val shutdown : t -> unit
 (** Signals the workers to exit and joins them. Idempotent. Subsequent
     {!map} calls raise [Invalid_argument]. *)

@@ -17,9 +17,6 @@ type kind =
 
 type t = { kind : kind; meth : Ipa_ir.Program.meth_id; salt : int }
 
-val kind_name : kind -> string
-(** ["add-alloc"], ["add-call"], ["rewrite-body"]. *)
-
 val kind_of_name : string -> kind option
 
 val all_kinds : kind list

@@ -1,10 +1,10 @@
 (* Dead-export check. Every value a library interface (lib/**/*.mli)
    exports must be used outside its own module by the program: lib/, bin/,
-   bench/, benchmark/ or examples/. The exceptions are listed in
-   exports.allow, grouped by reason: values reached only from tests, and
-   helpers used only inside their own module. An export nothing outside its module
-   uses, and an allow-list entry that names no export or an export that
-   has gained an outside user, both fail the check.
+   bench/, benchmark/ or examples/. The exceptions, values reached only
+   from test/, are listed in exports.allow. An export nothing outside its
+   module uses, an allow-list entry that names no export or an export that
+   has gained an outside user, and an allow-list entry that no file in
+   test/ uses all fail the check.
 
    A use is found by lexing, not by type checking: a qualified reference
    [... M.v] (M the module or a local alias of it), or a bare [v] in a file
@@ -180,16 +180,15 @@ let allow_list () =
          match String.trim key with "" -> None | key -> Some key)
 
 let test_exports () =
-  let program =
-    List.concat_map (fun d -> files (Filename.concat root d)) program_dirs
-    |> List.map (fun f -> (f, uses_of f))
-  in
+  let lex dirs = List.concat_map (fun d -> files (Filename.concat root d)) dirs in
+  let program = List.map (fun f -> (f, uses_of f)) (lex program_dirs) in
+  let tests = List.map uses_of (lex [ "test" ]) in
   let interfaces =
     List.filter (fun f -> Filename.check_suffix f ".mli") (files (Filename.concat root "lib"))
   in
   let allowed = allow_list () in
   let keys = Hashtbl.create 512 in
-  let unused = ref [] and stale = ref [] in
+  let unused = ref [] and stale = ref [] and nobody = ref [] in
   List.iter
     (fun mli ->
       let own = Filename.remove_extension mli in
@@ -204,7 +203,9 @@ let test_exports () =
           match (used, List.mem key allowed) with
           | false, false -> unused := key :: !unused
           | true, true -> stale := key :: !stale
-          | _ -> ())
+          | false, true ->
+            if not (List.exists (used_by (m, v)) tests) then nobody := key :: !nobody
+          | true, false -> ())
         (exports mli))
     interfaces;
   let missing = List.filter (fun key -> not (Hashtbl.mem keys key)) allowed in
@@ -220,6 +221,7 @@ let test_exports () =
         !stale
     @ section "allow-listed, but no interface exports it (drop it from test/exports.allow)"
         missing
+    @ section "exported for nobody: drop it from the .mli" !nobody
   with
   | [] -> ()
   | failures -> Alcotest.fail (String.concat "\n" failures)
