@@ -9,6 +9,7 @@ type t =
   | Taint of (string * string) option
   | Stats
 
+(* The leading keywords, in documentation order. *)
 let forms =
   [ "pts"; "pointed-by"; "alias"; "callees"; "callers"; "reach"; "fieldpts"; "taint"; "stats" ]
 
