@@ -120,7 +120,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
   (* Rule 1-2: inter-procedural assignments from call-graph edges. *)
   let invo, caller_ctx, meth, callee_ctx, i, to_, from = (0, 1, 2, 3, 4, 5, 6) in
   let interproc_args =
-    Rule.make ~name:"interproc-args" ~n_vars:7
+    Rule.make ~n_vars:7
       ~heads:[ (interproc, [| v.(to_); v.(callee_ctx); v.(from); v.(caller_ctx) |]) ]
       ~body:
         [
@@ -131,7 +131,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
       ()
   in
   let interproc_ret =
-    Rule.make ~name:"interproc-ret" ~n_vars:7
+    Rule.make ~n_vars:7
       ~heads:[ (interproc, [| v.(to_); v.(caller_ctx); v.(from); v.(callee_ctx) |]) ]
       ~body:
         [
@@ -144,8 +144,8 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
   (* Rules 3-4: allocation, default and refined [Record]. *)
   let var, ctx, heap, hctx = (0, 1, 2, 3) in
   let meth4 = 4 in
-  let alloc_rule nm strategy ~refined_site =
-    Rule.make ~name:nm ~n_vars:5
+  let alloc_rule strategy ~refined_site =
+    Rule.make ~n_vars:5
       ~heads:[ (var_points_to, [| v.(var); v.(ctx); v.(heap); v.(hctx) |]) ]
       ~body:
         [
@@ -156,18 +156,18 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
       ~guards:[ (fun env -> Refine.refine_object refine env.(heap) = refined_site) ]
       ()
   in
-  let alloc_default = alloc_rule "alloc" default ~refined_site:false in
-  let alloc_refined = alloc_rule "alloc-refined" refined ~refined_site:true in
+  let alloc_default = alloc_rule default ~refined_site:false in
+  let alloc_refined = alloc_rule refined ~refined_site:true in
   (* Rule 5: move. *)
   let move_rule =
-    Rule.make ~name:"move" ~n_vars:5
+    Rule.make ~n_vars:5
       ~heads:[ (var_points_to, [| v.(0); v.(2); v.(3); v.(4) |]) ]
       ~body:[ (edb.move, [| v.(0); v.(1) |]); (var_points_to, [| v.(1); v.(2); v.(3); v.(4) |]) ]
       ()
   in
   (* Rule 6: cast with subtype filter. *)
   let cast_rule =
-    Rule.make ~name:"cast" ~n_vars:6
+    Rule.make ~n_vars:6
       ~heads:[ (var_points_to, [| v.(0); v.(3); v.(4); v.(5) |]) ]
       ~body:
         [ (edb.cast, [| v.(0); v.(1); v.(2) |]); (var_points_to, [| v.(2); v.(3); v.(4); v.(5) |]) ]
@@ -176,7 +176,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
   in
   (* Rule 7: inter-procedural assignment. *)
   let interproc_flow =
-    Rule.make ~name:"interproc-flow" ~n_vars:6
+    Rule.make ~n_vars:6
       ~heads:[ (var_points_to, [| v.(0); v.(1); v.(4); v.(5) |]) ]
       ~body:
         [
@@ -187,7 +187,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
   in
   (* Rule 8: load. *)
   let load_rule =
-    Rule.make ~name:"load" ~n_vars:8
+    Rule.make ~n_vars:8
       ~heads:[ (var_points_to, [| v.(0); v.(3); v.(6); v.(7) |]) ]
       ~body:
         [
@@ -199,7 +199,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
   in
   (* Rule 9: store. *)
   let store_rule =
-    Rule.make ~name:"store" ~n_vars:8
+    Rule.make ~n_vars:8
       ~heads:[ (fld_points_to, [| v.(6); v.(7); v.(1); v.(4); v.(5) |]) ]
       ~body:
         [
@@ -211,7 +211,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
   in
   (* Rules 10-11: static fields. *)
   let load_static_rule =
-    Rule.make ~name:"load-static" ~n_vars:6
+    Rule.make ~n_vars:6
       ~heads:[ (var_points_to, [| v.(0); v.(3); v.(4); v.(5) |]) ]
       ~body:
         [
@@ -222,7 +222,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
       ()
   in
   let store_static_rule =
-    Rule.make ~name:"store-static" ~n_vars:5
+    Rule.make ~n_vars:5
       ~heads:[ (static_fld_points_to, [| v.(0); v.(3); v.(4) |]) ]
       ~body:
         [
@@ -234,8 +234,8 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
   (* Rules 12-13: virtual dispatch, default and refined [Merge]. Variables:
      0 base, 1 sig, 2 invo, 3 inMeth, 4 ctx, 5 heap, 6 hctx, 7 heapT,
      8 toMeth, 9 this, 10 calleeCtx. *)
-  let vcall_rule nm (strategy : Strategy.t) ~refined_site =
-    Rule.make ~name:nm ~n_vars:11
+  let vcall_rule (strategy : Strategy.t) ~refined_site =
+    Rule.make ~n_vars:11
       ~heads:
         [
           (call_graph, [| v.(2); v.(4); v.(8); v.(10) |]);
@@ -261,12 +261,12 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
         [ (fun env -> Refine.refine_site refine ~invo:env.(2) ~meth:env.(8) = refined_site) ]
       ()
   in
-  let vcall_default = vcall_rule "vcall" default ~refined_site:false in
-  let vcall_refined = vcall_rule "vcall-refined" refined ~refined_site:true in
+  let vcall_default = vcall_rule default ~refined_site:false in
+  let vcall_refined = vcall_rule refined ~refined_site:true in
   (* Rules 14-15: static calls. Variables: 0 invo, 1 toMeth, 2 inMeth,
      3 ctx, 4 calleeCtx. *)
-  let scall_rule nm (strategy : Strategy.t) ~refined_site =
-    Rule.make ~name:nm ~n_vars:5
+  let scall_rule (strategy : Strategy.t) ~refined_site =
+    Rule.make ~n_vars:5
       ~heads:
         [ (call_graph, [| v.(0); v.(3); v.(1); v.(4) |]); (reachable, [| v.(1); v.(4) |]) ]
       ~body:[ (edb.static_call, [| v.(0); v.(1); v.(2) |]); (reachable, [| v.(2); v.(3) |]) ]
@@ -275,8 +275,8 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
         [ (fun env -> Refine.refine_site refine ~invo:env.(0) ~meth:env.(1) = refined_site) ]
       ()
   in
-  let scall_default = scall_rule "scall" default ~refined_site:false in
-  let scall_refined = scall_rule "scall-refined" refined ~refined_site:true in
+  let scall_default = scall_rule default ~refined_site:false in
+  let scall_refined = scall_rule refined ~refined_site:true in
   (* Exception rules. Routing through a method's ordered catch chain is an
      external decision, exactly like the context constructors: the guard
      compares [Program.catch_route] with the clause index bound from the
@@ -289,7 +289,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
     Program.catch_route p env.(m_var) (heap_class env.(heap_var)) = None
   in
   let throw_catch =
-    Rule.make ~name:"throw-catch" ~n_vars:7
+    Rule.make ~n_vars:7
       ~heads:[ (var_points_to, [| v.(6); v.(2); v.(3); v.(4) |]) ]
       ~body:
         [
@@ -301,7 +301,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
       ()
   in
   let throw_escape =
-    Rule.make ~name:"throw-escape" ~n_vars:5
+    Rule.make ~n_vars:5
       ~heads:[ (exc_points_to, [| v.(1); v.(2); v.(3); v.(4) |]) ]
       ~body:
         [ (edb.throw, [| v.(0); v.(1) |]); (var_points_to, [| v.(0); v.(2); v.(3); v.(4) |]) ]
@@ -311,7 +311,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
   (* Variables (call rules): 0 invo, 1 callerCtx, 2 callee, 3 calleeCtx,
      4 heap, 5 hctx, 6 caller meth, 7 clause index, 8 catch var. *)
   let call_catch =
-    Rule.make ~name:"call-catch" ~n_vars:9
+    Rule.make ~n_vars:9
       ~heads:[ (var_points_to, [| v.(8); v.(1); v.(4); v.(5) |]) ]
       ~body:
         [
@@ -324,7 +324,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
       ()
   in
   let call_escape =
-    Rule.make ~name:"call-escape" ~n_vars:7
+    Rule.make ~n_vars:7
       ~heads:[ (exc_points_to, [| v.(6); v.(1); v.(4); v.(5) |]) ]
       ~body:
         [

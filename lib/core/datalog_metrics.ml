@@ -11,7 +11,7 @@ let v i = Rule.Var i
 let collapsed_vpt (d : Datalog_backend.t) =
   let out = Relation.create ~name:"VarHeap" ~arity:2 in
   let rule =
-    Rule.make ~name:"collapse" ~n_vars:4
+    Rule.make ~n_vars:4
       ~heads:[ (out, [| v 0; v 2 |]) ]
       ~body:[ (d.var_points_to, [| v 0; v 1; v 2; v 3 |]) ]
       ()
@@ -38,7 +38,7 @@ let in_flow (p : Program.t) (d : Datalog_backend.t) =
      CallGraph(invo, _, _, _) conjunct restricting to reachable calls. *)
   let hpia = Relation.create ~name:"HeapsPerInvocationPerArg" ~arity:3 in
   let rule =
-    Rule.make ~name:"hpia" ~n_vars:7
+    Rule.make ~n_vars:7
       ~heads:[ (hpia, [| v 0; v 1; v 2 |]) ]
       ~body:
         [
@@ -61,7 +61,7 @@ let meth_total_volume (p : Program.t) (d : Datalog_backend.t) =
   let var_heap = collapsed_vpt d in
   let meth_var_heap = Relation.create ~name:"MethVarHeap" ~arity:3 in
   let rule =
-    Rule.make ~name:"mvh" ~n_vars:3
+    Rule.make ~n_vars:3
       ~heads:[ (meth_var_heap, [| v 2; v 0; v 1 |]) ]
       ~body:[ (var_heap, [| v 0; v 1 |]); (var_owner, [| v 0; v 2 |]) ]
       ()
@@ -76,7 +76,7 @@ let pointed_by_vars (_p : Program.t) (d : Datalog_backend.t) =
   (* group by the heap column *)
   let heap_var = Relation.create ~name:"HeapVar" ~arity:2 in
   let rule =
-    Rule.make ~name:"flip" ~n_vars:2
+    Rule.make ~n_vars:2
       ~heads:[ (heap_var, [| v 1; v 0 |]) ]
       ~body:[ (var_heap, [| v 0; v 1 |]) ]
       ()

@@ -5,7 +5,6 @@ type term =
 type atom = Relation.t * term array
 
 type t = {
-  rule_name : string;
   rule_n_vars : int;
   rule_heads : atom array;
   rule_body : atom array;
@@ -35,7 +34,7 @@ let bound_by_body body lets n_vars =
   List.iter (fun (v, _) -> bound.(v) <- true) lets;
   bound
 
-let make ?name ~n_vars ~heads ~body ?(neg = []) ?(lets = []) ?(guards = []) () =
+let make ~n_vars ~heads ~body ?(neg = []) ?(lets = []) ?(guards = []) () =
   if n_vars < 0 then invalid_arg "Rule.make: negative n_vars";
   List.iter (check_atom "head" n_vars) heads;
   List.iter (check_atom "body" n_vars) body;
@@ -57,13 +56,8 @@ let make ?name ~n_vars ~heads ~body ?(neg = []) ?(lets = []) ?(guards = []) () =
   in
   List.iter (check_bound "head") heads;
   List.iter (check_bound "negated") neg;
-  let default_name =
-    match heads with
-    | (rel, _) :: _ -> Relation.name rel ^ "<-..."
-    | [] -> invalid_arg "Rule.make: a rule needs at least one head"
-  in
+  if heads = [] then invalid_arg "Rule.make: a rule needs at least one head";
   {
-    rule_name = Option.value ~default:default_name name;
     rule_n_vars = n_vars;
     rule_heads = Array.of_list heads;
     rule_body = Array.of_list body;

@@ -21,7 +21,6 @@ type atom = Relation.t * term array
 type t
 
 val make :
-  ?name:string ->
   n_vars:int ->
   heads:atom list ->
   body:atom list ->

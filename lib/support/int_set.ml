@@ -196,11 +196,6 @@ let of_sorted_array a =
 
 let to_sorted_list t = Array.to_list (to_sorted_array t)
 
-let of_list xs =
-  let t = create ~capacity:(2 * List.length xs) () in
-  List.iter (fun x -> ignore (add t x)) xs;
-  t
-
 let copy t = { slots = Array.copy t.slots; count = t.count; mask = t.mask }
 
 let subset a b = not (exists (fun x -> not (mem b x)) a)

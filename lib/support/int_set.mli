@@ -48,8 +48,6 @@ val of_sorted_array : int array -> t
 val to_sorted_list : t -> int list
 (** [Array.to_list (to_sorted_array t)]. *)
 
-val of_list : int list -> t
-
 val copy : t -> t
 
 val subset : t -> t -> bool

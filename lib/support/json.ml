@@ -24,8 +24,10 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* JSON has no literal for infinities or NaN: they are written as [null]. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.12g" f
 
 let rec emit buf = function

@@ -7,7 +7,7 @@ type t =
   | Null
   | Bool of bool
   | Int of int
-  | Float of float
+  | Float of float  (** written as [null] when not finite: JSON has no literal for it *)
   | Str of string
   | List of t list
   | Obj of (string * t) list

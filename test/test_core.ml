@@ -135,8 +135,8 @@ let test_refine () =
   check (Alcotest.pair Alcotest.int Alcotest.int) "unpack" (123, 456) (Refine.unpack_site key);
   check Alcotest.bool "none refines nothing" false (Refine.refine_object Refine.None_ 0);
   check Alcotest.bool "none sites" false (Refine.refine_site Refine.None_ ~invo:0 ~meth:0);
-  let skip_objects = Int_set.of_list [ 3 ] in
-  let skip_sites = Int_set.of_list [ Refine.pack_site ~invo:1 ~meth:2 ] in
+  let skip_objects = Int_set.of_sorted_array [| 3 |] in
+  let skip_sites = Int_set.of_sorted_array [| Refine.pack_site ~invo:1 ~meth:2 |] in
   let r = Refine.All_except { skip_objects; skip_sites } in
   check Alcotest.bool "skipped object" false (Refine.refine_object r 3);
   check Alcotest.bool "other object" true (Refine.refine_object r 4);

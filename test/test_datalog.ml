@@ -83,9 +83,9 @@ let test_rule_validation () =
 
 let tc_rules edge path =
   [
-    Rule.make ~name:"base" ~n_vars:2 ~heads:[ (path, [| v 0; v 1 |]) ]
+    Rule.make ~n_vars:2 ~heads:[ (path, [| v 0; v 1 |]) ]
       ~body:[ (edge, [| v 0; v 1 |]) ] ();
-    Rule.make ~name:"step" ~n_vars:3 ~heads:[ (path, [| v 0; v 2 |]) ]
+    Rule.make ~n_vars:3 ~heads:[ (path, [| v 0; v 2 |]) ]
       ~body:[ (edge, [| v 0; v 1 |]); (path, [| v 1; v 2 |]) ] ();
   ]
 

@@ -57,8 +57,8 @@ let test_dynarr_conversions () =
   let d = Dynarr.of_list ~dummy:"" [ "a"; "b"; "c" ] in
   check (Alcotest.list Alcotest.string) "to_list" [ "a"; "b"; "c" ] (Dynarr.to_list d);
   check (Alcotest.array Alcotest.string) "to_array" [| "a"; "b"; "c" |] (Dynarr.to_array d);
-  check Alcotest.bool "exists yes" true (Dynarr.exists (String.equal "b") d);
-  check Alcotest.bool "exists no" false (Dynarr.exists (String.equal "z") d)
+  check Alcotest.bool "mem yes" true (List.mem "b" (Dynarr.to_list d));
+  check Alcotest.bool "mem no" false (List.mem "z" (Dynarr.to_list d))
 
 let test_dynarr_prefix () =
   let d = Dynarr.of_list ~dummy:0 [ 1; 2; 3; 4; 5 ] in
@@ -92,6 +92,11 @@ let test_dynarr_prefix_push_during_iter () =
 
 (* ---------- Int_set ---------- *)
 
+let int_set_of xs =
+  let s = Int_set.create () in
+  List.iter (fun x -> ignore (Int_set.add s x)) xs;
+  s
+
 let test_int_set_basic () =
   let s = Int_set.create () in
   check Alcotest.bool "add new" true (Int_set.add s 5);
@@ -116,8 +121,8 @@ let test_int_set_resize () =
   check Alcotest.bool "non-multiple" false (Int_set.mem s 299_998)
 
 let test_int_set_ops () =
-  let a = Int_set.of_list [ 1; 2; 3 ] in
-  let b = Int_set.of_list [ 1; 2; 3; 4 ] in
+  let a = int_set_of [ 1; 2; 3 ] in
+  let b = int_set_of [ 1; 2; 3; 4 ] in
   check Alcotest.bool "subset" true (Int_set.subset a b);
   check Alcotest.bool "not subset" false (Int_set.subset b a);
   check Alcotest.bool "not equal" false (Int_set.equal a b);
@@ -156,8 +161,8 @@ let test_int_set_promotion () =
   check Alcotest.int "fold across reps" 450 (Int_set.fold ( + ) s 0)
 
 let test_int_set_small_rep () =
-  let s = Int_set.of_list [ 5; 1; 3 ] in
-  check Alcotest.bool "of_list small" true (Int_set.is_small s);
+  let s = int_set_of [ 5; 1; 3 ] in
+  check Alcotest.bool "three elements small" true (Int_set.is_small s);
   check (Alcotest.list Alcotest.int) "kept sorted" [ 1; 3; 5 ] (Int_set.to_sorted_list s);
   let c = Int_set.copy s in
   check Alcotest.bool "copy stays small" true (Int_set.is_small c);
@@ -237,11 +242,6 @@ let gen_sort_case =
       let* n = int_range 33 400 in
       let+ xs = list_repeat n wide in
       (1 lsl 40) :: xs)
-
-let int_set_of xs =
-  let s = Int_set.create () in
-  List.iter (fun x -> ignore (Int_set.add s x)) xs;
-  s
 
 let prop_to_sorted_array =
   qtest "to_sorted_array = sort_uniq, every branch" gen_sort_case (fun xs ->
@@ -561,6 +561,30 @@ let test_ascii_table_ragged () =
   let out = Ascii_table.render ~header:[ "x" ] [ [ "1"; "2" ]; [ "3" ] ] in
   check Alcotest.bool "pads ragged rows" true (String.length out > 0)
 
+(* ---------- Json ---------- *)
+
+(* A non-finite float has no JSON literal: the document must still parse,
+   with [null] in its place, while finite floats keep their digits. *)
+let test_json_non_finite () =
+  let module Json = Ipa_support.Json in
+  let doc =
+    Json.Obj
+      [
+        ("inf", Json.Float Float.infinity);
+        ("neg", Json.Float Float.neg_infinity);
+        ("nan", Json.Float Float.nan);
+        ("half", Json.Float 0.5);
+      ]
+  in
+  let text = Json.to_string doc in
+  check Alcotest.string "emitted" {|{"inf":null,"neg":null,"nan":null,"half":0.5}|} text;
+  match Json.of_string text with
+  | Error e -> Alcotest.failf "does not parse back: %s" e
+  | Ok back ->
+    check Alcotest.bool "non-finite read back as null" true
+      (List.for_all (fun k -> Json.member k back = Some Json.Null) [ "inf"; "neg"; "nan" ]);
+    check Alcotest.bool "finite kept" true (Json.member "half" back = Some (Json.Float 0.5))
+
 (* ---------- Timer ---------- *)
 
 let test_timer () =
@@ -630,5 +654,6 @@ let () =
           Alcotest.test_case "render" `Quick test_ascii_table;
           Alcotest.test_case "ragged" `Quick test_ascii_table_ragged;
         ] );
+      ("json", [ Alcotest.test_case "non-finite floats" `Quick test_json_non_finite ]);
       ("timer", [ Alcotest.test_case "time" `Quick test_timer ]);
     ]
