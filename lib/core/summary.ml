@@ -15,11 +15,21 @@ type condensation = { sccs : scc array; scc_of_meth : int array }
    declared callee; a virtual call targets every concrete method the
    signature can dispatch to anywhere in the hierarchy. The solver's
    on-the-fly call graph is a subset, so SCCs here are unions of semantic
-   SCCs — safe for both summary boundaries and dirtiness propagation. *)
+   SCCs — safe for both summary boundaries and dirtiness propagation.
+   Every concrete method of a signature is a dispatch target — its own
+   class resolves the signature to it — so the targets of a signature are
+   its implementations, read per signature instead of walking the whole
+   dispatch table (one entry per class and inherited signature). *)
 let call_targets p =
-  let sig_targets = Array.make (Program.n_sigs p) [] in
-  Program.iter_dispatch p (fun _cls s m ->
-      if not (List.mem m sig_targets.(s)) then sig_targets.(s) <- m :: sig_targets.(s));
+  let sig_targets = Array.make (Program.n_sigs p) None in
+  let impls s =
+    match sig_targets.(s) with
+    | Some ms -> ms
+    | None ->
+      let ms = Program.implementations p s in
+      sig_targets.(s) <- Some ms;
+      ms
+  in
   let targets = Array.make (Program.n_meths p) [] in
   for m = 0 to Program.n_meths p - 1 do
     let acc = ref [] in
@@ -29,7 +39,7 @@ let call_targets p =
         | Call invo -> (
           match (Program.invo_info p invo).call with
           | Static { callee } -> acc := callee :: !acc
-          | Virtual { signature; _ } -> acc := sig_targets.(signature) @ !acc)
+          | Virtual { signature; _ } -> acc := List.rev_append (impls signature) !acc)
         | _ -> ())
       (Program.meth_info p m).body;
     targets.(m) <- List.sort_uniq compare !acc

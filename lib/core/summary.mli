@@ -26,6 +26,11 @@ type condensation = {
   scc_of_meth : int array;
 }
 
+val call_targets : Program.t -> int list array
+(** Per method, its CHA callees, ascending and distinct: the declared
+    callee of every static call, and every concrete implementation
+    ({!Program.implementations}) of every virtual call's signature. *)
+
 val condense : Program.t -> condensation
 
 val dirty_closure : condensation -> int list -> bool array
