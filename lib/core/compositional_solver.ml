@@ -4,6 +4,7 @@ type report = {
   n_sccs : int;
   dirty_sccs : int list;
   fallback : string option;
+  resumed : bool;
   installed_facts : int;
   installed_edges : int;
 }
@@ -11,8 +12,14 @@ type report = {
 let cold_fallback p cfg reason =
   let n_sccs = Array.length (Summary.condense p).sccs in
   ( Solver.run p cfg,
-    { n_sccs; dirty_sccs = []; fallback = Some reason; installed_facts = 0; installed_edges = 0 }
-  )
+    {
+      n_sccs;
+      dirty_sccs = [];
+      fallback = Some reason;
+      resumed = false;
+      installed_facts = 0;
+      installed_edges = 0;
+    } )
 
 let solve_incremental ~base_program ~base_solution p cfg =
   if cfg.Solver.budget > 0 then
@@ -43,18 +50,25 @@ let solve_incremental ~base_program ~base_solution p cfg =
       in
       let dirty = Summary.dirty_closure cond dirty0 in
       let dirty_sccs = List.filter (fun sid -> dirty.(sid)) sids in
-      let defer = Array.make (Program.n_meths p) false in
-      List.iter
-        (fun sid -> Array.iter (fun m -> defer.(m) <- true) cond.sccs.(sid).members)
-        dirty0;
-      match Solver.run_incremental ~seed:{ Solver.base = base_solution; defer } p cfg with
-      | Error reason -> cold_fallback p cfg reason
-      | Ok (sol, installed) ->
-        ( sol,
-          {
-            n_sccs;
-            dirty_sccs;
-            fallback = None;
-            installed_facts = installed.facts;
-            installed_edges = installed.edges;
-          } )
+      let warm ~resumed (installed : Solver.installed) =
+        {
+          n_sccs;
+          dirty_sccs;
+          fallback = None;
+          resumed;
+          installed_facts = installed.facts;
+          installed_edges = installed.edges;
+        }
+      in
+      (* The state behind a warm base resumes when its handle is current;
+         anything else installs the base into fresh state. *)
+      match Solver.resume ~base_program ~changed base_solution p cfg with
+      | Some sol -> (sol, warm ~resumed:true { facts = 0; edges = 0 })
+      | None -> (
+        let defer = Array.make (Program.n_meths p) false in
+        List.iter
+          (fun sid -> Array.iter (fun m -> defer.(m) <- true) cond.sccs.(sid).members)
+          dirty0;
+        match Solver.run_incremental ~seed:{ Solver.base = base_solution; defer } p cfg with
+        | Error reason -> cold_fallback p cfg reason
+        | Ok (sol, installed) -> (sol, warm ~resumed:false installed))

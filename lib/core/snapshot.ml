@@ -334,6 +334,7 @@ let decode_solution r program : Solution.t =
         nodes_merged;
         repropagations_avoided;
       };
+    resume = None;
     collapsed_vpt_cache = None;
     collapsed_fpt_cache = None;
     reachable_meths_cache = None;

@@ -30,6 +30,8 @@ let zero_counters =
     repropagations_avoided = 0;
   }
 
+type handle = ..
+
 type t = {
   program : Program.t;
   ctxs : Ctx.t;
@@ -42,6 +44,7 @@ type t = {
   outcome : outcome;
   derivations : int;
   counters : counters;
+  resume : handle option;
   mutable collapsed_vpt_cache : Int_set.t array option;
   mutable collapsed_fpt_cache : (int, Int_set.t) Hashtbl.t option;
   mutable reachable_meths_cache : Int_set.t option;

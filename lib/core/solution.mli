@@ -37,6 +37,10 @@ type counters = {
 
 val zero_counters : counters
 
+type handle = ..
+(** The live solver state a warm solve leaves behind ({!Solver}); opaque
+    above the solver. *)
+
 type t = {
   program : Ipa_ir.Program.t;
   ctxs : Ctx.t;
@@ -49,6 +53,14 @@ type t = {
   outcome : outcome;
   derivations : int;  (** tuple insertions performed *)
   counters : counters;  (** propagation instrumentation; see {!counters} *)
+  resume : handle option;
+      (** Set on the result of a warm solve ({!Compositional_solver}): the
+          solver state that computed it, which the next warm solve from
+          this solution resumes instead of installing the solution into
+          fresh state. A handle resumes at most once; a copy
+          [{ s with ... }] shares it, and whichever solve claims it first
+          resumes while any other installs. [None] on cold solves and
+          decoded snapshots. *)
   mutable collapsed_vpt_cache : Int_set.t array option;
   mutable collapsed_fpt_cache : (int, Int_set.t) Hashtbl.t option;
   mutable reachable_meths_cache : Int_set.t option;
