@@ -165,10 +165,13 @@ let encode_program w p =
   done;
   id_list (Program.entries p)
 
-let digest_program p =
-  let w = Writer.create ~capacity:4096 () in
-  encode_program w p;
-  Digest.to_hex (Digest.string (Writer.contents w))
+(* Every decode checks the program's digest; a server decodes many
+   snapshots of one program. *)
+let digest_program =
+  Program.memo (fun p ->
+      let w = Writer.create ~capacity:4096 () in
+      encode_program w p;
+      Digest.to_hex (Digest.string (Writer.contents w)))
 
 (* ---------- configuration key ---------- *)
 
@@ -199,8 +202,15 @@ let encode_pair_tbl w tbl =
       Writer.uint w b)
     tbl
 
-let decode_pair_tbl r =
+(* A count of items that take at least a byte each. One beyond the rest of
+   the payload is corrupt, and nothing is sized from it. *)
+let count r what =
   let n = Reader.uint r in
+  if n > Reader.remaining r then corrupt "%s count %d exceeds the payload" what n;
+  n
+
+let decode_pair_tbl r =
+  let n = count r "pair table" in
   let tbl = Pair_tbl.create ~capacity:(max 16 n) () in
   for id = 0 to n - 1 do
     let a = Reader.uint r in
@@ -217,7 +227,7 @@ let encode_ctxs w ctxs =
   done
 
 let decode_ctxs r =
-  let n = Reader.uint r in
+  let n = count r "context" in
   if n < 1 then corrupt "empty context table";
   let t = Ctx.create () in
   for id = 1 to n - 1 do
@@ -285,12 +295,12 @@ let decode_solution r program : Solution.t =
   let var_nodes = decode_pair_tbl r in
   let fld_nodes = decode_pair_tbl r in
   let reach = decode_pair_tbl r in
-  let n_pts = Reader.uint r in
+  let n_pts = count r "points-to slot" in
   let pts = Dynarr.create ~capacity:(max 16 n_pts) ~dummy:None () in
   for _ = 1 to n_pts do
     Dynarr.push pts (Reader.option r Reader.int_set)
   done;
-  let n_cg = Reader.uint r in
+  let n_cg = count r "call-graph word" in
   let cg = Dynarr.create ~capacity:(max 16 n_cg) ~dummy:0 () in
   for _ = 1 to n_cg do
     Dynarr.push cg (Reader.uint r)

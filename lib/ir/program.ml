@@ -216,6 +216,16 @@ let compute_dispatch (classes : class_info array) : (int, meth_id) Hashtbl.t =
 
 let srcloc t = t.srcloc_tbl
 
+let memo f =
+  let last = Atomic.make None in
+  fun p ->
+    match Option.bind (Atomic.get last) (fun e -> Ephemeron.K1.query e p) with
+    | Some v -> v
+    | None ->
+      let v = f p in
+      Atomic.set last (Some (Ephemeron.K1.make p v));
+      v
+
 let make ?srcloc ~classes ~fields ~sigs ~meths ~vars ~heaps ~invos ~entries () =
   let ancestors = compute_ancestors classes in
   let dispatch_tbl = compute_dispatch classes in

@@ -158,6 +158,17 @@ val catch_route : t -> meth_id -> class_id -> int option
     type admits an exception object of class [c], or [None] if the object
     escapes [m]. *)
 
+(** {1 Derived data} *)
+
+val memo : (t -> 'a) -> t -> 'a
+(** [memo f] is [f] with a one-entry memo on the physical program: applied
+    again to the program it last saw, it returns the value computed then
+    instead of calling [f]. For values that depend on the program alone and
+    are only read once built (its digest, name tables). The entry is
+    published through an [Atomic], so domains may share the memoized
+    function; two that miss at once both compute, and the later entry
+    stays. The entry does not keep its program alive. *)
+
 (** {1 Construction} — used by {!Builder}; not for direct consumption. *)
 
 val srcloc : t -> Srcloc.t option

@@ -10,51 +10,47 @@ type names = {
   fields : (string, int list) Hashtbl.t;  (** full and bare names; bare may be ambiguous *)
 }
 
-type t = { sol : Solution.t; mutable names : names option }
+type t = { sol : Solution.t; names : names }
 
-let create sol = { sol; names = None }
+(* The tables depend on the program alone: every snapshot a server loads
+   for its program shares one set. *)
+let program_names =
+  Program.memo (fun p ->
+      let tbl size = Hashtbl.create size in
+      let n =
+        {
+          vars = tbl (Program.n_vars p);
+          heaps = tbl (Program.n_heaps p);
+          meths = tbl (Program.n_meths p);
+          invos = tbl (Program.n_invos p);
+          fields = tbl (Program.n_fields p);
+        }
+      in
+      for v = 0 to Program.n_vars p - 1 do
+        Hashtbl.replace n.vars (Program.var_full_name p v) v
+      done;
+      for h = 0 to Program.n_heaps p - 1 do
+        Hashtbl.replace n.heaps (Program.heap_full_name p h) h
+      done;
+      for m = 0 to Program.n_meths p - 1 do
+        Hashtbl.replace n.meths (Program.meth_full_name p m) m
+      done;
+      for i = 0 to Program.n_invos p - 1 do
+        Hashtbl.replace n.invos (Program.invo_info p i).invo_name i
+      done;
+      let add_field key f =
+        Hashtbl.replace n.fields key (f :: (try Hashtbl.find n.fields key with Not_found -> []))
+      in
+      for f = 0 to Program.n_fields p - 1 do
+        add_field (Program.field_full_name p f) f;
+        add_field (Program.field_info p f).field_name f
+      done;
+      n)
+
+let create sol = { sol; names = program_names sol.Solution.program }
 let solution t = t.sol
 
-let names t =
-  match t.names with
-  | Some n -> n
-  | None ->
-    let p = t.sol.Solution.program in
-    let tbl size = Hashtbl.create size in
-    let n =
-      {
-        vars = tbl (Program.n_vars p);
-        heaps = tbl (Program.n_heaps p);
-        meths = tbl (Program.n_meths p);
-        invos = tbl (Program.n_invos p);
-        fields = tbl (Program.n_fields p);
-      }
-    in
-    for v = 0 to Program.n_vars p - 1 do
-      Hashtbl.replace n.vars (Program.var_full_name p v) v
-    done;
-    for h = 0 to Program.n_heaps p - 1 do
-      Hashtbl.replace n.heaps (Program.heap_full_name p h) h
-    done;
-    for m = 0 to Program.n_meths p - 1 do
-      Hashtbl.replace n.meths (Program.meth_full_name p m) m
-    done;
-    for i = 0 to Program.n_invos p - 1 do
-      Hashtbl.replace n.invos (Program.invo_info p i).invo_name i
-    done;
-    let add_field key f =
-      Hashtbl.replace n.fields key (f :: (try Hashtbl.find n.fields key with Not_found -> []))
-    in
-    for f = 0 to Program.n_fields p - 1 do
-      add_field (Program.field_full_name p f) f;
-      add_field (Program.field_info p f).field_name f
-    done;
-    t.names <- Some n;
-    n
-
-let warm t =
-  ignore (names t);
-  Solution.warm_indexes t.sol
+let warm t = Solution.warm_indexes t.sol
 
 type answer =
   | Names of { kind : string; items : string list }
@@ -72,7 +68,7 @@ let resolve what tbl name =
   | None -> Error (Printf.sprintf "unknown %s %S" what name)
 
 let resolve_field t name =
-  match Hashtbl.find_opt (names t).fields name with
+  match Hashtbl.find_opt t.names.fields name with
   | Some [ f ] -> Ok f
   | Some (_ :: _ :: _ as fs) ->
     Error
@@ -89,7 +85,7 @@ let sorted_names of_id set = List.sort compare (Int_set.fold (fun id acc -> of_i
 let eval t (q : Query.t) : (answer, string) result =
   let s = t.sol in
   let p = s.Solution.program in
-  let nm = names t in
+  let nm = t.names in
   let var = resolve "variable" nm.vars in
   let heap = resolve "allocation site" nm.heaps in
   let meth = resolve "method" nm.meths in

@@ -1,7 +1,8 @@
 (** Evaluation of {!Query} forms over one loaded {!Ipa_core.Solution}.
 
-    An engine wraps a solution with lazily built name-lookup tables
-    (entity full name → id); relation lookups go through the solution's
+    An engine wraps a solution with name-lookup tables (entity full name →
+    id), built once per program and shared by every engine over a solution
+    of that program; relation lookups go through the solution's
     cached collapsed projections and reverse indexes
     ({!Ipa_core.Solution.inverted_var_pts}, [callee_meths], ...), so the
     first query of each kind pays the index build and later ones are
@@ -16,8 +17,8 @@ val create : Ipa_core.Solution.t -> t
 val solution : t -> Ipa_core.Solution.t
 
 val warm : t -> unit
-(** Force the name tables and every lazy solution index. Required before
-    sharing the engine across domains. *)
+(** Force every lazy solution index. Required before sharing the engine
+    across domains. *)
 
 (** A successful answer. All name lists are sorted (and, where they came
     from sets, duplicate-free), so answers are canonical: sequential and

@@ -67,11 +67,13 @@ module Writer = struct
 end
 
 module Reader = struct
-  type t = { src : string; mutable pos : int }
+  (* [scratch] holds the elements of the set being decoded; it grows to the
+     largest set the reader has met and is reused for every later one. *)
+  type t = { src : string; mutable pos : int; mutable scratch : int array }
 
   let of_string ?(pos = 0) src =
     if pos < 0 || pos > String.length src then invalid_arg "Codec.Reader.of_string";
-    { src; pos }
+    { src; pos; scratch = [||] }
 
   let remaining t = String.length t.src - t.pos
 
@@ -95,17 +97,34 @@ module Reader = struct
     let got = raw t (String.length s) in
     if got <> s then corrupt "expected %S, found %S" s got
 
+  (* The varint at the cursor as a 63-bit pattern: a ninth byte may set the
+     sign bit, which only the zigzag [int] wants. *)
+  let uint_bits t =
+    let src = t.src in
+    let len = String.length src in
+    let pos = ref t.pos in
+    let acc = ref 0 in
+    let shift = ref 0 in
+    let more = ref true in
+    while !more do
+      if !pos >= len then corrupt "truncated varint";
+      if !shift >= Sys.int_size then corrupt "varint too long";
+      let b = Char.code (String.unsafe_get src !pos) in
+      incr pos;
+      acc := !acc lor ((b land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      more := b >= 0x80
+    done;
+    t.pos <- !pos;
+    !acc
+
   let uint t =
-    let rec go shift acc =
-      if shift >= Sys.int_size then corrupt "varint too long";
-      let b = u8 t in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
+    let v = uint_bits t in
+    if v < 0 then corrupt "varint past max_int";
+    v
 
   let int t =
-    let z = uint t in
+    let z = uint_bits t in
     (z lsr 1) lxor (-(z land 1))
 
   let bool t =
@@ -129,17 +148,24 @@ module Reader = struct
     if n > remaining t then corrupt "int array longer than input";
     Array.init n (fun _ -> uint t)
 
+  (* One pass: the gaps are decoded straight into [scratch], a zero gap
+     past the first element is a duplicate, and the set's table is filled
+     once from the ascending elements. *)
   let int_set t =
     let n = uint t in
     if n > remaining t then corrupt "int set longer than input";
-    let s = Int_set.create ~capacity:n () in
+    if Array.length t.scratch < n then t.scratch <- Array.make (max n (2 * Array.length t.scratch)) 0;
+    let buf = t.scratch in
     let prev = ref 0 in
     for i = 0 to n - 1 do
-      let v = if i = 0 then uint t else !prev + uint t in
-      prev := v;
-      if not (Int_set.add s v) then corrupt "duplicate set element %d" v
+      let gap = uint_bits t in
+      let v = !prev + gap in
+      if gap < 0 || v < 0 then corrupt "set element past max_int";
+      if gap = 0 && i > 0 then corrupt "duplicate set element %d" v;
+      Array.unsafe_set buf i v;
+      prev := v
     done;
-    s
+    Int_set.of_sorted_sub buf ~pos:0 ~len:n
 
   let option t f = if bool t then Some (f t) else None
 end

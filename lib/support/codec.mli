@@ -91,8 +91,13 @@ module Reader : sig
       [s] — for magic numbers and trailers. *)
 
   val uint : t -> int
+  (** A varint that must fit a non-negative OCaml int: one whose ninth
+      byte sets the sign bit is {!Corrupt}, as is a varint longer than nine
+      bytes. Lengths, {!int_array} elements and {!int_set} gaps are read
+      this way. *)
 
   val int : t -> int
+  (** Zigzag-then-varint, all 63 bits. *)
 
   val bool : t -> bool
 
@@ -103,6 +108,10 @@ module Reader : sig
   val int_array : t -> int array
 
   val int_set : t -> Int_set.t
+  (** One pass over the gaps into a scratch buffer the reader reuses, then
+      one fill of the set's table ({!Int_set.of_sorted_sub}). A zero gap
+      after the first element, or elements past [max_int], are
+      {!Corrupt}. *)
 
   val option : t -> (t -> 'a) -> 'a option
 end

@@ -65,11 +65,11 @@ let mem t x =
   end
 
 let unsafe_insert slots mask x =
-  let rec probe i =
-    if slots.(i) = empty_slot then slots.(i) <- x
-    else probe ((i + 1) land mask)
-  in
-  probe (hash x land mask)
+  let i = ref (hash x land mask) in
+  while slots.(!i) <> empty_slot do
+    i := (!i + 1) land mask
+  done;
+  slots.(!i) <- x
 
 let resize t =
   let old = t.slots in
@@ -135,11 +135,16 @@ let add t x =
   else hash_add t x
 
 let iter f t =
+  let slots = t.slots in
   if t.mask < 0 then
     for i = 0 to t.count - 1 do
-      f t.slots.(i)
+      f slots.(i)
     done
-  else Array.iter (fun v -> if v <> empty_slot then f v) t.slots
+  else
+    for i = 0 to Array.length slots - 1 do
+      let v = slots.(i) in
+      if v <> empty_slot then f v
+    done
 
 let fold f t acc =
   if t.mask < 0 then begin
@@ -150,8 +155,12 @@ let fold f t acc =
     !acc
   end
   else begin
+    let slots = t.slots in
     let acc = ref acc in
-    Array.iter (fun v -> if v <> empty_slot then acc := f v !acc) t.slots;
+    for i = 0 to Array.length slots - 1 do
+      let v = slots.(i) in
+      if v <> empty_slot then acc := f v !acc
+    done;
     !acc
   end
 
@@ -182,17 +191,43 @@ let to_sorted_array t =
     Int_sort.sort_distinct out
   end
 
+let check_sorted fn a pos len =
+  if pos < 0 || len < 0 || pos > Array.length a - len then invalid_arg ("Int_set." ^ fn);
+  for i = pos to pos + len - 1 do
+    if a.(i) < 0 || (i > pos && a.(i) <= a.(i - 1)) then
+      invalid_arg ("Int_set." ^ fn ^ ": not strictly ascending and non-negative")
+  done
+
+(* Lays the [len] ascending elements of [a] from [pos] on into the empty
+   set [t]. *)
+let fill t a pos len =
+  if t.mask < 0 then Array.blit a pos t.slots 0 len
+  else
+    for i = pos to pos + len - 1 do
+      unsafe_insert t.slots t.mask a.(i)
+    done;
+  t.count <- len;
+  t
+
 let of_sorted_array a =
   let n = Array.length a in
-  for i = 0 to n - 1 do
-    if a.(i) < 0 || (i > 0 && a.(i) <= a.(i - 1)) then
-      invalid_arg "Int_set.of_sorted_array: not strictly ascending and non-negative"
-  done;
-  let t = create ~capacity:(2 * n) () in
-  if t.mask < 0 then Array.blit a 0 t.slots 0 n
-  else Array.iter (fun x -> unsafe_insert t.slots t.mask x) a;
-  t.count <- n;
-  t
+  check_sorted "of_sorted_array" a 0 n;
+  fill (create ~capacity:(2 * n) ()) a 0 n
+
+(* The table one-by-one [add]s of [len] elements end with: inline up to
+   [small_capacity], else the smallest power of two from 16 on that keeps
+   the load factor at most 0.7. *)
+let of_sorted_sub a ~pos ~len =
+  check_sorted "of_sorted_sub" a pos len;
+  let t =
+    if len <= small_capacity then create ()
+    else begin
+      let rec grow cap = if 10 * len <= 7 * cap then cap else grow (2 * cap) in
+      let cap = grow 16 in
+      { slots = Array.make cap empty_slot; count = 0; mask = cap - 1 }
+    end
+  in
+  fill t a pos len
 
 let to_sorted_list t = Array.to_list (to_sorted_array t)
 

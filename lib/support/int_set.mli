@@ -45,6 +45,17 @@ val of_sorted_array : int array -> t
     built this way from the same elements iterate alike. The solver builds
     every set of a materialized solution this way. *)
 
+val of_sorted_sub : int array -> pos:int -> len:int -> t
+(** [of_sorted_sub a ~pos ~len] is the set of [a.(pos)] .. [a.(pos + len - 1)],
+    which must be strictly ascending and non-negative ([Invalid_argument]
+    otherwise, or when the range is not within [a]). Its table has the
+    size adding the elements one by one would leave ([len] up to 8 inline,
+    else the smallest power of two from 16 on holding them at a load
+    factor of at most 0.7), not {!of_sorted_array}'s doubled one, and is
+    filled once. Like {!of_sorted_array}, its layout is a function of the
+    elements alone. Decoded snapshot sets and the collapsed projections of
+    a solution are built this way. *)
+
 val to_sorted_list : t -> int list
 (** [Array.to_list (to_sorted_array t)]. *)
 

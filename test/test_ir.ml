@@ -159,6 +159,22 @@ let test_names () =
   check Alcotest.bool "heap name" true (contains (P.heap_full_name p 0) "new");
   check Alcotest.bool "var name" true (contains (P.var_full_name p 0) "$")
 
+(* The memo computes once per physical program, and a structurally equal
+   program that is another value is another entry. *)
+let test_memo () =
+  let calls = ref 0 in
+  let f = P.memo (fun p -> incr calls; P.n_vars p) in
+  let a = Ipa_testlib.parse_exn Ipa_testlib.boxes_src in
+  let b = Ipa_testlib.random_program 7 in
+  check Alcotest.int "first" (P.n_vars a) (f a);
+  check Alcotest.int "again" (P.n_vars a) (f a);
+  check Alcotest.int "one call" 1 !calls;
+  check Alcotest.int "other program" (P.n_vars b) (f b);
+  check Alcotest.int "back" (P.n_vars a) (f a);
+  check Alcotest.int "one entry" 3 !calls;
+  ignore (f (Ipa_testlib.parse_exn Ipa_testlib.boxes_src));
+  check Alcotest.int "equal, not the same" 4 !calls
+
 (* ---------- Wf violations (via handcrafted Program.make) ---------- *)
 
 let base_sig : P.sig_info = { sig_name = "m"; arity = 0 }
@@ -391,6 +407,7 @@ let () =
           Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
         ] );
       ("names", [ Alcotest.test_case "full names" `Quick test_names ]);
+      ("memo", [ Alcotest.test_case "one entry per physical program" `Quick test_memo ]);
       ( "wf",
         [
           Alcotest.test_case "well-formed ok" `Quick test_wf_ok;
