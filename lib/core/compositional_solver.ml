@@ -29,6 +29,11 @@ let solve_incremental ~base_program ~base_solution p cfg =
     cold_fallback p cfg "budgeted"
   else if base_solution.Solution.outcome <> Solution.Complete then
     cold_fallback p cfg "partial baseline"
+  else if not (Solver.solved_under base_solution cfg) then
+    (* Another configuration's fixpoint is no fixpoint of this one, and
+       installing it would find that out only where the edit does not
+       reach. *)
+    cold_fallback p cfg "baseline of another configuration"
   else
     match Summary.delta ~old_p:base_program ~new_p:p with
     | None ->

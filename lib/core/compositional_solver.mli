@@ -12,8 +12,9 @@
     defers only the dirty components' bodies. Either way the warm
     derivation count measures the edit, not the program. When the edit is
     not a monotone extension, the config is budgeted, the baseline
-    incomplete, or installing finds the baseline stale, it falls back to a
-    cold {!Solver.run} and says so in the report. *)
+    incomplete or solved under another configuration, or installing finds
+    the baseline stale, it falls back to a cold {!Solver.run} and says so
+    in the report. *)
 
 type report = {
   n_sccs : int;  (** components in the condensation of the solved program *)
@@ -44,7 +45,8 @@ val solve_incremental :
     and derivation count; [Solution.derivations] counts only edit-enabled
     work. The result carries a resume handle ({!Solution.resume}) for the
     next warm solve from it. Falls back to {!Solver.run} — reporting [fallback = Some reason] —
-    when [cfg] is budgeted, the baseline is not [Complete], the edit is
+    when [cfg] is budgeted, the baseline is not [Complete], the baseline
+    does not record [cfg]'s digest ({!Solver.solved_under}: solved under
+    another configuration, or decoded without naming one), the edit is
     not a monotone extension ({!Summary.delta}), or installing derives
-    something the baseline lacks (a baseline solved under another
-    configuration, say). *)
+    something the baseline lacks. *)

@@ -180,16 +180,7 @@ let config_key ~program_digest (c : Solver.config) =
   Writer.raw w "IPAK";
   Writer.uint w version;
   Writer.string w program_digest;
-  Writer.string w c.default_strategy.Strategy.name;
-  Writer.string w c.refined_strategy.Strategy.name;
-  (match c.refine with
-  | Refine.None_ -> Writer.u8 w 0
-  | Refine.All_except { skip_objects; skip_sites } ->
-    Writer.u8 w 1;
-    Writer.int_set w skip_objects;
-    Writer.int_set w skip_sites);
-  Writer.uint w c.budget;
-  Writer.bool w c.field_sensitive;
+  Solver.write_config w c;
   Digest.to_hex (Digest.string (Writer.contents w))
 
 (* ---------- solution ---------- *)
@@ -236,8 +227,9 @@ let decode_ctxs r =
   done;
   t
 
-(* Sets by physical identity: the members of a collapsed copy cycle share
-   their representative's set object (see [Solver.materialize]). *)
+(* Sets by physical identity: slots with equal contents share one set
+   object, in a solved solution (see [Solver.materialize]) and in a
+   decoded one. *)
 module Phys_tbl = Hashtbl.Make (struct
   type t = Int_set.t
 
@@ -248,7 +240,7 @@ end)
 (* Each slot is written as [Writer.option w Writer.int_set] would write it.
    A hashed set is sorted and encoded at its first slot only; every later
    slot holding the same object repeats those bytes. Small sets are cheap
-   to encode and often equal without being shared, so they skip the memo. *)
+   to encode, so they skip the memo. *)
 let encode_pts w pts =
   let seen = Phys_tbl.create 64 in
   Writer.uint w (Dynarr.length pts);
@@ -289,7 +281,7 @@ let encode_solution w (s : Solution.t) =
   Writer.uint w c.nodes_merged;
   Writer.uint w c.repropagations_avoided
 
-let decode_solution r program : Solution.t =
+let decode_solution r program config : Solution.t =
   let ctxs = decode_ctxs r in
   let objs = decode_pair_tbl r in
   let var_nodes = decode_pair_tbl r in
@@ -323,6 +315,7 @@ let decode_solution r program : Solution.t =
   let repropagations_avoided = Reader.uint r in
   {
     Solution.program;
+    config;
     ctxs;
     objs;
     var_nodes;
@@ -454,7 +447,7 @@ let checked_payload bytes =
     | result -> result
     | exception Codec.Corrupt _ -> Error Truncated
 
-let decode ~program ?expect_key bytes =
+let decode ~program ?config ?expect_key bytes =
   match checked_payload bytes with
   | Error e -> Error e
   | Ok payload -> (
@@ -463,15 +456,19 @@ let decode ~program ?expect_key bytes =
       let key = Reader.string r in
       let program_digest = Reader.string r in
       let expected_digest = digest_program program in
+      let expected_keys =
+        Option.to_list expect_key
+        @ Option.to_list (Option.map (config_key ~program_digest:expected_digest) config)
+      in
       if program_digest <> expected_digest then
         Error (Program_mismatch { found = program_digest; expected = expected_digest })
       else
-        match expect_key with
-        | Some ek when ek <> key -> Error (Key_mismatch { found = key; expected = ek })
-        | _ ->
+        match List.find_opt (( <> ) key) expected_keys with
+        | Some ek -> Error (Key_mismatch { found = key; expected = ek })
+        | None ->
           let label = Reader.string r in
           let seconds = Reader.float r in
-          let solution = decode_solution r program in
+          let solution = decode_solution r program (Option.map Solver.config_digest config) in
           let metrics = Reader.option r decode_metrics in
           Reader.expect r trailer;
           if not (Reader.at_end r) then Error (Malformed "unconsumed payload bytes")

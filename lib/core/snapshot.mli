@@ -80,11 +80,22 @@ val error_to_string : error -> string
 val encode : t -> string
 
 val decode :
-  program:Ipa_ir.Program.t -> ?expect_key:string -> string -> (t, error) result
+  program:Ipa_ir.Program.t ->
+  ?config:Solver.config ->
+  ?expect_key:string ->
+  string ->
+  (t, error) result
 (** Reconstructs the solution against [program] (which must digest to the
-    stored program digest). All lazy caches of the returned solution start
-    empty; everything else — including counters and derivation counts — is
-    content-identical to the encoded solution. *)
+    stored program digest). The stored key must equal [expect_key] and,
+    given [config], [config]'s {!config_key} ({!Key_mismatch} otherwise).
+    The payload does not hold the configuration itself, so the decoded
+    solution records one ({!Solution.config}) only when [config] names
+    it; a warm solve refuses a baseline that records none. All lazy caches
+    of the returned solution start empty; everything else — including
+    counters and derivation counts — is content-identical to the encoded
+    solution. Slots whose sets encode to the same bytes share one set
+    object (equal sets encode alike), which is read-only like every set
+    of a solution. *)
 
 (** Header-plus-prefix inspection, for cache listings: validates magic,
     version, and checksum, then reads the identifying fields without

@@ -35,6 +35,7 @@ type handle = ..
 
 type t = {
   program : Program.t;
+  config : string option;
   ctxs : Ctx.t;
   objs : Pair_tbl.t;
   var_nodes : Pair_tbl.t;
@@ -144,7 +145,12 @@ let var_nodes_by_var t =
 
 (* Per variable, its var nodes' objects are collapsed to heaps, each heap
    kept once by stamping it with the variable, sorted, and laid out in one
-   fill: no tuple is hashed. *)
+   fill: no tuple is hashed. Nodes of one variable often hold the very
+   same set object (equal sets are one object): each of the first
+   [fold_memo] objects a variable meets is folded once, later ones
+   (rare) every time they occur. *)
+let fold_memo = 16
+
 let collapsed_var_pts t =
   match t.collapsed_vpt_cache with
   | Some a -> a
@@ -165,8 +171,16 @@ let collapsed_var_pts t =
               incr k
             end
           in
+          let folded = ref [] and n_folded = ref 0 in
           for i = start.(v) to start.(v + 1) - 1 do
-            iter_node_objs t (Node.of_var_node order.(i)) mark
+            match node_pts t (Node.of_var_node order.(i)) with
+            | Some s when not (List.memq s !folded) ->
+              if !n_folded < fold_memo then begin
+                folded := s :: !folded;
+                incr n_folded
+              end;
+              Int_set.iter mark s
+            | _ -> ()
           done;
           let heaps = Int_sort.sort_distinct (Array.sub buf 0 !k) in
           Int_set.of_sorted_sub heaps ~pos:0 ~len:!k)

@@ -43,11 +43,18 @@ type handle = ..
 
 type t = {
   program : Ipa_ir.Program.t;
+  config : string option;
+      (** The digest of the configuration that solved it
+          ({!Solver.config_digest}), which a warm solve from it must match.
+          [None] on a snapshot decoded without naming its configuration. *)
   ctxs : Ctx.t;
   objs : Pair_tbl.t;  (** (heap, hctx) pairs, id = "object" *)
   var_nodes : Pair_tbl.t;  (** (var, ctx) pairs *)
   fld_nodes : Pair_tbl.t;  (** (object, field) pairs *)
-  pts : Int_set.t option Dynarr.t;  (** node id -> objects; see {!Node} *)
+  pts : Int_set.t option Dynarr.t;
+      (** node id -> objects; see {!Node}. Slots with equal sets mostly
+          hold one set object (the solver and the snapshot decoder share
+          them), so never mutate one. *)
   reach : Pair_tbl.t;  (** (meth, ctx) pairs, all reachable *)
   cg : int Dynarr.t;  (** call-graph edges, 4 ints each: invo, callerCtx, meth, calleeCtx *)
   outcome : outcome;

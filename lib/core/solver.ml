@@ -4,6 +4,7 @@ module Pair_tbl = Ipa_support.Pair_tbl
 module Dynarr = Ipa_support.Dynarr
 module Union_find = Ipa_support.Union_find
 module Int_heap = Ipa_support.Int_heap
+module Writer = Ipa_support.Codec.Writer
 module Program = Ipa_ir.Program
 module Node = Solution.Node
 
@@ -23,6 +24,28 @@ let plain _p ?(budget = 0) strategy =
     budget;
     field_sensitive = true;
   }
+
+(* Everything of a configuration that decides a solve's result, in the
+   form the snapshot layer's configuration key also digests (with the
+   format version and the program's digest before it). *)
+let write_config w c =
+  Writer.string w c.default_strategy.Strategy.name;
+  Writer.string w c.refined_strategy.Strategy.name;
+  (match c.refine with
+  | Refine.None_ -> Writer.u8 w 0
+  | Refine.All_except { skip_objects; skip_sites } ->
+    Writer.u8 w 1;
+    Writer.int_set w skip_objects;
+    Writer.int_set w skip_sites);
+  Writer.uint w c.budget;
+  Writer.bool w c.field_sensitive
+
+let config_digest c =
+  let w = Writer.create () in
+  write_config w c;
+  Digest.to_hex (Digest.string (Writer.contents w))
+
+let solved_under (s : Solution.t) c = s.config = Some (config_digest c)
 
 exception Out_of_budget
 
@@ -1059,7 +1082,8 @@ let restore st =
    are a pure function of the semantic fixpoint, independent of
    propagation order, of which nodes were merged and of whether the solve
    started warm. Only which slots share one set object follows the merged
-   classes; no output depends on it. *)
+   classes, the contents and what a warm solve borrowed; no output depends
+   on it. *)
 
 let cmp_int_arrays a b =
   let la = Array.length a and lb = Array.length b in
@@ -1073,6 +1097,24 @@ let cmp_int_arrays a b =
     in
     go 0
   end
+
+(* Sorted element arrays by content. [Hashtbl.hash] would read only the
+   first ten elements, so the hash reads them all. *)
+module Content_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b =
+    let n = Array.length a in
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    n = Array.length b && go 0
+
+  let hash (a : t) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x100000001b3
+    done;
+    !h land max_int
+end)
 
 let materialize ?gen st outcome ~set_promotions =
   (* Contexts first: every other table's canonical key depends on them. The
@@ -1125,8 +1167,10 @@ let materialize ?gen st outcome ~set_promotions =
   in
   (* Expand representatives: every original node gets the (renumbered)
      points-to set of its representative. Sets are shared within a merged
-     class — the solution is read-only above the solver. Slots are written
-     sparsely, so the array length is max populated slot + 1: canonical.
+     class and between equal contents — the solution is read-only above
+     the solver, and a state that borrows a set copies it before its
+     first insertion. Slots are written sparsely, so the array length is
+     max populated slot + 1: canonical.
      A set is built by [Int_set.of_sorted_array] from its renumbered
      elements, so its layout is canonical too. A warm solve hands a set
      it still borrows back as it is when the renumbering keeps every
@@ -1143,14 +1187,18 @@ let materialize ?gen st outcome ~set_promotions =
   in
   let n_old = Dynarr.length st.pts in
   let remapped = Array.make (max 1 n_old) None in
+  (* Every set built afresh is looked up by its content first, so the
+     solution holds one object per distinct content (among the fresh
+     ones): far fewer than slots under context sensitivity. *)
+  let built = Content_tbl.create 256 in
   (* The remapped set of representative [rep], as the option that both
      the solution's slots and a kept state hold. *)
   let remap_set rep s =
     match remapped.(rep) with
     | Some _ as some -> some
     | None ->
-      let s' =
-        if Dynarr.get st.borrowed rep && unmoved s then s
+      let some =
+        if Dynarr.get st.borrowed rep && unmoved s then Some s
         else begin
           let elems = Array.make (Int_set.cardinal s) 0 in
           let k = ref 0 in
@@ -1159,10 +1207,15 @@ let materialize ?gen st outcome ~set_promotions =
               elems.(!k) <- obj_map.(o);
               incr k)
             s;
-          Int_set.of_sorted_array (Int_sort.sort_distinct elems)
+          let elems = Int_sort.sort_distinct elems in
+          match Content_tbl.find_opt built elems with
+          | Some some -> some
+          | None ->
+            let some = Some (Int_set.of_sorted_array elems) in
+            Content_tbl.add built elems some;
+            some
         end
       in
-      let some = Some s' in
       remapped.(rep) <- some;
       some
   in
@@ -1226,6 +1279,7 @@ let materialize ?gen st outcome ~set_promotions =
   end;
   {
     Solution.program = st.p;
+    config = Some (config_digest st.cfg);
     ctxs = ctxs';
     objs = objs';
     var_nodes = var_nodes';
@@ -1420,18 +1474,6 @@ let run_incremental ~seed p cfg =
    method that gained a return variable; new entry points are made
    reachable as in every solve. *)
 
-let same_config (a : config) (b : config) =
-  let same_refine =
-    match (a.refine, b.refine) with
-    | Refine.None_, Refine.None_ -> true
-    | All_except x, All_except y ->
-      Int_set.equal x.skip_objects y.skip_objects && Int_set.equal x.skip_sites y.skip_sites
-    | _ -> false
-  in
-  a.default_strategy.name = b.default_strategy.name
-  && a.refined_strategy.name = b.refined_strategy.name
-  && same_refine && a.field_sensitive = b.field_sensitive && a.budget = 0 && b.budget = 0
-
 let resume_state st ~gen ~changed p cfg =
   let old_p = st.p in
   let n_old_meths = Program.n_meths old_p in
@@ -1519,7 +1561,7 @@ let resume_state st ~gen ~changed p cfg =
 let resume ~base_program ~changed (base : Solution.t) p cfg =
   match base.resume with
   | Some (Live { st; gen })
-    when st.p == base_program && same_config st.cfg cfg
+    when st.p == base_program && cfg.budget = 0 && solved_under base cfg
          && Atomic.compare_and_set st.generation gen claimed ->
     Some (resume_state st ~gen ~changed p cfg)
   | _ -> None

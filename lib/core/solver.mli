@@ -47,6 +47,19 @@ val plain : Ipa_ir.Program.t -> ?budget:int -> Strategy.t -> config
 (** A non-introspective configuration: [strategy] everywhere, empty refine
     sets, field-sensitive. *)
 
+val write_config : Ipa_support.Codec.Writer.t -> config -> unit
+(** The canonical encoding of everything in [config] that decides a
+    solve's result: both strategy names, the refine sets (sorted), the
+    budget and field sensitivity. *)
+
+val config_digest : config -> string
+(** MD5 (hex) of {!write_config}'s bytes: the identity of a configuration
+    that every solution records ({!Solution.config}). *)
+
+val solved_under : Solution.t -> config -> bool
+(** Whether the solution records [config]'s digest: the check a warm
+    solve makes before it installs or resumes a baseline. *)
+
 val run : Ipa_ir.Program.t -> config -> Solution.t
 (** Run to fixpoint (or budget exhaustion) from the program's entry points.
     The result carries no resume handle: no solver state outlives it. *)
@@ -109,9 +122,8 @@ val resume :
 
     [None] — nothing happened, install instead — when [base] carries no
     handle, or [base_program] is not (physically) the program it was
-    solved on, or [cfg] differs from its config (strategies compared by
-    name, refine sets by content, field sensitivity, both unbudgeted), or
-    the handle is stale. A handle resumes at most once: the first resume
+    solved on, or [cfg] is budgeted or not the configuration [base] was
+    solved under ({!solved_under}), or the handle is stale. A handle resumes at most once: the first resume
     claims it with an atomic generation check, so a second warm solve from
     the same base — or from a copy [{ base with ... }], or on another
     domain at the same time — gets [None]. A state whose resume raised

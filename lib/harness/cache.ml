@@ -314,7 +314,7 @@ let metrics_of ~label (snap : Snapshot.t) =
 let solve t p ~label config =
   let program_digest = Snapshot.digest_program p in
   let key = Snapshot.config_key ~program_digest config in
-  let decode bytes = Snapshot.decode ~program:p ~expect_key:key bytes in
+  let decode bytes = Snapshot.decode ~program:p ~config bytes in
   let from_mem () =
     match mem_find t key with
     | None -> None

@@ -66,14 +66,29 @@ module Writer = struct
   let contents t = Buffer.contents t
 end
 
+(* Decoded sets by their encoded bytes, for one reader: byte-range hash to
+   the ranges with that hash, each with the set it decoded to. *)
+module Hash_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash h = h
+end)
+
 module Reader = struct
   (* [scratch] holds the elements of the set being decoded; it grows to the
-     largest set the reader has met and is reused for every later one. *)
-  type t = { src : string; mutable pos : int; mutable scratch : int array }
+     largest set the reader has met and is reused for every later one.
+     [memo] holds every set the reader has decoded, by its bytes. *)
+  type t = {
+    src : string;
+    mutable pos : int;
+    mutable scratch : int array;
+    memo : (int * int * Int_set.t) list Hash_tbl.t;
+  }
 
   let of_string ?(pos = 0) src =
     if pos < 0 || pos > String.length src then invalid_arg "Codec.Reader.of_string";
-    { src; pos; scratch = [||] }
+    { src; pos; scratch = [||]; memo = Hash_tbl.create 64 }
 
   let remaining t = String.length t.src - t.pos
 
@@ -148,12 +163,28 @@ module Reader = struct
     if n > remaining t then corrupt "int array longer than input";
     Array.init n (fun _ -> uint t)
 
+  (* The end of the [n] varints from [pos] on and a hash of their bytes;
+     [None] when the input ends first. *)
+  let scan_varints src ~pos n =
+    let len = String.length src in
+    let h = ref 0 and pos = ref pos and left = ref n in
+    while !left > 0 && !pos < len do
+      let b = Char.code (String.unsafe_get src !pos) in
+      h := (!h lxor b) * 0x100000001b3;
+      if b < 0x80 then decr left;
+      incr pos
+    done;
+    if !left > 0 then None else Some (!pos, !h land max_int)
+
+  let rec same_bytes src a b len =
+    len = 0
+    || String.unsafe_get src a = String.unsafe_get src b
+       && same_bytes src (a + 1) (b + 1) (len - 1)
+
   (* One pass: the gaps are decoded straight into [scratch], a zero gap
      past the first element is a duplicate, and the set's table is filled
      once from the ascending elements. *)
-  let int_set t =
-    let n = uint t in
-    if n > remaining t then corrupt "int set longer than input";
+  let decode_set t n =
     if Array.length t.scratch < n then t.scratch <- Array.make (max n (2 * Array.length t.scratch)) 0;
     let buf = t.scratch in
     let prev = ref 0 in
@@ -166,6 +197,30 @@ module Reader = struct
       prev := v
     done;
     Int_set.of_sorted_sub buf ~pos:0 ~len:n
+
+  (* Canonical encoding makes equal sets equal bytes, so a set is looked up
+     by the bytes of its count and gaps before it is decoded, and a range
+     met before returns the set it decoded to. Only a set that decoded
+     whole is remembered. *)
+  let int_set t =
+    let start = t.pos in
+    let n = uint t in
+    if n > remaining t then corrupt "int set longer than input";
+    match scan_varints t.src ~pos:start (n + 1) with
+    | None -> decode_set t n
+    | Some (stop, h) -> (
+      let len = stop - start in
+      let ranges = Option.value ~default:[] (Hash_tbl.find_opt t.memo h) in
+      match
+        List.find_opt (fun (a, l, _) -> l = len && same_bytes t.src a start len) ranges
+      with
+      | Some (_, _, set) ->
+        t.pos <- stop;
+        set
+      | None ->
+        let set = decode_set t n in
+        Hash_tbl.replace t.memo h ((start, len, set) :: ranges);
+        set)
 
   let option t f = if bool t then Some (f t) else None
 end

@@ -111,7 +111,10 @@ module Reader : sig
   (** One pass over the gaps into a scratch buffer the reader reuses, then
       one fill of the set's table ({!Int_set.of_sorted_sub}). A zero gap
       after the first element, or elements past [max_int], are
-      {!Corrupt}. *)
+      {!Corrupt}. Within one reader, a set whose bytes (count and gaps)
+      equal those of a set read before is that same set object, found
+      without decoding it again: treat every set read as read-only. Sets
+      of different readers are never shared. *)
 
   val option : t -> (t -> 'a) -> 'a option
 end

@@ -6,14 +6,17 @@
    - the dirty set after an edit is exactly the edited component plus its
      transitive callers;
    - each fallback (budgeted config, truncated baseline, non-monotone edit,
-     a baseline solved under another flavor) reports its reason and returns
-     exactly the cold solve;
+     a baseline solved under another configuration, a baseline of another
+     program) reports its reason and returns exactly the cold solve; over
+     random pairs of configurations, a warm solve falls back or equals the
+     cold solve;
    - installing an unchanged program's fixpoint derives nothing, and an
      edit that adds a return variable reaches a clean caller;
    - deltas that do not come from [Edits] are either refused or solve to
      the cold fixpoint and the Datalog oracle's;
-   - a warm solve never writes into the baseline's sets it borrows, and
-     lays out every set as the cold solve does;
+   - a warm solve never writes into the baseline's sets it borrows, also
+     when equal sets are one object (materialized or decoded), and lays
+     out every set as the cold solve does;
    - a reparsed edited program realigns onto the baseline's ids;
    - edit picking is deterministic in its seed (the CLI's --seed). *)
 
@@ -358,15 +361,13 @@ let test_stale_handles () =
   expect "copy" "resumed" p2 type2 (solve ~base_program:p1 ~base:copy p2 type2);
   expect "original after the copy" "installed" p2 type2 (solve ~base_program:p1 ~base:w1 p2 type2);
   expect "copy again" "installed" p2 type2 (solve ~base_program:p1 ~base:copy p2 type2);
-  (* Another flavor's warm result (of an unchanged program, so that the
-     install's stale-baseline check sees all of it, as in
-     [test_stale_baseline]): refused without claiming its handle, which
-     its own flavor then resumes. *)
+  (* Another flavor's warm result: refused without claiming its handle,
+     which its own flavor then resumes. *)
   let i0, _ =
     solve ~base_program:p0 ~base:(Solver.run p0 (config p0 Flavors.Insensitive)) p0
       Flavors.Insensitive
   in
-  expect "insens base, 2typeH solve" "cold: stale baseline: new object" p0 type2
+  expect "insens base, 2typeH solve" "cold: baseline of another configuration" p0 type2
     (solve ~base_program:p0 ~base:i0 p0 type2);
   expect "insens base, insens solve" "resumed" p1 Flavors.Insensitive
     (solve ~base_program:p0 ~base:i0 p1 Flavors.Insensitive);
@@ -498,14 +499,104 @@ let test_fallbacks () =
     ~base_solution:s0 p2 (config p2 flavor)
 
 (* A baseline solved under another flavor is not a fixpoint of this
-   configuration. On this program installing it under 2typeH derives an
-   object the baseline lacks, which must refuse the warm path. *)
+   configuration: the solution records the configuration it was solved
+   under, and the warm path refuses it before installing anything. *)
 let test_stale_baseline () =
   let p0 = Ipa_testlib.random_program 5 in
+  let type2 = Flavors.Type_sens { depth = 2; heap = 1 } in
   let insens = Solver.run p0 (config p0 Flavors.Insensitive) in
-  check_fallback "insens baseline, 2typeH solve" ~reason:"stale baseline: new object"
-    ~base_program:p0 ~base_solution:insens p0
-    (config p0 (Flavors.Type_sens { depth = 2; heap = 1 }))
+  check_fallback "insens baseline, 2typeH solve" ~reason:"baseline of another configuration"
+    ~base_program:p0 ~base_solution:insens p0 (config p0 type2);
+  (* A snapshot decoded without naming its configuration records none. *)
+  let s0 = Solver.run p0 (config p0 type2) in
+  (match Snapshot.decode ~program:p0 (snapshot_bytes p0 s0) with
+  | Error e -> Alcotest.failf "decode: %s" (Snapshot.error_to_string e)
+  | Ok snap ->
+    check_fallback "decoded, no configuration named"
+      ~reason:"baseline of another configuration" ~base_program:p0
+      ~base_solution:snap.solution p0 (config p0 type2));
+  (* Of the right configuration but another program: solved before the
+     first of two edits, passed as the once-edited program's. Only
+     installing can tell, where the second edit leaves the first one's
+     method clean, as on this program. *)
+  let q0 = Ipa_testlib.random_program 12 in
+  match Edits.pick ~kinds:Edits.monotone_kinds ~seed:12 ~n:2 q0 with
+  | [ e1; e2 ] ->
+    let q1 = Edits.apply q0 e1 in
+    let q2 = Edits.apply q1 e2 in
+    check_fallback "a baseline of the program before" ~reason:"stale baseline: new object"
+      ~base_program:q1 ~base_solution:(Solver.run q0 (config q0 type2)) q2 (config q2 type2)
+  | _ -> Alcotest.fail "expected two edits"
+
+(* The configurations a pair is drawn from: the four flavors plain, two
+   introspective 2objH second passes whose refine sets skip different
+   random heaps and call sites of [p0] (ids every monotone extension
+   keeps), and the field-based insensitive ablation. *)
+let config_variants p0 ~salt =
+  let rng = Splitmix.create salt in
+  let cg = Solver.run p0 (config p0 Flavors.Insensitive) in
+  let refine () =
+    let skip_objects = Ipa_support.Int_set.create () in
+    let skip_sites = Ipa_support.Int_set.create () in
+    for h = 0 to Program.n_heaps p0 - 1 do
+      if Splitmix.chance rng 0.3 then ignore (Ipa_support.Int_set.add skip_objects h)
+    done;
+    Solution.iter_cg cg (fun ~invo ~caller:_ ~meth ~callee:_ ->
+        if Splitmix.chance rng 0.3 then
+          ignore (Ipa_support.Int_set.add skip_sites (Ipa_core.Refine.pack_site ~invo ~meth)));
+    Ipa_core.Refine.All_except { skip_objects; skip_sites }
+  in
+  let second_pass name =
+    let r = refine () in
+    ( name,
+      fun p ->
+        Ipa_core.Analysis.second_pass_config p (Flavors.Object_sens { depth = 2; heap = 1 }) r )
+  in
+  List.map (fun f -> (Flavors.to_string f, fun p -> config p f)) all_flavors
+  @ [
+      second_pass "2objH, random refine sets (a)";
+      second_pass "2objH, random refine sets (b)";
+      ( "insens field-based",
+        fun p -> { (config p Flavors.Insensitive) with Solver.field_sensitive = false } );
+    ]
+
+let n_config_variants = List.length all_flavors + 3
+
+(* A base solved under configuration [a] of the once-edited program, then
+   a warm solve under [b] of the twice-edited one: it must fall back or
+   equal the cold solve, and it falls back for the configuration exactly
+   when [a] and [b] differ. *)
+let prop_other_config (seed, a, b) =
+  let p0 = Ipa_testlib.random_program seed in
+  match Edits.pick ~kinds:Edits.monotone_kinds ~seed ~n:2 p0 with
+  | [ e1; e2 ] ->
+    let p1 = Edits.apply p0 e1 in
+    let p2 = Edits.apply p1 e2 in
+    let variants = Array.of_list (config_variants p0 ~salt:seed) in
+    let name_a, cfg_a = variants.(a) in
+    let name_b, cfg_b = variants.(b) in
+    let base = Solver.run p1 (cfg_a p1) in
+    let warm, report =
+      Comp.solve_incremental ~base_program:p1 ~base_solution:base p2 (cfg_b p2)
+    in
+    let refused = report.Comp.fallback = Some "baseline of another configuration" in
+    if refused <> (a <> b) then
+      QCheck2.Test.fail_reportf "%s base, %s solve: refused for the configuration: %b" name_a
+        name_b refused;
+    if report.Comp.fallback = None then begin
+      let cold = Solver.run p2 (cfg_b p2) in
+      if not (String.equal (warm_bytes p2 warm) (warm_bytes p2 cold)) then
+        QCheck2.Test.fail_reportf "%s base, %s solve: warm differs from cold" name_a name_b
+    end;
+    true
+  | _ -> true
+
+let test_other_config =
+  qtest ~count:100 "another configuration: fall back or equal cold"
+    QCheck2.Gen.(
+      triple (int_range 0 199) (int_range 0 (n_config_variants - 1))
+        (int_range 0 (n_config_variants - 1)))
+    prop_other_config
 
 (* ---------- installing the baseline ---------- *)
 
@@ -1166,6 +1257,72 @@ let test_borrowed_untouched =
       pair (int_range 1 3) (list_size (int_range 3 5) (pair (int_range 0 2) (int_range 3 5))))
     prop_borrowed_untouched
 
+(* A solved or decoded base holds one set object per distinct content, so
+   a warm solve borrows one object at many nodes, and its state keeps
+   borrowing the objects its own result shares. Growing one node's set
+   must copy it first: the warm solve from such a base, materialized or
+   decoded, and the resume after it equal the cold solves, and every
+   solution before still encodes to its bytes. *)
+let prop_shared_base (seed, flavor) =
+  let p0 = Ipa_testlib.random_program seed in
+  match Edits.pick ~kinds:Edits.monotone_kinds ~seed ~n:2 p0 with
+  | [ e1; e2 ] ->
+    let p1 = Edits.apply p0 e1 in
+    let p2 = Edits.apply p1 e2 in
+    let name = Flavors.to_string flavor in
+    let cfg = config p0 flavor in
+    let base = Solver.run p0 cfg in
+    let program_digest = Snapshot.digest_program p0 in
+    let bytes =
+      Snapshot.encode
+        {
+          Snapshot.key = Snapshot.config_key ~program_digest cfg;
+          program_digest;
+          label = name;
+          seconds = 0.0;
+          solution = base;
+          metrics = None;
+        }
+    in
+    let decoded =
+      match Snapshot.decode ~program:p0 ~config:cfg bytes with
+      | Ok snap -> snap.solution
+      | Error e -> QCheck2.Test.fail_reportf "%s: decode: %s" name (Snapshot.error_to_string e)
+    in
+    let before = digest p0 base in
+    let warm_step what ~base_program ~base p ~resumed =
+      let sol, report =
+        Comp.solve_incremental ~base_program ~base_solution:base p (config p flavor)
+      in
+      (match report.Comp.fallback with
+      | None -> ()
+      | Some reason -> QCheck2.Test.fail_reportf "%s, %s: fell back: %s" name what reason);
+      if report.Comp.resumed <> resumed then
+        QCheck2.Test.fail_reportf "%s, %s: resumed = %b" name what report.Comp.resumed;
+      if not (String.equal (warm_bytes p sol) (warm_bytes p (Solver.run p (config p flavor))))
+      then QCheck2.Test.fail_reportf "%s, %s: warm differs from cold" name what;
+      sol
+    in
+    List.iter
+      (fun (what, b) ->
+        let w1 = warm_step what ~base_program:p0 ~base:b p1 ~resumed:false in
+        let d1 = digest p1 w1 in
+        ignore (warm_step (what ^ ", resumed") ~base_program:p1 ~base:w1 p2 ~resumed:true);
+        if digest p1 w1 <> d1 then
+          QCheck2.Test.fail_reportf "%s, %s: the resume wrote into its base" name what)
+      [ ("materialized base", base); ("decoded base", decoded) ];
+    if digest p0 base <> before then
+      QCheck2.Test.fail_reportf "%s: a warm solve wrote into the materialized base" name;
+    if digest p0 decoded <> before then
+      QCheck2.Test.fail_reportf "%s: a warm solve wrote into the decoded base" name;
+    true
+  | _ -> true
+
+let test_shared_base =
+  qtest ~count:25 "content-shared base sets never written"
+    QCheck2.Gen.(pair (int_range 0 499) (oneofl all_flavors))
+    prop_shared_base
+
 (* ---------- canonical set layout ---------- *)
 
 (* Every slot's iteration order: what a hashed set's slot layout decides. *)
@@ -1449,6 +1606,7 @@ let () =
         [
           Alcotest.test_case "budget, truncated baseline, rewrite" `Quick test_fallbacks;
           Alcotest.test_case "baseline of another flavor" `Quick test_stale_baseline;
+          test_other_config;
         ] );
       ( "install",
         [
@@ -1458,6 +1616,7 @@ let () =
       ( "borrow",
         [
           test_borrowed_untouched;
+          test_shared_base;
           Alcotest.test_case "set layout: warm == cold" `Quick test_layout_canonical;
         ] );
       ( "extends",

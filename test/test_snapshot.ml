@@ -11,7 +11,9 @@
      silently different solution;
    - golden bytes: pinned MD5s of the snapshots and configuration keys of
      fixed solves (the boxes program and a small generated bloat), one of
-     them holding sets shared between slots;
+     them holding sets shared between slots; equal contents are one set
+     object in a solved and in a decoded solution, and a reader's set
+     memo shares by bytes only within the reader;
    - framing: version bumps, wrong program, wrong key, trailing garbage and
      [inspect] on the header. *)
 
@@ -174,6 +176,47 @@ let test_codec_set_edges () =
   check Alcotest.int "two-byte last gap" 4 (String.length bytes);
   expect_corrupt "truncated last element" (fun () ->
       R.int_set (R.of_string (String.sub bytes 0 3)))
+
+(* A reader returns the set it decoded before for the same bytes: count
+   and gaps alike, inline or hashed. A prefix of another set's gaps under
+   a different count is another set, and another reader decodes its own
+   sets. *)
+let test_codec_set_memo () =
+  let w = W.create () in
+  let big = Array.init 20 (fun i -> 3 * i) in
+  List.iter
+    (fun elems -> W.int_set w (Int_set.of_sorted_array elems))
+    [ [| 1; 5; 9 |]; [| 1; 5 |]; big; [| 1; 5; 9 |]; big; [| 1; 5 |] ];
+  let bytes = W.contents w in
+  let r = R.of_string bytes in
+  let read () = R.int_set r in
+  let a = read () in
+  let b = read () in
+  let c = read () in
+  let a' = read () in
+  let c' = read () in
+  let b' = read () in
+  check Alcotest.bool "all read" true (R.at_end r);
+  check (Alcotest.list Alcotest.int) "a" [ 1; 5; 9 ] (Int_set.to_sorted_list a);
+  check (Alcotest.list Alcotest.int) "b" [ 1; 5 ] (Int_set.to_sorted_list b);
+  check (Alcotest.list Alcotest.int) "c" (Array.to_list big) (Int_set.to_sorted_list c);
+  check Alcotest.bool "equal inline sets are one" true (a == a' && b == b');
+  check Alcotest.bool "equal hashed sets are one" true (c == c');
+  check Alcotest.bool "a different count is another set" false (a == b);
+  let r2 = R.of_string bytes in
+  check Alcotest.bool "another reader, another set" false (R.int_set r2 == a);
+  (* A set that fails to decode is not remembered: the duplicate is the
+     last gap, so the cursor stops at the second copy of the same bytes,
+     which must fail again rather than be found. *)
+  let w = W.create () in
+  W.uint w 2;
+  W.uint w 5;
+  W.uint w 0;
+  let dup = W.contents w in
+  let r = R.of_string (dup ^ dup) in
+  expect_corrupt "duplicate, first" (fun () -> R.int_set r);
+  expect_corrupt "duplicate, again" (fun () -> R.int_set r);
+  check Alcotest.bool "both copies read" true (R.at_end r)
 
 (* ---------- solved snapshots ---------- *)
 
@@ -616,7 +659,8 @@ let golden_cases =
   ]
 
 (* Two [pts] slots holding the very same set object: what a collapsed copy
-   cycle leaves behind after materialization. *)
+   cycle leaves behind after materialization (and, since equal contents
+   are one object, any two slots with equal sets). *)
 module Phys_tbl = Hashtbl.Make (struct
   type t = Int_set.t
 
@@ -644,12 +688,54 @@ let golden_case (name, p, flavor, heuristic, budget, want_snapshot, want_key) =
         (Digest.to_hex (Digest.string (Snapshot.encode snap)));
       if budget > 0 then check Alcotest.bool "budget exceeded" true r.timed_out)
 
+(* Whether slots with equal contents hold one set object, and the number
+   of filled slots and of distinct contents. *)
+let content_sharing (s : Ipa_core.Solution.t) =
+  let by_content = Hashtbl.create 64 in
+  let one = ref true and slots = ref 0 in
+  Ipa_support.Dynarr.iter
+    (function
+      | None -> ()
+      | Some set -> (
+        incr slots;
+        let elems = Int_set.to_sorted_list set in
+        match Hashtbl.find_opt by_content elems with
+        | Some first -> if first != set then one := false
+        | None -> Hashtbl.add by_content elems set))
+    s.pts;
+  (!one, !slots, Hashtbl.length by_content)
+
 let test_golden_sharing () =
   (* The bloat 2callH-IntroB solve collapses copy cycles, so its solution
      holds sets shared between slots: the golden bytes above cover them. *)
   let r, _, _ = solved (Lazy.force bloat) call2 (Some Heuristics.default_b) in
   check Alcotest.bool "cycles collapsed" true (r.solution.counters.nodes_merged > 0);
-  check Alcotest.bool "two slots share one set" true (shares_a_set r.solution)
+  check Alcotest.bool "two slots share one set" true (shares_a_set r.solution);
+  (* Beyond merged classes, equal contents are one object, after
+     materialize and after decode: in these two solves, and in 2objH's,
+     whose slots hold far fewer contents than there are of them. *)
+  List.iter
+    (fun (name, flavor, heuristic) ->
+      let p = Lazy.force bloat in
+      let r, key, metrics = solved p flavor heuristic in
+      let one, slots, contents = content_sharing r.solution in
+      check Alcotest.bool (name ^ ": one object per content, solved") true one;
+      if flavor = obj2 then
+        check Alcotest.bool (name ^ ": slots share contents") true (2 * contents < slots);
+      match
+        Snapshot.decode ~program:p ~expect_key:key
+          (Snapshot.encode (snapshot_of p r key metrics))
+      with
+      | Error e -> Alcotest.failf "%s: decode: %s" name (Snapshot.error_to_string e)
+      | Ok got ->
+        check
+          Alcotest.(triple bool int int)
+          (name ^ ": one object per content, decoded") (true, slots, contents)
+          (content_sharing got.solution))
+    [
+      ("2callH-IntroB", call2, Some Heuristics.default_b);
+      ("2objH", obj2, None);
+    ]
 
 (* ---------- framing errors ---------- *)
 
@@ -755,6 +841,7 @@ let () =
           Alcotest.test_case "arrays, sets, options" `Quick test_codec_containers;
           Alcotest.test_case "corrupt inputs raise" `Quick test_codec_corrupt;
           Alcotest.test_case "set decoder edges" `Quick test_codec_set_edges;
+          Alcotest.test_case "set decoder memo" `Quick test_codec_set_memo;
         ] );
       ( "roundtrip",
         [
