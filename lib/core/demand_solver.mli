@@ -42,7 +42,9 @@ val all_var_roots : Program.t -> roots
 
 type t = {
   original : Program.t;
-  pruned : Program.t;  (** same entity arrays, bodies filtered to the slice *)
+  pruned : Program.t;
+      (** same entity arrays and derived tables, bodies filtered to the
+          slice *)
   relevant_vars : bool array;
   relevant_fields : bool array;
   slice_nodes : int;
@@ -54,8 +56,12 @@ type t = {
 }
 
 val slice : Program.t -> roots -> t
-(** Compute the backward closure and build the pruned program. Cost is one
-    pass to index def-use structure plus the closure worklist — no solving. *)
+(** Compute the backward closure and build the pruned program. The def-use
+    index (CHA targets, backward defs, and the closure every slice shares)
+    is built once per physical program and reused by every later slice of
+    it; a slice then costs its closure worklist plus one filtering pass
+    over the bodies — no solving. The pruned program shares the
+    original's derived tables ({!Ipa_ir.Program.with_bodies}). *)
 
 val key : config_key:string -> roots -> string
 (** Content address for the solved slice: digest of the full-solve snapshot

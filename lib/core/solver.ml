@@ -1085,14 +1085,14 @@ let restore st =
    classes, the contents and what a warm solve borrowed; no output depends
    on it. *)
 
-let cmp_int_arrays a b =
+let cmp_int_arrays (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then compare la lb
+  if la <> lb then Int.compare la lb
   else begin
     let rec go i =
       if i = la then 0
       else
-        let c = compare a.(i) b.(i) in
+        let c = Int.compare a.(i) b.(i) in
         if c <> 0 then c else go (i + 1)
     in
     go 0

@@ -185,53 +185,61 @@ let delta ~old_p ~new_p =
     && n_heaps old_p <= n_heaps new_p
     && n_invos old_p <= n_invos new_p
     && (let ok = ref true in
+        (* An edit shares the records it leaves alone ([Edits.apply]), so
+           physical equality settles most of them; a re-parsed program
+           shares none and takes the structural test. *)
+        let differ a b = a != b && a <> b in
         for c = 0 to n_classes old_p - 1 do
           let a = class_info old_p c and b = class_info new_p c in
           if
-            a.class_name <> b.class_name || a.super <> b.super || a.interfaces <> b.interfaces
-            || a.is_interface <> b.is_interface
+            a != b
+            && (a.class_name <> b.class_name || a.super <> b.super
+               || a.interfaces <> b.interfaces || a.is_interface <> b.is_interface)
           then ok := false
         done;
         for f = 0 to n_fields old_p - 1 do
-          if field_info old_p f <> field_info new_p f then ok := false
+          if differ (field_info old_p f) (field_info new_p f) then ok := false
         done;
         for s = 0 to n_sigs old_p - 1 do
-          if sig_info old_p s <> sig_info new_p s then ok := false
+          if differ (sig_info old_p s) (sig_info new_p s) then ok := false
         done;
         for v = 0 to n_vars old_p - 1 do
-          if var_info old_p v <> var_info new_p v then ok := false
+          if differ (var_info old_p v) (var_info new_p v) then ok := false
         done;
         for h = 0 to n_heaps old_p - 1 do
-          if heap_info old_p h <> heap_info new_p h then ok := false
+          if differ (heap_info old_p h) (heap_info new_p h) then ok := false
         done;
         for i = 0 to n_invos old_p - 1 do
-          if invo_info old_p i <> invo_info new_p i then ok := false
+          if differ (invo_info old_p i) (invo_info new_p i) then ok := false
         done;
         for m = 0 to n_old_meths - 1 do
           let a = meth_info old_p m and b = meth_info new_p m in
-          let body_prefix =
-            Array.length a.body <= Array.length b.body
-            && (let pre = ref true in
-                Array.iteri (fun i ia -> if b.body.(i) <> ia then pre := false) a.body;
-                !pre)
-          in
-          let ret_ok =
-            match (a.ret_var, b.ret_var) with
-            | None, None -> true
-            | None, Some y -> y >= n_vars old_p
-            | Some x, Some y -> x = y
-            | Some _, None -> false
-          in
-          if
-            not
-              (a.meth_name = b.meth_name && a.meth_owner = b.meth_owner
-             && a.meth_sig = b.meth_sig
-              && a.is_static_meth = b.is_static_meth
-              && a.is_abstract = b.is_abstract && a.this_var = b.this_var
-              && a.formals = b.formals && a.catches = b.catches && ret_ok && body_prefix)
-          then ok := false
-          else if Array.length a.body < Array.length b.body || a.ret_var <> b.ret_var then
-            mask.(m) <- true
+          if a != b then begin
+            let body_prefix =
+              a.body == b.body
+              || Array.length a.body <= Array.length b.body
+                 && (let pre = ref true in
+                     Array.iteri (fun i ia -> if differ b.body.(i) ia then pre := false) a.body;
+                     !pre)
+            in
+            let ret_ok =
+              match (a.ret_var, b.ret_var) with
+              | None, None -> true
+              | None, Some y -> y >= n_vars old_p
+              | Some x, Some y -> x = y
+              | Some _, None -> false
+            in
+            if
+              not
+                (a.meth_name = b.meth_name && a.meth_owner = b.meth_owner
+               && a.meth_sig = b.meth_sig
+                && a.is_static_meth = b.is_static_meth
+                && a.is_abstract = b.is_abstract && a.this_var = b.this_var
+                && a.formals = b.formals && a.catches = b.catches && ret_ok && body_prefix)
+            then ok := false
+            else if Array.length a.body < Array.length b.body || a.ret_var <> b.ret_var then
+              mask.(m) <- true
+          end
         done;
         (* New classes and overrides must not redirect any old dispatch:
            the two tables agree on every old (class, signature) pair. Every

@@ -256,3 +256,13 @@ let make ?srcloc ~classes ~fields ~sigs ~meths ~vars ~heaps ~invos ~entries () =
     impls_by_sig;
     srcloc_tbl = srcloc;
   }
+
+let with_bodies t f =
+  let meths =
+    Array.mapi
+      (fun m mi ->
+        let body = f m mi.body in
+        if body == mi.body then mi else { mi with body })
+      t.meths
+  in
+  { t with meths }

@@ -190,3 +190,11 @@ val make :
 (** Computes the subtyping closure and dispatch tables. Raises [Failure] on a
     cyclic class hierarchy. Callers are expected to have validated the rest
     (see {!Wf.check}). *)
+
+val with_bodies : t -> (meth_id -> instr array -> instr array) -> t
+(** [with_bodies t f] is [t] with method [m]'s body replaced by
+    [f m body]. Nothing but bodies changes, so the result shares [t]'s
+    entity arrays and every table derived from them (ancestors, dispatch,
+    name lookups, implementations) instead of recomputing them; a method
+    whose body [f] returns physically unchanged keeps its [meth_info].
+    Bodies must still reference only [t]'s entities. *)

@@ -4,7 +4,8 @@ module Snapshot = Ipa_core.Snapshot
 module Demand_solver = Ipa_core.Demand_solver
 module Cache = Ipa_harness.Cache
 
-type entry = { engine : Engine.t; nodes : int }
+(* [warm_lock] serializes the index builds of a shared entry's engine *)
+type entry = { engine : Engine.t; nodes : int; warm_lock : Mutex.t }
 
 type t = {
   program : Program.t;
@@ -163,11 +164,21 @@ let eval t q =
               Cache.put_bytes c ~key (Snapshot.encode snap));
             (sol, false)
         in
-        let engine = Engine.create sol in
-        if t.warm then Engine.warm engine;
-        (publish_memo t key { engine; nodes = sl.Demand_solver.slice_nodes }, hit)
+        let entry =
+          {
+            engine = Engine.create sol;
+            nodes = sl.Demand_solver.slice_nodes;
+            warm_lock = Mutex.create ();
+          }
+        in
+        (publish_memo t key entry, hit)
     in
     if hit then Atomic.incr t.c_hits;
+    (* An entry serves every form over its roots, and a slice engine only
+       ever sees a few of them: build just the index this form reads, once,
+       under the entry's lock, which orders the build before every
+       evaluation that reads it. *)
+    if t.warm then Mutex.protect entry.warm_lock (fun () -> Engine.warm_for entry.engine q);
     Some { result = Engine.eval entry.engine q; slice_nodes = entry.nodes; hit }
 
 type stats = {

@@ -21,8 +21,10 @@
     Thread safety: one value may be shared across domains. The memo is
     mutex-guarded; racing misses may both solve (wasted, not wrong — the
     solver is deterministic) and the first publication wins, mirroring the
-    cache's single-writer discipline. With [~warm:true] engines are fully
-    index-warmed before publication, so shared reads are race-free. *)
+    cache's single-writer discipline. With [~warm:true] each slice engine
+    builds the index a query form reads before the first evaluation of
+    that form, under the memo entry's own lock, so shared reads are
+    race-free and an engine never builds indexes no query asked for. *)
 
 type t
 
@@ -34,8 +36,9 @@ val create :
   Ipa_core.Solver.config ->
   t
 (** [label] tags published slice snapshots (["demand:<label>"]). [warm]
-    (default [false]) pre-builds every engine index before memo publication
-    — required when the value is shared across pool domains. *)
+    (default [false]) builds each engine index a form reads, under a lock,
+    before that form is first evaluated ({!Engine.warm_for}) — required
+    when the value is shared across pool domains. *)
 
 val eligible : Query.t -> bool
 (** Can this query form be answered from a slice? (Form-based; independent

@@ -52,6 +52,19 @@ let solution t = t.sol
 
 let warm t = Solution.warm_indexes t.sol
 
+(* The one index [eval q] reads for each form; [warm] for the forms that
+   read whole-program tables. *)
+let warm_for t (q : Query.t) =
+  let s = t.sol in
+  match q with
+  | Query.Pts _ | Query.Alias _ -> ignore (Solution.collapsed_var_pts s)
+  | Query.Pointed_by _ -> ignore (Solution.inverted_var_pts s)
+  | Query.Callees _ -> ignore (Solution.call_targets s)
+  | Query.Callers _ -> ignore (Solution.caller_sites s)
+  | Query.Reach _ -> ignore (Solution.callee_meths s)
+  | Query.Fieldpts _ -> ignore (Solution.collapsed_fld_pts s)
+  | Query.Taint _ | Query.Stats -> warm t
+
 type answer =
   | Names of { kind : string; items : string list }
   | Truth of { holds : bool; witness : string list }

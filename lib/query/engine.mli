@@ -20,6 +20,14 @@ val warm : t -> unit
 (** Force every lazy solution index. Required before sharing the engine
     across domains. *)
 
+val warm_for : t -> Query.t -> unit
+(** Force the lazy indexes that {!eval} reads for this query's form, and
+    no others. Afterwards evaluating that form performs no internal
+    mutation; callers sharing the engine across domains must serialize
+    [warm_for] calls and order them before the evaluations they cover
+    (how {!Demand} warms each slice engine only for the forms asked of
+    it). *)
+
 (** A successful answer. All name lists are sorted (and, where they came
     from sets, duplicate-free), so answers are canonical: sequential and
     concurrent evaluation render identically. *)
