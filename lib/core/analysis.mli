@@ -96,7 +96,9 @@ val run_incremental :
   result * Compositional_solver.report
 (** Warm re-solve of an edited program from a baseline solve of
     [base_program] under the same flavor — see
-    {!Compositional_solver.solve_incremental}. Unbudgeted by construction
+    {!Compositional_solver.solve_incremental}: the baseline's live solver
+    state, or the baseline installed into state for [base_program], runs
+    only the edit's work ({!Solver.warm}). Unbudgeted by construction
     (a budget would force the cold fallback). The label is suffixed
     ["-incremental"]. *)
 

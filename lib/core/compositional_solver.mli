@@ -5,12 +5,12 @@
     the edit added or changed. It condenses the (CHA-approximated) call
     graph of the edited program into strongly connected components
     ({!Summary.condense}); the components holding a marked method are
-    dirty. When the baseline is a warm result whose handle is current, it
-    resumes the live solver state behind it ({!Solver.resume}), which runs
-    only the edit's work; otherwise it warm-starts
-    {!Solver.run_incremental}, which installs the baseline solution and
-    defers only the dirty components' bodies. Either way the warm
-    derivation count measures the edit, not the program. When the edit is
+    dirty; the report lists them and their transitive callers. The warm
+    solve itself is {!Solver.warm}: it resumes the live solver state
+    behind a warm baseline whose handle is current, or else installs the
+    baseline into state for [base_program], and then runs only the
+    edit's work. Either way the warm derivation count measures the edit,
+    not the program. When the edit is
     not a monotone extension, the config is budgeted, the baseline
     incomplete or solved under another configuration, or installing finds
     the baseline stale, it falls back to a cold {!Solver.run} and says so
@@ -24,7 +24,7 @@ type report = {
   fallback : string option;  (** why the warm path was refused, when it was *)
   resumed : bool;
       (** the warm path resumed the base's live solver state
-          ({!Solver.resume}) instead of installing the base; nothing is
+          ({!Solver.warm}) instead of installing the base; nothing is
           installed then *)
   installed_facts : int;
       (** baseline points-to facts installed; 0 on a fallback or a resume *)

@@ -6,9 +6,9 @@
     signature) and condensed with Tarjan into strongly connected components
     emitted bottom-up (callees before callers). {!delta} checks that an
     edited program extends its baseline and marks the methods the edit
-    touched; the components holding a marked method are the dirty ones, and
-    their members' bodies are what a warm start ({!Solver.run_incremental})
-    defers to its counted phase. *)
+    touched; the components holding a marked method are the dirty ones.
+    A warm solve ({!Solver.warm}) reads only the mask; the condensation
+    feeds its report ({!Compositional_solver.report}). *)
 
 module Program := Ipa_ir.Program
 
@@ -46,8 +46,8 @@ val delta : old_p:Program.t -> new_p:Program.t -> bool array option
     gain appended instructions; an absent return variable may appear as a
     {e fresh} variable), dispatch is preserved on every old (class,
     signature) pair, and entries only grow. This is the soundness
-    precondition for installing a fixpoint of [old_p] as the start of a
-    solve of [new_p]. [changed.(m)] marks the methods of [new_p] that are
+    precondition for moving a fixpoint of [old_p] to [new_p] and resuming
+    from it ({!Solver.warm}). [changed.(m)] marks the methods of [new_p] that are
     new, or whose body or return variable differs from [old_p]'s. [None]
     when [new_p] is not such an extension. *)
 

@@ -226,9 +226,7 @@ let test_slice_reparse_invariant =
         }
       in
       let edited =
-        (* monotone kinds only: a rewrite can overwrite a call and leave
-           its site in the program, and the printed text drops that site *)
-        match Edits.pick ~kinds:Edits.monotone_kinds ~seed ~n:1 p with
+        match Edits.pick ~seed ~n:1 p with
         | e :: _ -> Edits.apply p e
         | [] -> p
       in
