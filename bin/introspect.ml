@@ -716,8 +716,9 @@ let solve_cmd =
       & info [ "edit-from" ] ~docv:"BASE.jir"
           ~doc:
             "Incremental mode: treat $(i,FILE) as an edited version of $(docv), solve the \
-             baseline, and re-solve the edit warm from its fixpoint — only the components \
-             of new or changed methods and their consequences are re-derived.")
+             baseline, and re-solve the edit warm from its fixpoint — only the facts the \
+             edit adds are derived. The dirty call-graph components are reported, not \
+             re-derived.")
   in
   Cmd.v
     (Cmd.info "solve"

@@ -35,7 +35,8 @@ type def =
   | Static_load_from of Program.field_id
 
 (* Inter-procedural roles a variable can play; resolved against the CHA
-   may-call relation (a sound superset of the on-the-fly call graph). *)
+   call graph ([Program.cha_targets], a sound superset of the on-the-fly
+   call graph). *)
 type role = Formal_of of Program.meth_id * int | Catch_in of Program.meth_id
 
 (* The backward def-use structure of a program: depends on the program
@@ -50,8 +51,7 @@ type index = {
       (* field -> (base, source) of its stores *)
   throws : Program.var_id list array;  (* meth -> thrown variables *)
   rev_calls : Program.invo_id list array;  (* meth -> invos that may call it *)
-  meth_callees : Program.meth_id list array;  (* meth -> methods it may call *)
-  may_targets : Program.meth_id list array;  (* invo -> CHA targets *)
+  meth_callees : Program.meth_id array array;  (* meth -> methods it may call *)
   (* the closure of the empty root set: every slice contains it *)
   base_vars : bool array;
   base_fields : bool array;
@@ -98,7 +98,7 @@ let close p ix ~vrel ~frel ~erel ~root_vars ~root_fields =
               match (Program.meth_info p m).ret_var with
               | Some r -> mark_var r
               | None -> ())
-            ix.may_targets.(i))
+            (Program.cha_targets p i))
         ix.recv_invos.(v))
     else if not (Queue.is_empty fq) then (
       let f = Queue.pop fq in
@@ -110,7 +110,7 @@ let close p ix ~vrel ~frel ~erel ~root_vars ~root_fields =
     else if not (Queue.is_empty eq) then (
       let m = Queue.pop eq in
       List.iter mark_var ix.throws.(m);
-      List.iter mark_exc ix.meth_callees.(m))
+      Array.iter mark_exc ix.meth_callees.(m))
     else drained := true
   done
 
@@ -119,19 +119,6 @@ let build_index p =
   and n_fields = Program.n_fields p
   and n_meths = Program.n_meths p
   and n_invos = Program.n_invos p in
-  (* CHA: signature -> set of concrete dispatch targets, from the paper's
-     LOOKUP relation. Sound superset of the solver's on-the-fly targets. *)
-  let sig_targets = Hashtbl.create 64 in
-  Program.iter_dispatch p (fun _cls s m ->
-      let cur = try Hashtbl.find sig_targets s with Not_found -> [] in
-      if not (List.memq m cur) then Hashtbl.replace sig_targets s (m :: cur));
-  let may_targets =
-    Array.init n_invos (fun i ->
-        match (Program.invo_info p i).call with
-        | Static { callee } -> [ callee ]
-        | Virtual { signature; _ } -> (
-          try Hashtbl.find sig_targets signature with Not_found -> []))
-  in
   let defs : def list array = Array.make n_vars [] in
   let roles : role list array = Array.make n_vars [] in
   let recv_invos : Program.invo_id list array = Array.make n_vars [] in
@@ -140,18 +127,11 @@ let build_index p =
   in
   let throws : Program.var_id list array = Array.make n_meths [] in
   let rev_calls : Program.invo_id list array = Array.make n_meths [] in
-  let meth_callees : Program.meth_id list array = Array.make n_meths [] in
   for i = 0 to n_invos - 1 do
-    let ii = Program.invo_info p i in
-    (match ii.recv with
+    (match (Program.invo_info p i).recv with
     | Some r -> recv_invos.(r) <- i :: recv_invos.(r)
     | None -> ());
-    List.iter
-      (fun m ->
-        rev_calls.(m) <- i :: rev_calls.(m);
-        if not (List.memq m meth_callees.(ii.invo_owner)) then
-          meth_callees.(ii.invo_owner) <- m :: meth_callees.(ii.invo_owner))
-      may_targets.(i)
+    List.iter (fun m -> rev_calls.(m) <- i :: rev_calls.(m)) (Program.cha_targets p i)
   done;
   for m = 0 to n_meths - 1 do
     let mi = Program.meth_info p m in
@@ -189,8 +169,7 @@ let build_index p =
       field_stores;
       throws;
       rev_calls;
-      meth_callees;
-      may_targets;
+      meth_callees = Summary.call_targets p;
       base_vars = Array.make n_vars false;
       base_fields = Array.make n_fields false;
       base_excs = Array.make n_meths false;

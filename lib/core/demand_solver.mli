@@ -57,7 +57,9 @@ type t = {
 
 val slice : Program.t -> roots -> t
 (** Compute the backward closure and build the pruned program. The def-use
-    index (CHA targets, backward defs, and the closure every slice shares)
+    index (the CHA call graph of {!Ipa_ir.Program.cha_targets} and
+    {!Summary.call_targets}, backward defs, and the closure every slice
+    shares)
     is built once per physical program and reused by every later slice of
     it; a slice then costs its closure worklist plus one filtering pass
     over the bodies — no solving. The pruned program shares the

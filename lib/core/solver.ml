@@ -3,6 +3,7 @@ module Int_sort = Ipa_support.Int_sort
 module Pair_tbl = Ipa_support.Pair_tbl
 module Dynarr = Ipa_support.Dynarr
 module Union_find = Ipa_support.Union_find
+module Tarjan = Ipa_support.Tarjan
 module Int_heap = Ipa_support.Int_heap
 module Writer = Ipa_support.Codec.Writer
 module Program = Ipa_ir.Program
@@ -852,87 +853,24 @@ let should_sweep st =
   st.attempts_since_sweep >= sweep_min_attempts
   && st.attempts_since_sweep > sweep_ratio * max 1 st.gains_since_sweep
 
-(* Iterative Tarjan (explicit frame stack — copy chains can be deep) over
-   the representatives' unfiltered edges; returns components of size >= 2 in
-   a deterministic order. *)
+(* Tarjan over the representatives' unfiltered, resolved, non-self edges;
+   returns the components of size >= 2 in close order. *)
 let find_sccs st =
   let n_nodes = Dynarr.length st.edges in
-  let index = Array.make (max 1 n_nodes) (-1) in
-  let lowlink = Array.make (max 1 n_nodes) 0 in
-  let on_stack = Array.make (max 1 n_nodes) false in
-  let scc_stack = ref [] in
-  let next_index = ref 0 in
   let sccs = ref [] in
-  let frame_node = Dynarr.create ~capacity:64 ~dummy:0 () in
-  let frame_edge = Dynarr.create ~capacity:64 ~dummy:0 () in
-  let discover v =
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    on_stack.(v) <- true;
-    scc_stack := v :: !scc_stack;
-    Dynarr.push frame_node v;
-    Dynarr.push frame_edge 0
-  in
-  let successor v i =
-    (* The [i]-th unfiltered, resolved, non-self successor of [v], scanning
-       from edge index [i]; returns (next index, successor option). *)
-    match Dynarr.get st.edges v with
-    | None -> (i, None)
-    | Some es ->
-      let len = Dynarr.length es in
-      let rec scan i =
-        if i >= len then (i, None)
-        else begin
-          let packed = Dynarr.get es i in
-          if edge_spec packed <> Filters.none then scan (i + 1)
-          else begin
-            let d = Union_find.find st.uf (edge_dst packed) in
-            if d = v || d >= n_nodes then scan (i + 1) else (i + 1, Some d)
-          end
-        end
-      in
-      scan i
-  in
-  for root = 0 to n_nodes - 1 do
-    if Union_find.find st.uf root = root && index.(root) = -1 then begin
-      discover root;
-      while Dynarr.length frame_node > 0 do
-        let top = Dynarr.length frame_node - 1 in
-        let v = Dynarr.get frame_node top in
-        let i, succ = successor v (Dynarr.get frame_edge top) in
-        Dynarr.set frame_edge top i;
-        match succ with
-        | Some w when index.(w) = -1 -> discover w
-        | Some w ->
-          if on_stack.(w) && index.(w) < lowlink.(v) then lowlink.(v) <- index.(w)
-        | None ->
-          (* v is exhausted: pop, propagate lowlink, close the component. *)
-          ignore (Dynarr.pop frame_node);
-          ignore (Dynarr.pop frame_edge);
-          (if Dynarr.length frame_node > 0 then begin
-             let parent = Dynarr.get frame_node (Dynarr.length frame_node - 1) in
-             if lowlink.(v) < lowlink.(parent) then lowlink.(parent) <- lowlink.(v)
-           end);
-          if lowlink.(v) = index.(v) then begin
-            let comp = ref [] in
-            let stop = ref false in
-            while not !stop do
-              match !scc_stack with
-              | [] -> assert false
-              | w :: rest ->
-                scc_stack := rest;
-                on_stack.(w) <- false;
-                comp := w :: !comp;
-                if w = v then stop := true
-            done;
-            match !comp with
-            | [] | [ _ ] -> ()
-            | comp -> sccs := comp :: !sccs
-          end
-      done
-    end
-  done;
+  Tarjan.components ~n:n_nodes
+    ~root:(fun v -> Union_find.find st.uf v = v)
+    ~degree:(fun v -> match Dynarr.get st.edges v with None -> 0 | Some es -> Dynarr.length es)
+    ~succ:(fun v i ->
+      match Dynarr.get st.edges v with
+      | None -> -1
+      | Some es ->
+        let packed = Dynarr.get es i in
+        if edge_spec packed <> Filters.none then -1
+        else
+          let d = Union_find.find st.uf (edge_dst packed) in
+          if d = v || d >= n_nodes then -1 else d)
+    (function [] | [ _ ] -> () | comp -> sccs := comp :: !sccs);
   List.rev !sccs
 
 (* Re-rank every representative by reverse postorder of the full copy graph
@@ -1406,8 +1344,8 @@ let run p cfg = complete (create p cfg) ~cold:true ignore
    state to the edited program and runs only the counted work of the edit
    on it. By the extension's contract every old
    constraint is unchanged: bodies only gain appended instructions,
-   catches, formals, [this] and old dispatch stay, a return variable may
-   only appear fresh. So the new constraints are the appended
+   catches, formals, [this] and old dispatch stay, and a method may gain
+   a return variable, old or fresh. So the new constraints are the appended
    instructions in every reachable context of their method, the new
    base-variable uses they add (over the sets their base variables
    already hold), and the return edge of every old call-graph edge into a

@@ -1,4 +1,6 @@
 module Dynarr = Ipa_support.Dynarr
+module Tarjan = Ipa_support.Tarjan
+module Int_sort = Ipa_support.Int_sort
 module Program = Ipa_ir.Program
 
 (* ---------- call-graph condensation ---------- *)
@@ -11,104 +13,47 @@ type scc = {
 
 type condensation = { sccs : scc array; scc_of_meth : int array }
 
-(* CHA over-approximation of the call graph: a static call targets its
-   declared callee; a virtual call targets every concrete method the
-   signature can dispatch to anywhere in the hierarchy. The solver's
-   on-the-fly call graph is a subset, so SCCs here are unions of semantic
-   SCCs — safe for both summary boundaries and dirtiness propagation.
-   Every concrete method of a signature is a dispatch target — its own
-   class resolves the signature to it — so the targets of a signature are
-   its implementations, read per signature instead of walking the whole
-   dispatch table (one entry per class and inherited signature). *)
+(* CHA over-approximation of the call graph ([Program.cha_targets]): the
+   solver's on-the-fly call graph is a subset, so SCCs here are unions of
+   semantic SCCs — safe for both summary boundaries and dirtiness
+   propagation. [seen.(c) = m] once method [m] has collected callee [c]
+   into [buf]. *)
 let call_targets p =
-  let sig_targets = Array.make (Program.n_sigs p) None in
-  let impls s =
-    match sig_targets.(s) with
-    | Some ms -> ms
-    | None ->
-      let ms = Program.implementations p s in
-      sig_targets.(s) <- Some ms;
-      ms
-  in
-  let targets = Array.make (Program.n_meths p) [] in
-  for m = 0 to Program.n_meths p - 1 do
-    let acc = ref [] in
-    Array.iter
-      (fun (i : Program.instr) ->
-        match i with
-        | Call invo -> (
-          match (Program.invo_info p invo).call with
-          | Static { callee } -> acc := callee :: !acc
-          | Virtual { signature; _ } -> acc := List.rev_append (impls signature) !acc)
-        | _ -> ())
-      (Program.meth_info p m).body;
-    targets.(m) <- List.sort_uniq compare !acc
-  done;
-  targets
+  let n = Program.n_meths p in
+  let seen = Array.make (max 1 n) (-1) in
+  let buf = Array.make (max 1 n) 0 in
+  Array.init n (fun m ->
+      let k = ref 0 in
+      Array.iter
+        (function
+          | Program.Call invo ->
+            List.iter
+              (fun c ->
+                if seen.(c) <> m then begin
+                  seen.(c) <- m;
+                  buf.(!k) <- c;
+                  incr k
+                end)
+              (Program.cha_targets p invo)
+          | _ -> ())
+        (Program.meth_info p m).body;
+      Int_sort.sort_distinct (Array.sub buf 0 !k))
 
-(* Iterative Tarjan over methods, emitting every component (singletons
-   included) in close order — callees before callers, i.e. the array is a
-   bottom-up topological order of the condensation. Deterministic: roots
-   ascend, successor lists are sorted. *)
+(* Every component, singletons included, in close order: callees before
+   callers, i.e. the array is a bottom-up topological order of the
+   condensation. *)
 let condense p =
   let n = Program.n_meths p in
   let succs = call_targets p in
-  let index = Array.make (max 1 n) (-1) in
-  let lowlink = Array.make (max 1 n) 0 in
-  let on_stack = Array.make (max 1 n) false in
-  let scc_stack = ref [] in
-  let next_index = ref 0 in
   let comps = Dynarr.create ~capacity:(max 16 n) ~dummy:[||] () in
-  let frame_node = Dynarr.create ~capacity:64 ~dummy:0 () in
-  let frame_succ = Dynarr.create ~capacity:64 ~dummy:[] () in
-  let discover v =
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    on_stack.(v) <- true;
-    scc_stack := v :: !scc_stack;
-    Dynarr.push frame_node v;
-    Dynarr.push frame_succ succs.(v)
-  in
-  for root = 0 to n - 1 do
-    if index.(root) = -1 then begin
-      discover root;
-      while Dynarr.length frame_node > 0 do
-        let top = Dynarr.length frame_node - 1 in
-        let v = Dynarr.get frame_node top in
-        match Dynarr.get frame_succ top with
-        | w :: rest when index.(w) = -1 ->
-          Dynarr.set frame_succ top rest;
-          discover w
-        | w :: rest ->
-          Dynarr.set frame_succ top rest;
-          if on_stack.(w) && index.(w) < lowlink.(v) then lowlink.(v) <- index.(w)
-        | [] ->
-          ignore (Dynarr.pop frame_node);
-          ignore (Dynarr.pop frame_succ);
-          (if Dynarr.length frame_node > 0 then begin
-             let parent = Dynarr.get frame_node (Dynarr.length frame_node - 1) in
-             if lowlink.(v) < lowlink.(parent) then lowlink.(parent) <- lowlink.(v)
-           end);
-          if lowlink.(v) = index.(v) then begin
-            let comp = ref [] in
-            let stop = ref false in
-            while not !stop do
-              match !scc_stack with
-              | [] -> assert false
-              | w :: rest ->
-                scc_stack := rest;
-                on_stack.(w) <- false;
-                comp := w :: !comp;
-                if w = v then stop := true
-            done;
-            let members = Array.of_list !comp in
-            Array.sort compare members;
-            Dynarr.push comps members
-          end
-      done
-    end
-  done;
+  Tarjan.components ~n
+    ~root:(fun _ -> true)
+    ~degree:(fun m -> Array.length succs.(m))
+    ~succ:(fun m i -> succs.(m).(i))
+    (fun comp ->
+      let members = Array.of_list comp in
+      Array.sort Int.compare members;
+      Dynarr.push comps members);
   let n_sccs = Dynarr.length comps in
   let scc_of_meth = Array.make (max 1 n) 0 in
   for sid = 0 to n_sccs - 1 do
@@ -123,7 +68,7 @@ let condense p =
         let callee_sccs = ref [] in
         Array.iter
           (fun m ->
-            List.iter
+            Array.iter
               (fun callee ->
                 let c = scc_of_meth.(callee) in
                 if seen.(c) <> sid then begin
@@ -162,16 +107,13 @@ let dirty_closure cond seeds =
 (* [delta ~old_p ~new_p] is [Some mask] when [new_p] is a structural
    superset of [old_p] with stable ids: every entity array of [old_p] is an
    identical prefix of [new_p]'s (method bodies may gain appended
-   instructions, a missing return variable may appear as a fresh
-   variable), dispatch is preserved on every old (class, signature) pair,
-   and the entry set only grows. Under these conditions every constraint
-   of the old program is present unchanged in the new one and all retained
-   ids (hence context elements) are stable, so the old fixpoint can be
-   installed as the start of the new solve. [mask] marks the methods that
-   are new, or whose body or return variable changed. The fresh-variable
-   rule matters: a clean caller's return edge from a method that gains a
-   return variable is installed without propagation, which is sound only
-   while that variable holds no baseline facts. *)
+   instructions, a method without a return variable may gain one),
+   dispatch is preserved on every old (class, signature) pair, and the
+   entry set only grows. Under these conditions every constraint of the
+   old program is present unchanged in the new one and all retained ids
+   (hence context elements) are stable, so the old fixpoint is a start of
+   the new solve. [mask] marks the methods that are new, or whose body or
+   return variable changed. *)
 let delta ~old_p ~new_p =
   let open Program in
   let n_old_meths = n_meths old_p in
@@ -225,7 +167,7 @@ let delta ~old_p ~new_p =
             let ret_ok =
               match (a.ret_var, b.ret_var) with
               | None, None -> true
-              | None, Some y -> y >= n_vars old_p
+              | None, Some _ -> true
               | Some x, Some y -> x = y
               | Some _, None -> false
             in

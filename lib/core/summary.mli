@@ -1,10 +1,11 @@
 (** Call-graph condensation and the monotone-extension check for
     incremental solving.
 
-    The call graph is over-approximated by CHA (a static call targets its
-    declared callee, a virtual call every concrete implementation of its
-    signature) and condensed with Tarjan into strongly connected components
-    emitted bottom-up (callees before callers). {!delta} checks that an
+    The call graph is over-approximated by CHA ({!Program.cha_targets}: a
+    static call targets its declared callee, a virtual call every concrete
+    implementation of its signature) and condensed with Tarjan
+    ({!Ipa_support.Tarjan}) into strongly connected components emitted
+    bottom-up (callees before callers). {!delta} checks that an
     edited program extends its baseline and marks the methods the edit
     touched; the components holding a marked method are the dirty ones.
     A warm solve ({!Solver.warm}) reads only the mask; the condensation
@@ -26,10 +27,9 @@ type condensation = {
   scc_of_meth : int array;
 }
 
-val call_targets : Program.t -> int list array
-(** Per method, its CHA callees, ascending and distinct: the declared
-    callee of every static call, and every concrete implementation
-    ({!Program.implementations}) of every virtual call's signature. *)
+val call_targets : Program.t -> int array array
+(** Per method, its CHA callees ({!Program.cha_targets} of every call in
+    its body), ascending and distinct. *)
 
 val condense : Program.t -> condensation
 
@@ -43,8 +43,8 @@ val dirty_closure : condensation -> int list -> bool array
 val delta : old_p:Program.t -> new_p:Program.t -> bool array option
 (** [Some changed] when [new_p] is a structural, id-stable superset of
     [old_p]: old entity arrays are identical prefixes (method bodies may
-    gain appended instructions; an absent return variable may appear as a
-    {e fresh} variable), dispatch is preserved on every old (class,
+    gain appended instructions; a method without a return variable may gain
+    one), dispatch is preserved on every old (class,
     signature) pair, and entries only grow. This is the soundness
     precondition for moving a fixpoint of [old_p] to [new_p] and resuming
     from it ({!Solver.warm}). [changed.(m)] marks the methods of [new_p] that are

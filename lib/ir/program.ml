@@ -83,7 +83,7 @@ type t = {
   dispatch_tbl : (int, meth_id) Hashtbl.t; (* (class lsl 20) lor sig -> meth *)
   class_by_name : (string, class_id) Hashtbl.t;
   sig_by_key : (string * int, sig_id) Hashtbl.t;
-  impls_by_sig : (sig_id, meth_id list) Hashtbl.t;
+  impls_by_sig : meth_id list array; (* sig -> concrete methods, ascending *)
   srcloc_tbl : Srcloc.t option;
 }
 
@@ -151,8 +151,14 @@ let dispatch t c s =
   ignore (sig_info t s);
   Hashtbl.find_opt t.dispatch_tbl (pack_class_sig c s)
 
-let implementations t s =
-  match Hashtbl.find_opt t.impls_by_sig s with Some ms -> List.rev ms | None -> []
+(* Every concrete method of a signature is a dispatch target (its own
+   class resolves the signature to it), so a virtual call's CHA targets are
+   its signature's implementations, read per signature instead of walking
+   the whole dispatch table (one entry per class and inherited signature). *)
+let cha_targets t i =
+  match (invo_info t i).call with
+  | Static { callee } -> [ callee ]
+  | Virtual { signature; _ } -> t.impls_by_sig.(signature)
 
 let iter_dispatch t f =
   Hashtbl.iter (fun key meth -> f (key lsr 20) (key land ((1 lsl 20) - 1)) meth) t.dispatch_tbl
@@ -233,13 +239,11 @@ let make ?srcloc ~classes ~fields ~sigs ~meths ~vars ~heaps ~invos ~entries () =
   Array.iteri (fun c ci -> Hashtbl.replace class_by_name ci.class_name c) classes;
   let sig_by_key = Hashtbl.create (Array.length sigs) in
   Array.iteri (fun s si -> Hashtbl.replace sig_by_key (si.sig_name, si.arity) s) sigs;
-  let impls_by_sig = Hashtbl.create (Array.length sigs) in
-  Array.iteri
-    (fun m (mi : meth_info) ->
-      if not mi.is_abstract then
-        let prev = Option.value ~default:[] (Hashtbl.find_opt impls_by_sig mi.meth_sig) in
-        Hashtbl.replace impls_by_sig mi.meth_sig (m :: prev))
-    meths;
+  let impls_by_sig = Array.make (Array.length sigs) [] in
+  for m = Array.length meths - 1 downto 0 do
+    let mi = meths.(m) in
+    if not mi.is_abstract then impls_by_sig.(mi.meth_sig) <- m :: impls_by_sig.(mi.meth_sig)
+  done;
   {
     classes;
     fields;

@@ -145,9 +145,11 @@ val dispatch : t -> class_id -> sig_id -> meth_id option
     [s] on a receiver of dynamic class [c]: the declaration in [c] or its
     nearest ancestor class. [None] when unresolved. *)
 
-val implementations : t -> sig_id -> meth_id list
-(** All concrete methods declaring signature [s] anywhere (useful to clients
-    such as devirtualizers). *)
+val cha_targets : t -> invo_id -> meth_id list
+(** [cha_targets t i] is the class-hierarchy-analysis call graph at
+    invocation site [i]: a static call's declared callee, or every concrete
+    method anywhere that declares a virtual call's signature, ascending.
+    It over-approximates the call graph of every analysis flavor. *)
 
 val iter_dispatch : t -> (class_id -> sig_id -> meth_id -> unit) -> unit
 (** Iterate the whole dispatch table: every (class, signature) pair that

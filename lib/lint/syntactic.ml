@@ -18,10 +18,11 @@ let var_span p v = span_of p (fun sl -> Srcloc.var_pos sl v)
 let instr_span p m k = span_of p (fun sl -> Srcloc.instr_pos sl m k)
 let catch_span p m k = span_of p (fun sl -> Srcloc.catch_pos sl m k)
 
-(* IPA-S001: methods a name-and-arity call graph cannot reach from the entry
-   points. Over-approximates any points-to call graph (every virtual call is
-   assumed to reach every implementation of its signature), so a method
-   flagged here is dead under every analysis flavor. *)
+(* IPA-S001: methods the CHA call graph ([Program.cha_targets]) cannot reach
+   from the entry points. It over-approximates any points-to call graph
+   (every virtual call is assumed to reach every implementation of its
+   signature), so a method flagged here is dead under every analysis
+   flavor. *)
 let unreachable_method p =
   let reached = Int_set.create () in
   let work = Queue.create () in
@@ -30,13 +31,7 @@ let unreachable_method p =
   while not (Queue.is_empty work) do
     let m = Queue.pop work in
     Array.iter
-      (fun (i : Program.instr) ->
-        match i with
-        | Call invo -> (
-          match (Program.invo_info p invo).call with
-          | Static { callee } -> visit callee
-          | Virtual { signature; _ } -> List.iter visit (Program.implementations p signature))
-        | _ -> ())
+      (function Program.Call invo -> List.iter visit (Program.cha_targets p invo) | _ -> ())
       (Program.meth_info p m).body
   done;
   let out = ref [] in

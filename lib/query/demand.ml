@@ -17,10 +17,7 @@ type t = {
   warm : bool;
   memo : (string, entry) Hashtbl.t;
   lock : Mutex.t;
-  (* name tables for root derivation only; answer-side resolution (and its
-     error messages) stays the base engine's, so replies match byte-for-byte *)
-  var_ids : (string, int) Hashtbl.t;
-  field_ids : (string, int list) Hashtbl.t;
+  names : Engine.names;  (* the tables every engine over [program] resolves with *)
   c_queries : int Atomic.t;
   c_hits : int Atomic.t;
   c_nodes : int Atomic.t;
@@ -30,19 +27,6 @@ type t = {
 let create ?cache ?(warm = false) ~program ~label config =
   let config = { config with Solver.budget = 0 } in
   let program_digest = Snapshot.digest_program program in
-  let var_ids = Hashtbl.create (Program.n_vars program) in
-  for v = 0 to Program.n_vars program - 1 do
-    Hashtbl.replace var_ids (Program.var_full_name program v) v
-  done;
-  let field_ids = Hashtbl.create (Program.n_fields program) in
-  let add_field key f =
-    Hashtbl.replace field_ids key
-      (f :: (try Hashtbl.find field_ids key with Not_found -> []))
-  in
-  for f = 0 to Program.n_fields program - 1 do
-    add_field (Program.field_full_name program f) f;
-    add_field (Program.field_info program f).field_name f
-  done;
   {
     program;
     label;
@@ -53,8 +37,7 @@ let create ?cache ?(warm = false) ~program ~label config =
     warm;
     memo = Hashtbl.create 16;
     lock = Mutex.create ();
-    var_ids;
-    field_ids;
+    names = Engine.names program;
     c_queries = Atomic.make 0;
     c_hits = Atomic.make 0;
     c_nodes = Atomic.make 0;
@@ -67,14 +50,12 @@ let eligible = function
     true
   | Query.Taint _ | Query.Stats -> false
 
-(* Root derivation is best-effort: an unresolvable name yields fewer roots,
-   and the slice engine then reports exactly the base engine's resolution
-   error. A *resolvable* name always contributes its root, which is what
-   the exactness contract needs. *)
+(* Roots resolve through the tables the slice's engine answers with, so a
+   name that resolves contributes its root, which is what the exactness
+   contract needs; one that does not yields no root, and the slice engine
+   reports its resolution error. *)
 let roots_of t (q : Query.t) : Demand_solver.roots option =
-  let var v =
-    match Hashtbl.find_opt t.var_ids v with Some id -> [ id ] | None -> []
-  in
+  let var v = Option.to_list (Engine.find_var t.names v) in
   match q with
   | Query.Pts v -> Some { Demand_solver.root_vars = var v; root_fields = [] }
   | Query.Alias (a, b) ->
@@ -84,10 +65,7 @@ let roots_of t (q : Query.t) : Demand_solver.roots option =
     (* the call graph is exact in every slice; no data roots needed *)
     Some Demand_solver.no_roots
   | Query.Fieldpts (_, f) ->
-    let root_fields =
-      match Hashtbl.find_opt t.field_ids f with Some [ f ] -> [ f ] | _ -> []
-    in
-    Some { Demand_solver.root_vars = []; root_fields }
+    Some { Demand_solver.root_vars = []; root_fields = Option.to_list (Engine.find_field t.names f) }
   | Query.Taint _ | Query.Stats -> None
 
 type served = {

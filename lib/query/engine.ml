@@ -13,8 +13,8 @@ type names = {
 type t = { sol : Solution.t; names : names }
 
 (* The tables depend on the program alone: every snapshot a server loads
-   for its program shares one set. *)
-let program_names =
+   for its program shares one set, and so do demand slices' roots. *)
+let names =
   Program.memo (fun p ->
       let tbl size = Hashtbl.create size in
       let n =
@@ -47,7 +47,7 @@ let program_names =
       done;
       n)
 
-let create sol = { sol; names = program_names sol.Solution.program }
+let create sol = { sol; names = names sol.Solution.program }
 let solution t = t.sol
 
 let warm t = Solution.warm_indexes t.sol
@@ -90,6 +90,11 @@ let resolve_field t name =
             (List.sort compare
                (List.map (Program.field_full_name t.sol.Solution.program) fs))))
   | Some [] | None -> Error (Printf.sprintf "unknown field %S" name)
+
+let find_var names name = Hashtbl.find_opt names.vars name
+
+let find_field names name =
+  match Hashtbl.find_opt names.fields name with Some [ f ] -> Some f | _ -> None
 
 (* ---------- evaluation ---------- *)
 

@@ -16,6 +16,20 @@ val create : Ipa_core.Solution.t -> t
 
 val solution : t -> Ipa_core.Solution.t
 
+type names
+(** A program's name tables, entity full name → id. *)
+
+val names : Ipa_ir.Program.t -> names
+(** The tables of a program, built once per physical program
+    ({!Ipa_ir.Program.memo}) and shared by every engine over it. *)
+
+val find_var : names -> string -> Ipa_ir.Program.var_id option
+(** The variable {!eval} resolves a variable name to. *)
+
+val find_field : names -> string -> Ipa_ir.Program.field_id option
+(** The field {!eval} resolves a field name to, full or bare; [None] when
+    no field or more than one has the name. *)
+
 val warm : t -> unit
 (** Force every lazy solution index. Required before sharing the engine
     across domains. *)

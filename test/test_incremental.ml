@@ -929,10 +929,10 @@ let test_adversarial =
     QCheck2.Gen.(triple (int_range 700 999) (int_range 0 (Array.length deltas - 1)) nat)
     prop_adversarial
 
-(* The property's two ends, pinned: an override in a new subclass is a
-   monotone extension the warm path takes, and an old local promoted to a
-   return variable is refused — its baseline facts would never cross the
-   return edge a clean caller installs. *)
+(* Two extensions the property must see taken, pinned: an override in a
+   new subclass, and an old local promoted to a return variable, whose
+   baseline facts cross the return edge the resume adds to every old call
+   edge into its method. *)
 let test_adversarial_pinned () =
   let count d =
     let n = ref 0 in
@@ -945,7 +945,7 @@ let test_adversarial_pinned () =
     !n
   in
   check Alcotest.bool "some override is accepted" true (count Override > 0);
-  check Alcotest.int "old-var returns are refused" 0 (count Old_var_return)
+  check Alcotest.bool "some old-var return is accepted" true (count Old_var_return > 0)
 
 (* ---------- the extension check against its reference ---------- *)
 
@@ -999,7 +999,7 @@ let reference_delta ~old_p ~new_p =
           let ret_ok =
             match (a.ret_var, b.ret_var) with
             | None, None -> true
-            | None, Some y -> y >= n_vars old_p
+            | None, Some _ -> true
             | Some x, Some y -> x = y
             | Some _, None -> false
           in
@@ -1435,7 +1435,7 @@ let walk_targets p =
              | _ -> [])
            (Array.to_list (Program.meth_info p m).body)))
 
-let same_targets p = Summary.call_targets p = walk_targets p
+let same_targets p = Summary.call_targets p = Array.map Array.of_list (walk_targets p)
 
 let test_call_targets_dacapo () =
   List.iter
@@ -1650,7 +1650,7 @@ let () =
       ( "extends",
         [
           test_adversarial;
-          Alcotest.test_case "override taken, old-var return refused" `Quick
+          Alcotest.test_case "override and old-var return taken" `Quick
             test_adversarial_pinned;
           test_delta_reference_adversarial;
           test_delta_reference_edits;

@@ -105,6 +105,10 @@ let test_dispatch () =
   let m_b = B.add_method b ~owner:bb ~name:"run" ~params:[] () in
   B.return_ b m_b (B.this b m_b);
   let main = B.add_method b ~owner:a ~name:"main" ~static:true ~params:[] () in
+  let x = B.add_var b main "x" in
+  ignore (B.alloc b main ~target:x ~cls:c);
+  let virt = B.vcall b main ~base:x ~name:"run" ~actuals:[] () in
+  let stat = B.scall b main ~callee:main ~actuals:[] () in
   B.add_entry b main;
   let p = B.finish b in
   let s = Option.get (P.find_sig p ~name:"run" ~arity:0) in
@@ -112,9 +116,8 @@ let test_dispatch () =
   check (Alcotest.option Alcotest.int) "override" (Some m_b) (P.dispatch p bb s);
   check (Alcotest.option Alcotest.int) "inherit override" (Some m_b) (P.dispatch p c s);
   check (Alcotest.option Alcotest.int) "undefined above" None (P.dispatch p o s);
-  check
-    (Alcotest.slist Alcotest.int compare)
-    "implementations" [ m_a; m_b ] (P.implementations p s);
+  check (Alcotest.list Alcotest.int) "implementations" [ m_a; m_b ] (P.cha_targets p virt);
+  check (Alcotest.list Alcotest.int) "static callee" [ main ] (P.cha_targets p stat);
   let consistent = ref true in
   P.iter_dispatch p (fun cls sg meth ->
       if P.dispatch p cls sg <> Some meth then consistent := false);

@@ -520,6 +520,76 @@ let prop_union_find_vs_naive =
       done;
       Array.for_all (fun i -> Union_find.find uf i = naive_find i) (Array.init n (fun i -> i)))
 
+(* ---------- tarjan ---------- *)
+
+module Tarjan = Ipa_support.Tarjan
+
+(* A random digraph of up to 40 nodes: [edges.(v)] are [v]'s edge heads in
+   index order, [-1] for an edge to skip; about half the nodes are roots. *)
+let random_digraph seed =
+  let rng = Splitmix.create seed in
+  let n = Splitmix.int rng 41 in
+  let edges =
+    Array.init n (fun _ ->
+        Array.init (Splitmix.int rng 5) (fun _ ->
+            if Splitmix.chance rng 0.2 then -1 else Splitmix.int rng n))
+  in
+  (n, edges, Array.init n (fun _ -> Splitmix.bool rng))
+
+let tarjan_order (n, edges, roots) =
+  let comps = ref [] in
+  Tarjan.components ~n
+    ~root:(fun v -> roots.(v))
+    ~degree:(fun v -> Array.length edges.(v))
+    ~succ:(fun v i -> edges.(v).(i))
+    (fun comp -> comps := comp :: !comps);
+  List.rev !comps
+
+let prop_tarjan_vs_naive =
+  qtest ~count:300 "components = mutual reachability, in close order"
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let ((n, edges, roots) as g) = random_digraph seed in
+      (* [reach.(v).(w)]: [w] is reachable from [v], reflexively. *)
+      let reach =
+        Array.init n (fun v ->
+            let seen = Array.make n false in
+            let rec go u =
+              if not seen.(u) then begin
+                seen.(u) <- true;
+                Array.iter (fun w -> if w >= 0 then go w) edges.(u)
+              end
+            in
+            go v;
+            seen)
+      in
+      let visited w = List.exists (fun r -> roots.(r) && reach.(r).(w)) (List.init n Fun.id) in
+      let comps = tarjan_order g in
+      let pos = Array.make n (-1) in
+      List.iteri
+        (fun k comp ->
+          List.iter
+            (fun v ->
+              if pos.(v) >= 0 then QCheck2.Test.fail_reportf "node %d emitted twice" v;
+              pos.(v) <- k)
+            comp)
+        comps;
+      for v = 0 to n - 1 do
+        if (pos.(v) >= 0) <> visited v then
+          QCheck2.Test.fail_reportf "node %d: emitted %b, reachable from a root %b" v
+            (pos.(v) >= 0) (visited v);
+        for w = 0 to n - 1 do
+          if pos.(v) >= 0 && reach.(v).(w) then begin
+            if (pos.(v) = pos.(w)) <> reach.(w).(v) then
+              QCheck2.Test.fail_reportf "nodes %d and %d: same component %b, mutually reachable %b"
+                v w (pos.(v) = pos.(w)) reach.(w).(v);
+            if pos.(w) > pos.(v) then
+              QCheck2.Test.fail_reportf "node %d reaches %d, whose component closes later" v w
+          end
+        done
+      done;
+      comps = tarjan_order g)
+
 (* ---------- int_heap ---------- *)
 
 module Int_heap = Ipa_support.Int_heap
@@ -647,6 +717,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_union_find_errors;
           prop_union_find_vs_naive;
         ] );
+      ("tarjan", [ prop_tarjan_vs_naive ]);
       ( "int_heap",
         [ Alcotest.test_case "basic" `Quick test_int_heap_basic; prop_int_heap_sorts ] );
       ( "ascii_table",
