@@ -8,7 +8,7 @@ type report = {
 }
 
 let cold_fallback p cfg reason =
-  let n_sccs = Array.length (Summary.condense p).sccs in
+  let n_sccs, _ = Summary.dirty_components p (Array.make (Ipa_ir.Program.n_meths p) false) in
   ( Solver.run p cfg,
     {
       n_sccs;
@@ -42,25 +42,16 @@ let solve_incremental ~base_program ~base_solution p cfg =
       match Solver.warm ~base_program ~changed base_solution p cfg with
       | Error reason -> cold_fallback p cfg reason
       | Ok (sol, installed) ->
-        (* The condensation serves the report: the components holding a
-           new or changed method, and their transitive callers, are the
-           ones whose facts may change. *)
-        let cond = Summary.condense p in
-        let n_sccs = Array.length cond.sccs in
-        let sids = List.init n_sccs Fun.id in
-        let dirty =
-          Summary.dirty_closure cond
-            (List.filter
-               (fun sid -> Array.exists (fun m -> changed.(m)) cond.sccs.(sid).members)
-               sids)
-        in
+        (* The components serve the report: the ones reaching a new or
+           changed method are the ones whose facts may change. *)
+        let n_sccs, dirty_sccs = Summary.dirty_components p changed in
         let facts, edges =
           match installed with None -> (0, 0) | Some { Solver.facts; edges } -> (facts, edges)
         in
         ( sol,
           {
             n_sccs;
-            dirty_sccs = List.filter (fun sid -> dirty.(sid)) sids;
+            dirty_sccs;
             fallback = None;
             resumed = Option.is_none installed;
             installed_facts = facts;

@@ -2,25 +2,25 @@
 
     An incremental solve checks that the edited program monotonically
     extends the baseline ({!Summary.delta}), which also marks the methods
-    the edit added or changed. It condenses the (CHA-approximated) call
-    graph of the edited program into strongly connected components
-    ({!Summary.condense}); the components holding a marked method are
-    dirty; the report lists them and their transitive callers. The warm
-    solve itself is {!Solver.warm}: it resumes the live solver state
-    behind a warm baseline whose handle is current, or else installs the
-    baseline into state for [base_program], and then runs only the
-    edit's work. Either way the warm derivation count measures the edit,
-    not the program. When the edit is
-    not a monotone extension, the config is budgeted, the baseline
-    incomplete or solved under another configuration, or installing finds
-    the baseline stale, it falls back to a cold {!Solver.run} and says so
-    in the report. *)
+    the edit added or changed. Its report counts the strongly connected
+    components of the edited program's (CHA-approximated) call graph and
+    lists the dirty ones, those that reach a marked method, both from one
+    Tarjan pass ({!Summary.dirty_components}). The warm solve itself is
+    {!Solver.warm}: it resumes the live solver state behind a warm
+    baseline whose handle is current, or else installs the baseline into
+    state for [base_program], and then runs only the edit's work. Either
+    way the warm derivation count measures the edit, not the program.
+    When the edit is not a monotone extension, the config is budgeted,
+    the baseline incomplete or solved under another configuration, or
+    installing finds the baseline stale, it falls back to a cold
+    {!Solver.run} and says so in the report. *)
 
 type report = {
-  n_sccs : int;  (** components in the condensation of the solved program *)
+  n_sccs : int;  (** call-graph components of the solved program *)
   dirty_sccs : int list;
-      (** ascending: components holding a new or changed method, plus
-          their transitive callers; empty on a fallback *)
+      (** ascending: components that reach a new or changed method (those
+          holding one, and their transitive callers); empty on a
+          fallback *)
   fallback : string option;  (** why the warm path was refused, when it was *)
   resumed : bool;
       (** the warm path resumed the base's live solver state

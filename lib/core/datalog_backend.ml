@@ -255,7 +255,7 @@ let run p ~default ~refined ~refine ?(budget = 0) () =
         [
           ( 10,
             fun env ->
-              strategy.merge ctxs ~heap:env.(5) ~hctx:env.(6) ~invo:env.(2) ~caller:env.(4) );
+              strategy.merge p ctxs ~heap:env.(5) ~hctx:env.(6) ~invo:env.(2) ~caller:env.(4) );
         ]
       ~guards:
         [ (fun env -> Refine.refine_site refine ~invo:env.(2) ~meth:env.(8) = refined_site) ]

@@ -53,11 +53,30 @@ let in_flow (p : Program.t) (d : Datalog_backend.t) =
   Aggregate.count hpia ~group_by:[ 0 ] ~into:result;
   to_table result
 
-let meth_total_volume (p : Program.t) (d : Datalog_backend.t) =
-  let var_owner = Relation.create ~name:"VarOwner" ~arity:2 in
+let var_owner (p : Program.t) =
+  let rel = Relation.create ~name:"VarOwner" ~arity:2 in
   for var = 0 to Program.n_vars p - 1 do
-    ignore (Relation.add var_owner [| var; (Program.var_info p var).var_owner |])
+    ignore (Relation.add rel [| var; (Program.var_info p var).var_owner |])
   done;
+  rel
+
+(* Project FldPointsTo down to distinct (base heap, field, heap) triples,
+   then count the heaps of every (base heap, field) slot. *)
+let field_sizes (d : Datalog_backend.t) =
+  let base_fld_heap = Relation.create ~name:"BaseFieldHeap" ~arity:3 in
+  let rule =
+    Rule.make ~n_vars:5
+      ~heads:[ (base_fld_heap, [| v 0; v 2; v 3 |]) ]
+      ~body:[ (d.fld_points_to, [| v 0; v 1; v 2; v 3; v 4 |]) ]
+      ()
+  in
+  ignore (Engine.fixpoint [ rule ]);
+  let sizes = Relation.create ~name:"FieldSize" ~arity:3 in
+  Aggregate.count base_fld_heap ~group_by:[ 0; 1 ] ~into:sizes;
+  sizes
+
+let meth_total_volume (p : Program.t) (d : Datalog_backend.t) =
+  let var_owner = var_owner p in
   let var_heap = collapsed_vpt d in
   let meth_var_heap = Relation.create ~name:"MethVarHeap" ~arity:3 in
   let rule =
@@ -84,4 +103,31 @@ let pointed_by_vars (_p : Program.t) (d : Datalog_backend.t) =
   ignore (Engine.fixpoint [ rule ]);
   let result = Relation.create ~name:"PointedByVars" ~arity:2 in
   Aggregate.count heap_var ~group_by:[ 0 ] ~into:result;
+  to_table result
+
+let obj_total_field (_p : Program.t) (d : Datalog_backend.t) =
+  let result = Relation.create ~name:"ObjTotalField" ~arity:2 in
+  Aggregate.sum (field_sizes d) ~group_by:[ 0 ] ~value:2 ~into:result;
+  to_table result
+
+let meth_max_var_field (p : Program.t) (d : Datalog_backend.t) =
+  let obj_max_field = Relation.create ~name:"ObjMaxField" ~arity:2 in
+  Aggregate.max_ (field_sizes d) ~group_by:[ 0 ] ~value:2 ~into:obj_max_field;
+  (* MethHeapMaxField(meth, heap, max): a variable of [meth] points to
+     [heap], whose largest field slot holds [max] heaps. *)
+  let meth_heap_max = Relation.create ~name:"MethHeapMaxField" ~arity:3 in
+  let rule =
+    Rule.make ~n_vars:4
+      ~heads:[ (meth_heap_max, [| v 2; v 1; v 3 |]) ]
+      ~body:
+        [
+          (collapsed_vpt d, [| v 0; v 1 |]);
+          (var_owner p, [| v 0; v 2 |]);
+          (obj_max_field, [| v 1; v 3 |]);
+        ]
+      ()
+  in
+  ignore (Engine.fixpoint [ rule ]);
+  let result = Relation.create ~name:"MethMaxVarField" ~arity:2 in
+  Aggregate.max_ meth_heap_max ~group_by:[ 0 ] ~value:2 ~into:result;
   to_table result

@@ -12,7 +12,7 @@
     v}
 
     This module executes that query (and the analogous ones for metrics 2
-    and 5) on the generic Datalog engine over a {!Datalog_backend} result.
+    to 5) on the generic Datalog engine over a {!Datalog_backend} result.
     It exists for fidelity — tests assert it agrees with the native
     {!Introspection} computation. *)
 
@@ -25,3 +25,11 @@ val meth_total_volume : Ipa_ir.Program.t -> Datalog_backend.t -> (int, int) Hash
 
 val pointed_by_vars : Ipa_ir.Program.t -> Datalog_backend.t -> (int, int) Hashtbl.t
 (** Per heap object: metric #5. *)
+
+val obj_total_field : Ipa_ir.Program.t -> Datalog_backend.t -> (int, int) Hashtbl.t
+(** Per heap object: metric #3 (total variant), counting distinct
+    (field, heap) pairs over the object's fields, contexts collapsed. *)
+
+val meth_max_var_field : Ipa_ir.Program.t -> Datalog_backend.t -> (int, int) Hashtbl.t
+(** Per method: metric #4, the largest field points-to set (contexts
+    collapsed) of any object its variables point to. *)

@@ -71,7 +71,7 @@ let insensitive_strategy : Strategy.t =
   {
     name = insensitive_name;
     record = (fun _ ~heap:_ ~ctx:_ -> Ctx.empty);
-    merge = (fun _ ~heap:_ ~hctx:_ ~invo:_ ~caller:_ -> Ctx.empty);
+    merge = (fun _ _ ~heap:_ ~hctx:_ ~invo:_ ~caller:_ -> Ctx.empty);
     merge_static = (fun _ ~invo:_ ~caller:_ -> Ctx.empty);
   }
 
@@ -84,7 +84,7 @@ let call_site ~depth ~heap : Strategy.t =
   {
     name = Printf.sprintf "%dcall%s" depth (heap_suffix heap);
     record = record_prefix heap;
-    merge = (fun tbl ~heap:_ ~hctx:_ ~invo ~caller -> push tbl invo caller);
+    merge = (fun _ tbl ~heap:_ ~hctx:_ ~invo ~caller -> push tbl invo caller);
     merge_static = (fun tbl ~invo ~caller -> push tbl invo caller);
   }
 
@@ -93,7 +93,7 @@ let object_sens ~depth ~heap : Strategy.t =
     name = Printf.sprintf "%dobj%s" depth (heap_suffix heap);
     record = record_prefix heap;
     merge =
-      (fun tbl ~heap:h ~hctx ~invo:_ ~caller:_ ->
+      (fun _ tbl ~heap:h ~hctx ~invo:_ ~caller:_ ->
         Ctx.push_trunc tbl hctx ~elem:(Ctx.Elem.heap h) ~keep:depth);
     merge_static = (fun _ ~invo:_ ~caller -> caller);
   }
@@ -103,12 +103,12 @@ let object_sens ~depth ~heap : Strategy.t =
    POPL'11. *)
 let heap_type_elem p h = Ctx.Elem.ty (Program.meth_info p (Program.heap_info p h).heap_owner).meth_owner
 
-let type_sens p ~depth ~heap : Strategy.t =
+let type_sens ~depth ~heap : Strategy.t =
   {
     name = Printf.sprintf "%dtype%s" depth (heap_suffix heap);
     record = record_prefix heap;
     merge =
-      (fun tbl ~heap:h ~hctx ~invo:_ ~caller:_ ->
+      (fun p tbl ~heap:h ~hctx ~invo:_ ~caller:_ ->
         Ctx.push_trunc tbl hctx ~elem:(heap_type_elem p h) ~keep:depth);
     merge_static = (fun _ ~invo:_ ~caller -> caller);
   }
@@ -125,7 +125,7 @@ let hybrid ~depth ~heap : Strategy.t =
     name = Printf.sprintf "%dhyb%s" depth (heap_suffix heap);
     record = (fun tbl ~heap:_ ~ctx -> Ctx.trunc tbl (strip_invos tbl ctx) ~keep:heap);
     merge =
-      (fun tbl ~heap:h ~hctx ~invo:_ ~caller:_ ->
+      (fun _ tbl ~heap:h ~hctx ~invo:_ ~caller:_ ->
         Ctx.push_trunc tbl hctx ~elem:(Ctx.Elem.heap h) ~keep:depth);
     merge_static =
       (fun tbl ~invo ~caller ->
@@ -134,7 +134,7 @@ let hybrid ~depth ~heap : Strategy.t =
         Ctx.push_trunc tbl (strip_invos tbl caller) ~elem:(Ctx.Elem.invo invo) ~keep:(depth + 1));
   }
 
-let strategy p = function
+let strategy _p = function
   | Insensitive -> insensitive_strategy
   | Call_site { depth; heap } ->
     check_depths ~depth ~heap "call_site";
@@ -144,7 +144,7 @@ let strategy p = function
     object_sens ~depth ~heap
   | Type_sens { depth; heap } ->
     check_depths ~depth ~heap "type_sens";
-    type_sens p ~depth ~heap
+    type_sens ~depth ~heap
   | Hybrid { depth; heap } ->
     check_depths ~depth ~heap "hybrid";
     hybrid ~depth ~heap

@@ -29,7 +29,9 @@ type spec =
   | Hybrid of { depth : int; heap : int }
 
 val strategy : Ipa_ir.Program.t -> spec -> Strategy.t
-(** Raises [Invalid_argument] on non-positive depths. *)
+(** The program argument is unused: a strategy reads the program being
+    solved from its caller ({!Strategy.t}), so one strategy serves every
+    program. Raises [Invalid_argument] on non-positive depths. *)
 
 val to_string : spec -> string
 (** Paper-style names: ["insens"], ["2objH"], ["1callH"], ["2typeH"],

@@ -797,7 +797,7 @@ and dispatch_call st ~invo ~ctx obj =
         if Refine.refine_site st.cfg.refine ~invo ~meth:target then st.cfg.refined_strategy
         else st.cfg.default_strategy
       in
-      let callee_ctx = strat.merge st.ctxs ~heap ~hctx ~invo ~caller:ctx in
+      let callee_ctx = strat.merge st.p st.ctxs ~heap ~hctx ~invo ~caller:ctx in
       add_cg_edge st ~invo ~caller_ctx:ctx ~meth:target ~callee_ctx;
       (match (Program.meth_info st.p target).this_var with
       | Some this -> add_obj st (var_node st this callee_ctx) obj ~spec:Filters.none
@@ -853,11 +853,10 @@ let should_sweep st =
   st.attempts_since_sweep >= sweep_min_attempts
   && st.attempts_since_sweep > sweep_ratio * max 1 st.gains_since_sweep
 
-(* Tarjan over the representatives' unfiltered, resolved, non-self edges;
-   returns the components of size >= 2 in close order. *)
-let find_sccs st =
+(* Tarjan over the representatives' resolved, non-self copy edges that
+   [keep] accepts. Deterministic: roots ascend, edge lists scan in order. *)
+let copy_components st ~keep ?finish emit =
   let n_nodes = Dynarr.length st.edges in
-  let sccs = ref [] in
   Tarjan.components ~n:n_nodes
     ~root:(fun v -> Union_find.find st.uf v = v)
     ~degree:(fun v -> match Dynarr.get st.edges v with None -> 0 | Some es -> Dynarr.length es)
@@ -866,63 +865,36 @@ let find_sccs st =
       | None -> -1
       | Some es ->
         let packed = Dynarr.get es i in
-        if edge_spec packed <> Filters.none then -1
+        if not (keep packed) then -1
         else
           let d = Union_find.find st.uf (edge_dst packed) in
           if d = v || d >= n_nodes then -1 else d)
+    ?finish emit
+
+(* The components of size >= 2 of the unfiltered copy graph, in close
+   order. *)
+let find_sccs st =
+  let sccs = ref [] in
+  copy_components st
+    ~keep:(fun packed -> edge_spec packed = Filters.none)
     (function [] | [ _ ] -> () | comp -> sccs := comp :: !sccs);
   List.rev !sccs
 
 (* Re-rank every representative by reverse postorder of the full copy graph
    (filtered edges included — they are scheduling topology even though they
    never merge), then rebuild the priority heap so queued nodes adopt their
-   new ranks. Deterministic: roots ascend, edge lists scan in order. *)
+   new ranks. *)
 let recompute_ranks st =
   let n_nodes = Dynarr.length st.edges in
-  let state = Array.make (max 1 n_nodes) 0 in
-  let order = Dynarr.create ~capacity:(max 16 n_nodes) ~dummy:0 () in
-  let frame_node = Dynarr.create ~capacity:64 ~dummy:0 () in
-  let frame_edge = Dynarr.create ~capacity:64 ~dummy:0 () in
-  let successor v i =
-    match Dynarr.get st.edges v with
-    | None -> (i, None)
-    | Some es ->
-      let len = Dynarr.length es in
-      let rec scan i =
-        if i >= len then (i, None)
-        else begin
-          let d = Union_find.find st.uf (edge_dst (Dynarr.get es i)) in
-          if d >= n_nodes || d = v || state.(d) <> 0 then scan (i + 1) else (i + 1, Some d)
-        end
-      in
-      scan i
-  in
-  for root = 0 to n_nodes - 1 do
-    if Union_find.find st.uf root = root && state.(root) = 0 then begin
-      state.(root) <- 1;
-      Dynarr.push frame_node root;
-      Dynarr.push frame_edge 0;
-      while Dynarr.length frame_node > 0 do
-        let top = Dynarr.length frame_node - 1 in
-        let v = Dynarr.get frame_node top in
-        let i, succ = successor v (Dynarr.get frame_edge top) in
-        Dynarr.set frame_edge top i;
-        match succ with
-        | Some w ->
-          state.(w) <- 1;
-          Dynarr.push frame_node w;
-          Dynarr.push frame_edge 0
-        | None ->
-          ignore (Dynarr.pop frame_node);
-          ignore (Dynarr.pop frame_edge);
-          Dynarr.push order v
-      done
-    end
-  done;
-  let n_order = Dynarr.length order in
-  for i = 0 to n_order - 1 do
-    let v = Dynarr.get order i in
-    Dynarr.set st.rank v (min rank_cap (n_order - 1 - i))
+  let order = Array.make (max 1 n_nodes) 0 and n_order = ref 0 in
+  copy_components st
+    ~keep:(fun _ -> true)
+    ~finish:(fun v ->
+      order.(!n_order) <- v;
+      incr n_order)
+    ignore;
+  for i = 0 to !n_order - 1 do
+    Dynarr.set st.rank order.(i) (min rank_cap (!n_order - 1 - i))
   done;
   Int_heap.clear st.heap;
   for v = 0 to n_nodes - 1 do

@@ -20,7 +20,11 @@
     pointer-equivalent) are collapsed onto a single representative via a
     union-find: one points-to set, one spliced edge list, one pending batch.
     Cycles are detected by a bounded walk on edge insertion plus periodic
-    Tarjan sweeps triggered by a re-propagation-ratio heuristic. Collapse is
+    sweeps triggered by a re-propagation-ratio heuristic. A sweep is two
+    passes of the shared Tarjan ({!Ipa_support.Tarjan.components}): one
+    over the unfiltered copy graph collapses its cycles, one over the full
+    copy graph (filtered edges included) ranks every node by its reverse
+    finish order. Collapse is
     invisible above the solver: materialization expands representatives
     back to the original nodes and renumbers all tables canonically, so the
     returned {!Solution.t} is a pure function of the semantic fixpoint (the
@@ -45,7 +49,8 @@ type config = {
 
 val plain : Ipa_ir.Program.t -> ?budget:int -> Strategy.t -> config
 (** A non-introspective configuration: [strategy] everywhere, empty refine
-    sets, field-sensitive. *)
+    sets, field-sensitive. The program argument is unused: a configuration
+    is bound to no program. *)
 
 val write_config : Ipa_support.Codec.Writer.t -> config -> unit
 (** The canonical encoding of everything in [config] that decides a

@@ -6,9 +6,10 @@
 
     - [record heap ctx]: the heap context given to an object allocated at
       [heap] by a method running in calling context [ctx];
-    - [merge heap hctx invo caller]: the callee's calling context for a
+    - [merge p heap hctx invo caller]: the callee's calling context for a
       virtual call at site [invo] on a receiver object [(heap, hctx)] from
-      calling context [caller];
+      calling context [caller], in the program [p] being solved (a
+      type-sensitive merge reads the class of [heap]'s allocating method);
     - [merge_static invo caller]: likewise for static calls (which have no
       receiver; not in the paper's 10-rule model but present in Doop).
 
@@ -21,6 +22,12 @@ type t = {
   name : string;
   record : Ctx.t -> heap:Ipa_ir.Program.heap_id -> ctx:int -> int;
   merge :
-    Ctx.t -> heap:Ipa_ir.Program.heap_id -> hctx:int -> invo:Ipa_ir.Program.invo_id -> caller:int -> int;
+    Ipa_ir.Program.t ->
+    Ctx.t ->
+    heap:Ipa_ir.Program.heap_id ->
+    hctx:int ->
+    invo:Ipa_ir.Program.invo_id ->
+    caller:int ->
+    int;
   merge_static : Ctx.t -> invo:Ipa_ir.Program.invo_id -> caller:int -> int;
 }

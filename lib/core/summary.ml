@@ -1,23 +1,13 @@
-module Dynarr = Ipa_support.Dynarr
 module Tarjan = Ipa_support.Tarjan
 module Int_sort = Ipa_support.Int_sort
 module Program = Ipa_ir.Program
 
-(* ---------- call-graph condensation ---------- *)
-
-type scc = {
-  scc_id : int;
-  members : int array; (* meth ids, ascending *)
-  callees : int array; (* scc ids of CHA-possible callees, ascending, self excluded *)
-}
-
-type condensation = { sccs : scc array; scc_of_meth : int array }
+(* ---------- dirty components ---------- *)
 
 (* CHA over-approximation of the call graph ([Program.cha_targets]): the
    solver's on-the-fly call graph is a subset, so SCCs here are unions of
-   semantic SCCs — safe for both summary boundaries and dirtiness
-   propagation. [seen.(c) = m] once method [m] has collected callee [c]
-   into [buf]. *)
+   semantic SCCs — safe for dirtiness propagation. [seen.(c) = m] once
+   method [m] has collected callee [c] into [buf]. *)
 let call_targets p =
   let n = Program.n_meths p in
   let seen = Array.make (max 1 n) (-1) in
@@ -39,68 +29,26 @@ let call_targets p =
         (Program.meth_info p m).body;
       Int_sort.sort_distinct (Array.sub buf 0 !k))
 
-(* Every component, singletons included, in close order: callees before
-   callers, i.e. the array is a bottom-up topological order of the
-   condensation. *)
-let condense p =
+(* One Tarjan pass numbers the components in close order and decides each
+   one's dirtiness as it closes: every callee outside it has closed
+   before, so [dirty] is final for them. *)
+let dirty_components p changed =
   let n = Program.n_meths p in
-  let succs = call_targets p in
-  let comps = Dynarr.create ~capacity:(max 16 n) ~dummy:[||] () in
+  let callees = call_targets p in
+  let dirty = Array.make n false in
+  let n_comps = ref 0 and dirty_ids = ref [] in
   Tarjan.components ~n
     ~root:(fun _ -> true)
-    ~degree:(fun m -> Array.length succs.(m))
-    ~succ:(fun m i -> succs.(m).(i))
+    ~degree:(fun m -> Array.length callees.(m))
+    ~succ:(fun m i -> callees.(m).(i))
     (fun comp ->
-      let members = Array.of_list comp in
-      Array.sort Int.compare members;
-      Dynarr.push comps members);
-  let n_sccs = Dynarr.length comps in
-  let scc_of_meth = Array.make (max 1 n) 0 in
-  for sid = 0 to n_sccs - 1 do
-    Array.iter (fun m -> scc_of_meth.(m) <- sid) (Dynarr.get comps sid)
-  done;
-  (* [seen.(c) = sid] once component [sid] has collected callee [c]. *)
-  let seen = Array.make (max 1 n_sccs) (-1) in
-  let sccs =
-    Array.init n_sccs (fun sid ->
-        let members = Dynarr.get comps sid in
-        seen.(sid) <- sid;
-        let callee_sccs = ref [] in
-        Array.iter
-          (fun m ->
-            Array.iter
-              (fun callee ->
-                let c = scc_of_meth.(callee) in
-                if seen.(c) <> sid then begin
-                  seen.(c) <- sid;
-                  callee_sccs := c :: !callee_sccs
-                end)
-              succs.(m))
-          members;
-        let callees = Array.of_list !callee_sccs in
-        Array.sort Int.compare callees;
-        { scc_id = sid; members; callees })
-  in
-  { sccs; scc_of_meth }
-
-(* Dirtiness closure: the given components plus every call-graph ancestor
-   (transitive caller) — the components whose facts can depend on a changed
-   callee. Reverse-BFS over the condensation's callee edges. *)
-let dirty_closure cond seeds =
-  let n = Array.length cond.sccs in
-  let callers = Array.make (max 1 n) [] in
-  Array.iter
-    (fun scc -> Array.iter (fun c -> callers.(c) <- scc.scc_id :: callers.(c)) scc.callees)
-    cond.sccs;
-  let dirty = Array.make (max 1 n) false in
-  let rec mark sid =
-    if not dirty.(sid) then begin
-      dirty.(sid) <- true;
-      List.iter mark callers.(sid)
-    end
-  in
-  List.iter mark seeds;
-  dirty
+      if List.exists (fun m -> changed.(m) || Array.exists (fun c -> dirty.(c)) callees.(m)) comp
+      then begin
+        List.iter (fun m -> dirty.(m) <- true) comp;
+        dirty_ids := !n_comps :: !dirty_ids
+      end;
+      incr n_comps);
+  (!n_comps, List.rev !dirty_ids)
 
 (* ---------- monotone-extension check ---------- *)
 

@@ -1,42 +1,30 @@
-(** Call-graph condensation and the monotone-extension check for
+(** Dirty call-graph components and the monotone-extension check for
     incremental solving.
 
     The call graph is over-approximated by CHA ({!Program.cha_targets}: a
     static call targets its declared callee, a virtual call every concrete
-    implementation of its signature) and condensed with Tarjan
-    ({!Ipa_support.Tarjan}) into strongly connected components emitted
-    bottom-up (callees before callers). {!delta} checks that an
-    edited program extends its baseline and marks the methods the edit
-    touched; the components holding a marked method are the dirty ones.
-    A warm solve ({!Solver.warm}) reads only the mask; the condensation
-    feeds its report ({!Compositional_solver.report}). *)
+    implementation of its signature). {!delta} checks that an edited
+    program extends its baseline and marks the methods the edit touched. A
+    warm solve ({!Solver.warm}) reads only that mask. {!dirty_components}
+    feeds its report ({!Compositional_solver.report}): one pass of the
+    shared Tarjan ({!Ipa_support.Tarjan}) counts the strongly connected
+    components and names the ones that reach a marked method. *)
 
 module Program := Ipa_ir.Program
 
-(** {1 Condensation} *)
-
-type scc = {
-  scc_id : int;
-  members : int array;  (** meth ids, ascending *)
-  callees : int array;  (** callee scc ids, ascending, self excluded *)
-}
-
-type condensation = {
-  sccs : scc array;
-      (** bottom-up topological order: a component precedes its callers *)
-  scc_of_meth : int array;
-}
+(** {1 Dirty components} *)
 
 val call_targets : Program.t -> int array array
 (** Per method, its CHA callees ({!Program.cha_targets} of every call in
     its body), ascending and distinct. *)
 
-val condense : Program.t -> condensation
-
-val dirty_closure : condensation -> int list -> bool array
-(** [dirty_closure cond seeds] marks the seed components plus every
-    transitive caller — the components whose facts may depend on a change
-    inside a seed. *)
+val dirty_components : Program.t -> bool array -> int * int list
+(** [dirty_components p changed] is [(n, dirty)]: [n] strongly connected
+    components of [p]'s CHA call graph, numbered [0 .. n-1] in the order
+    Tarjan closes them (callees before callers), and [dirty], ascending,
+    the components that reach a method [m] with [changed.(m)] — the ones
+    whose facts may depend on the change. [changed] has one entry per
+    method of [p]. *)
 
 (** {1 Monotone extension} *)
 

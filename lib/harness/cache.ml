@@ -306,10 +306,8 @@ let of_snapshot ~label (snap : Snapshot.t) ~seconds =
     timed_out = snap.solution.Ipa_core.Solution.outcome = Budget_exceeded;
   }
 
-let metrics_of ~label (snap : Snapshot.t) =
-  match snap.metrics with
-  | Some m -> m
-  | None -> ignore label; Introspection.compute snap.solution
+let metrics_of (snap : Snapshot.t) =
+  match snap.metrics with Some m -> m | None -> Introspection.compute snap.solution
 
 let solve t p ~label config =
   let program_digest = Snapshot.digest_program p in
@@ -322,7 +320,7 @@ let solve t p ~label config =
       match Timer.time (fun () -> decode bytes) with
       | Ok snap, seconds ->
         Atomic.incr t.mem_hits;
-        Some (of_snapshot ~label snap ~seconds, metrics_of ~label snap)
+        Some (of_snapshot ~label snap ~seconds, metrics_of snap)
       | Error _, _ ->
         (* memory holds only bytes this process encoded; a decode failure
            here is a bug, but stay on the never-wrong side: recompute *)
@@ -337,7 +335,7 @@ let solve t p ~label config =
       | Ok snap, seconds ->
         Atomic.incr t.disk_hits;
         mem_store t key bytes;
-        Some (of_snapshot ~label snap ~seconds, metrics_of ~label snap)
+        Some (of_snapshot ~label snap ~seconds, metrics_of snap)
       | Error _, _ ->
         Atomic.incr t.stale;
         disk_drop t key;

@@ -41,16 +41,6 @@ let push_get_index t x =
   push t x;
   t.len - 1
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    t.len <- t.len - 1;
-    let x = t.data.(t.len) in
-    (* Drop the reference so the GC can reclaim the element. *)
-    t.data.(t.len) <- t.dummy;
-    Some x
-  end
-
 let clear t =
   Array.fill t.data 0 t.len t.dummy;
   t.len <- 0

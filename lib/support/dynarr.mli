@@ -33,9 +33,6 @@ val push : 'a t -> 'a -> unit
 val push_get_index : 'a t -> 'a -> int
 (** [push_get_index t x] appends [x] and returns its index. *)
 
-val pop : 'a t -> 'a option
-(** [pop t] removes and returns the last element, or [None] when empty. *)
-
 val clear : 'a t -> unit
 (** [clear t] resets the length to zero (capacity is retained). *)
 

@@ -99,9 +99,9 @@ let test_strategies () =
   let insens_s = Flavors.strategy p insens in
   check Alcotest.int "insens record" Ctx.empty (insens_s.record t ~heap:0 ~ctx:5);
   check Alcotest.int "insens merge" Ctx.empty
-    (insens_s.merge t ~heap:0 ~hctx:0 ~invo:0 ~caller:5);
+    (insens_s.merge p t ~heap:0 ~hctx:0 ~invo:0 ~caller:5);
   let call_s = Flavors.strategy p (Flavors.Call_site { depth = 2; heap = 1 }) in
-  let c1 = call_s.merge t ~heap:0 ~hctx:0 ~invo:7 ~caller:Ctx.empty in
+  let c1 = call_s.merge p t ~heap:0 ~hctx:0 ~invo:7 ~caller:Ctx.empty in
   check Alcotest.bool "call pushes invo" true ((Ctx.elems t c1).(0) = Ctx.Elem.invo 7);
   let c2 = call_s.merge_static t ~invo:8 ~caller:c1 in
   check Alcotest.int "call depth 2" 2 (Array.length (Ctx.elems t c2));
@@ -111,11 +111,11 @@ let test_strategies () =
   check Alcotest.bool "heap ctx prefix" true
     (Ctx.elems t (call_s.record t ~heap:0 ~ctx:c2) = [| Ctx.Elem.invo 8 |]);
   let obj_s = Flavors.strategy p obj2 in
-  let oc = obj_s.merge t ~heap:3 ~hctx:Ctx.empty ~invo:0 ~caller:Ctx.empty in
+  let oc = obj_s.merge p t ~heap:3 ~hctx:Ctx.empty ~invo:0 ~caller:Ctx.empty in
   check Alcotest.bool "obj pushes heap" true ((Ctx.elems t oc).(0) = Ctx.Elem.heap 3);
   check Alcotest.int "obj static keeps caller" oc (obj_s.merge_static t ~invo:0 ~caller:oc);
   let ty_s = Flavors.strategy p type2 in
-  let tc = ty_s.merge t ~heap:0 ~hctx:Ctx.empty ~invo:0 ~caller:Ctx.empty in
+  let tc = ty_s.merge p t ~heap:0 ~hctx:Ctx.empty ~invo:0 ~caller:Ctx.empty in
   check Alcotest.bool "type elem is class" true
     (Ctx.Elem.kind (Ctx.elems t tc).(0) = Ctx.Elem.Type);
   let hyb_s = Flavors.strategy p hyb2 in

@@ -4,7 +4,10 @@
      accounting: counters and the derivation count measure the edit), and
      must agree with the Datalog encoding of Fig. 3;
    - the dirty set after an edit is exactly the edited component plus its
-     transitive callers;
+     transitive callers, and on every Dacapo spec the component count and
+     dirty ids agree with naive reachability;
+   - a 2typeH configuration built for the base program solves an edited
+     one (its merge reads the program being solved);
    - each fallback (budgeted config, truncated baseline, non-monotone edit,
      a baseline solved under another configuration, a baseline of another
      program) reports its reason and returns exactly the cold solve; over
@@ -439,6 +442,21 @@ let meth_named p name =
   let rec go m = if (Program.meth_info p m).meth_name = name then m else go (m + 1) in
   go 0
 
+(* Component ids in the order Tarjan closes them over the CHA call graph,
+   the numbering [Summary.dirty_components] reports. *)
+let close_order_ids p =
+  let targets = Summary.call_targets p in
+  let n = Program.n_meths p in
+  let comp_of = Array.make n (-1) and n_comps = ref 0 in
+  Ipa_support.Tarjan.components ~n
+    ~root:(fun _ -> true)
+    ~degree:(fun m -> Array.length targets.(m))
+    ~succ:(fun m i -> targets.(m).(i))
+    (fun comp ->
+      List.iter (fun m -> comp_of.(m) <- !n_comps) comp;
+      incr n_comps);
+  comp_of
+
 (* Editing c must dirty exactly the call chain above it ({c, b, a, main});
    the sibling d stays out of the dirty set. *)
 let test_dirty_minimality () =
@@ -452,8 +470,8 @@ let test_dirty_minimality () =
   in
   check Alcotest.int "five components" 5 report.Comp.n_sccs;
   check Alcotest.(option string) "warm path taken" None report.Comp.fallback;
-  let cond = Summary.condense edited in
-  let scc_of name = cond.Summary.scc_of_meth.(m name) in
+  let comp_of = close_order_ids edited in
+  let scc_of name = comp_of.(m name) in
   let expected = List.sort compare (List.map scc_of [ "main"; "a"; "b"; "c" ]) in
   check (Alcotest.list Alcotest.int) "dirty = edited chain" expected report.Comp.dirty_sccs;
   check Alcotest.bool "sibling d stays clean" false
@@ -525,6 +543,20 @@ let test_stale_baseline () =
     check_fallback "a baseline of the program before" ~reason:"stale baseline: new object"
       ~base_program:q1 ~base_solution:(Solver.run q0 (config q0 type2)) q2 (config q2 type2)
   | _ -> Alcotest.fail "expected two edits"
+
+(* A configuration built for the base program, reused for an edited one
+   whose new objects its type-sensitive merge must place: the merge reads
+   the program being solved, so the warm solve returns the cold bytes. *)
+let test_config_of_base () =
+  let p0 = Ipa_synthetic.Dacapo.build ~scale:0.05 (Option.get (Ipa_synthetic.Dacapo.find "jython")) in
+  let type2 = Flavors.Type_sens { depth = 2; heap = 1 } in
+  let cfg = config p0 type2 in
+  let base = Solver.run p0 cfg in
+  let p1 = Edits.apply_all p0 (Edits.pick ~seed:29 ~n:3 ~kinds:Edits.monotone_kinds p0) in
+  let warm, report = Comp.solve_incremental ~base_program:p0 ~base_solution:base p1 cfg in
+  check Alcotest.(option string) "warm path taken" None report.Comp.fallback;
+  check Alcotest.bool "warm == cold" true
+    (String.equal (warm_bytes p1 warm) (warm_bytes p1 (Solver.run p1 (config p1 type2))))
 
 (* The configurations a pair is drawn from: the four flavors plain, two
    introspective 2objH second passes whose refine sets skip different
@@ -1370,7 +1402,7 @@ let test_layout_canonical () =
     [ ("jython", 1); ("jython", 3); ("antlr", 2); ("bloat", 4) ];
   check Alcotest.bool "hashed sets were compared" true (!hashed > 0)
 
-(* ---------- condensation ---------- *)
+(* ---------- call-graph components ---------- *)
 
 (* A method's CHA targets, from scratch: a static call's callee, and for
    a virtual call whatever every class dispatches its signature to. *)
@@ -1388,34 +1420,70 @@ let naive_targets p m =
       | _ -> [])
     (Array.to_list (Program.meth_info p m).body)
 
-(* Every component's callees are strictly ascending (sorted, distinct),
-   exclude itself, precede it in the bottom-up order and equal a naive
-   recomputation over its members' CHA targets. *)
-let test_condense_callees () =
-  List.iter
-    (fun (spec : Ipa_synthetic.Dacapo.spec) ->
-      let p = Ipa_synthetic.Dacapo.build ~scale:0.02 spec in
-      let cond = Summary.condense p in
-      Array.iteri
-        (fun sid (scc : Summary.scc) ->
-          let what = Printf.sprintf "%s component %d" spec.name sid in
-          check Alcotest.int (what ^ ": id") sid scc.scc_id;
-          let callees = Array.to_list scc.callees in
-          check Alcotest.bool (what ^ ": strictly ascending") true
-            (callees = List.sort_uniq compare callees);
-          check Alcotest.bool (what ^ ": callees come first") true
-            (List.for_all (fun c -> c < sid) callees);
-          let naive =
-            List.sort_uniq compare
+(* Every Dacapo spec's CHA graph at 0.02 ([naive_targets]) with its
+   reflexive reachability: [reach.(v)] marks what [v] reaches. *)
+let dacapo_reach =
+  lazy
+    (List.map
+       (fun (spec : Ipa_synthetic.Dacapo.spec) ->
+         let p = Ipa_synthetic.Dacapo.build ~scale:0.02 spec in
+         let n = Program.n_meths p in
+         let targets = Array.init n (naive_targets p) in
+         let reach =
+           Array.init n (fun v ->
+               let seen = Array.make n false in
+               let rec go u =
+                 if not seen.(u) then begin
+                   seen.(u) <- true;
+                   List.iter go targets.(u)
+                 end
+               in
+               go v;
+               seen)
+         in
+         (spec.name, p, reach))
+       Ipa_synthetic.Dacapo.all)
+
+(* Against naive reachability: as many components as mutual-reachability
+   classes, and dirty exactly the close-order ids of the classes that reach
+   a masked method. *)
+let test_dirty_components =
+  qtest ~count:50 "dirty components = naive, Dacapo"
+    QCheck2.Gen.(int_range 0 99_999)
+    (fun seed ->
+      let rng = Splitmix.create seed in
+      List.iter
+        (fun (name, p, reach) ->
+          let n = Program.n_meths p in
+          let density = [| 0.0; 0.002; 0.02; 0.2 |].(Splitmix.int rng 4) in
+          let changed = Array.init n (fun _ -> Splitmix.chance rng density) in
+          let n_comps, dirty = Summary.dirty_components p changed in
+          let same_class v w = reach.(v).(w) && reach.(w).(v) in
+          let classes =
+            List.length
               (List.filter
-                 (fun c -> c <> sid)
-                 (List.map
-                    (fun m -> cond.Summary.scc_of_meth.(m))
-                    (List.concat_map (naive_targets p) (Array.to_list scc.members))))
+                 (fun v -> not (List.exists (fun w -> same_class v w) (List.init v Fun.id)))
+                 (List.init n Fun.id))
           in
-          check Alcotest.(list int) (what ^ ": = naive") naive callees)
-        cond.Summary.sccs)
-    Ipa_synthetic.Dacapo.all
+          if n_comps <> classes then
+            QCheck2.Test.fail_reportf "%s seed %d: %d components, %d classes" name seed n_comps
+              classes;
+          let comp_of = close_order_ids p in
+          let expected =
+            List.sort_uniq compare
+              (List.filter_map
+                 (fun v ->
+                   if List.exists (fun w -> changed.(w) && reach.(v).(w)) (List.init n Fun.id)
+                   then Some comp_of.(v)
+                   else None)
+                 (List.init n Fun.id))
+          in
+          if dirty <> expected then
+            QCheck2.Test.fail_reportf "%s seed %d: dirty %s, naive %s" name seed
+              (String.concat "," (List.map string_of_int dirty))
+              (String.concat "," (List.map string_of_int expected)))
+        (Lazy.force dacapo_reach);
+      true)
 
 (* [Summary.call_targets] as it was before it read implementations: every
    signature's targets collected by walking the whole dispatch table. *)
@@ -1617,6 +1685,7 @@ let () =
         [
           test_warm_chain;
           Alcotest.test_case "large cyclic region made reachable" `Quick test_large_edit;
+          Alcotest.test_case "2typeH config of the base program" `Quick test_config_of_base;
         ] );
       ( "resume",
         [
@@ -1658,7 +1727,7 @@ let () =
         ] );
       ( "condense",
         [
-          Alcotest.test_case "callees sorted, distinct, naive" `Quick test_condense_callees;
+          test_dirty_components;
           Alcotest.test_case "call targets = walk, Dacapo" `Quick test_call_targets_dacapo;
           test_call_targets_random;
         ] );

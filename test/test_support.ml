@@ -26,9 +26,7 @@ let test_dynarr_basic () =
   check Alcotest.int "get 1" 20 (Dynarr.get d 1);
   Dynarr.set d 0 99;
   check Alcotest.int "set" 99 (Dynarr.get d 0);
-  check Alcotest.int "push_get_index" 2 (Dynarr.push_get_index d 30);
-  check (Alcotest.option Alcotest.int) "pop" (Some 30) (Dynarr.pop d);
-  check Alcotest.int "len after pop" 2 (Dynarr.length d)
+  check Alcotest.int "push_get_index" 2 (Dynarr.push_get_index d 30)
 
 let test_dynarr_bounds () =
   let d = Dynarr.of_list ~dummy:0 [ 1; 2; 3 ] in
@@ -50,8 +48,7 @@ let test_dynarr_growth () =
   check Alcotest.bool "contents" true !ok;
   check Alcotest.int "fold" (9999 * 10000 / 2) (Dynarr.fold_left ( + ) 0 d);
   Dynarr.clear d;
-  check Alcotest.int "cleared" 0 (Dynarr.length d);
-  check (Alcotest.option Alcotest.int) "pop empty" None (Dynarr.pop d)
+  check Alcotest.int "cleared" 0 (Dynarr.length d)
 
 let test_dynarr_conversions () =
   let d = Dynarr.of_list ~dummy:"" [ "a"; "b"; "c" ] in
@@ -536,14 +533,30 @@ let random_digraph seed =
   in
   (n, edges, Array.init n (fun _ -> Splitmix.bool rng))
 
+(* The components in close order, and the nodes in finish order. *)
 let tarjan_order (n, edges, roots) =
-  let comps = ref [] in
+  let comps = ref [] and finished = ref [] in
   Tarjan.components ~n
     ~root:(fun v -> roots.(v))
     ~degree:(fun v -> Array.length edges.(v))
     ~succ:(fun v i -> edges.(v).(i))
+    ~finish:(fun v -> finished := v :: !finished)
     (fun comp -> comps := comp :: !comps);
-  List.rev !comps
+  (List.rev !comps, List.rev !finished)
+
+(* The postorder of a recursive depth-first search: roots ascending, edges
+   in index order, discovered nodes and skipped edges passed over. *)
+let naive_postorder (n, edges, roots) =
+  let seen = Array.make n false and post = ref [] in
+  let rec go v =
+    seen.(v) <- true;
+    Array.iter (fun w -> if w >= 0 && not seen.(w) then go w) edges.(v);
+    post := v :: !post
+  in
+  for r = 0 to n - 1 do
+    if roots.(r) && not seen.(r) then go r
+  done;
+  List.rev !post
 
 let prop_tarjan_vs_naive =
   qtest ~count:300 "components = mutual reachability, in close order"
@@ -564,7 +577,9 @@ let prop_tarjan_vs_naive =
             seen)
       in
       let visited w = List.exists (fun r -> roots.(r) && reach.(r).(w)) (List.init n Fun.id) in
-      let comps = tarjan_order g in
+      let comps, finished = tarjan_order g in
+      if finished <> naive_postorder g then
+        QCheck2.Test.fail_reportf "finish order differs from a recursive search's postorder";
       let pos = Array.make n (-1) in
       List.iteri
         (fun k comp ->
@@ -588,7 +603,7 @@ let prop_tarjan_vs_naive =
           end
         done
       done;
-      comps = tarjan_order g)
+      (comps, finished) = tarjan_order g)
 
 (* ---------- int_heap ---------- *)
 
