@@ -60,9 +60,8 @@ let var_owner (p : Program.t) =
   done;
   rel
 
-(* Project FldPointsTo down to distinct (base heap, field, heap) triples,
-   then count the heaps of every (base heap, field) slot. *)
-let field_sizes (d : Datalog_backend.t) =
+(* Project FldPointsTo down to distinct (base heap, field, heap) triples. *)
+let base_field_heap (d : Datalog_backend.t) =
   let base_fld_heap = Relation.create ~name:"BaseFieldHeap" ~arity:3 in
   let rule =
     Rule.make ~n_vars:5
@@ -71,9 +70,20 @@ let field_sizes (d : Datalog_backend.t) =
       ()
   in
   ignore (Engine.fixpoint [ rule ]);
+  base_fld_heap
+
+(* The heaps of every (base heap, field) slot, counted. *)
+let field_sizes (d : Datalog_backend.t) =
   let sizes = Relation.create ~name:"FieldSize" ~arity:3 in
-  Aggregate.count base_fld_heap ~group_by:[ 0; 1 ] ~into:sizes;
+  Aggregate.count (base_field_heap d) ~group_by:[ 0; 1 ] ~into:sizes;
   sizes
+
+(* ObjMaxField(heap, max): the largest field slot of [heap] holds [max]
+   heaps. *)
+let obj_max_field_rel (d : Datalog_backend.t) =
+  let result = Relation.create ~name:"ObjMaxField" ~arity:2 in
+  Aggregate.max_ (field_sizes d) ~group_by:[ 0 ] ~value:2 ~into:result;
+  result
 
 let meth_total_volume (p : Program.t) (d : Datalog_backend.t) =
   let var_owner = var_owner p in
@@ -88,6 +98,21 @@ let meth_total_volume (p : Program.t) (d : Datalog_backend.t) =
   ignore (Engine.fixpoint [ rule ]);
   let result = Relation.create ~name:"Volume" ~arity:2 in
   Aggregate.count meth_var_heap ~group_by:[ 0 ] ~into:result;
+  to_table result
+
+let meth_max_var (p : Program.t) (d : Datalog_backend.t) =
+  let var_size = Relation.create ~name:"VarSize" ~arity:2 in
+  Aggregate.count (collapsed_vpt d) ~group_by:[ 0 ] ~into:var_size;
+  let meth_var_size = Relation.create ~name:"MethVarSize" ~arity:3 in
+  let rule =
+    Rule.make ~n_vars:3
+      ~heads:[ (meth_var_size, [| v 2; v 0; v 1 |]) ]
+      ~body:[ (var_size, [| v 0; v 1 |]); (var_owner p, [| v 0; v 2 |]) ]
+      ()
+  in
+  ignore (Engine.fixpoint [ rule ]);
+  let result = Relation.create ~name:"MethMaxVar" ~arity:2 in
+  Aggregate.max_ meth_var_size ~group_by:[ 0 ] ~value:2 ~into:result;
   to_table result
 
 let pointed_by_vars (_p : Program.t) (d : Datalog_backend.t) =
@@ -110,9 +135,25 @@ let obj_total_field (_p : Program.t) (d : Datalog_backend.t) =
   Aggregate.sum (field_sizes d) ~group_by:[ 0 ] ~value:2 ~into:result;
   to_table result
 
+let obj_max_field (_p : Program.t) (d : Datalog_backend.t) = to_table (obj_max_field_rel d)
+
+(* PointedByObjs(heap, n): [n] distinct (base heap, field) slots hold
+   [heap], contexts collapsed. *)
+let pointed_by_objs (_p : Program.t) (d : Datalog_backend.t) =
+  let heap_slot = Relation.create ~name:"HeapSlot" ~arity:3 in
+  let rule =
+    Rule.make ~n_vars:3
+      ~heads:[ (heap_slot, [| v 2; v 0; v 1 |]) ]
+      ~body:[ (base_field_heap d, [| v 0; v 1; v 2 |]) ]
+      ()
+  in
+  ignore (Engine.fixpoint [ rule ]);
+  let result = Relation.create ~name:"PointedByObjs" ~arity:2 in
+  Aggregate.count heap_slot ~group_by:[ 0 ] ~into:result;
+  to_table result
+
 let meth_max_var_field (p : Program.t) (d : Datalog_backend.t) =
-  let obj_max_field = Relation.create ~name:"ObjMaxField" ~arity:2 in
-  Aggregate.max_ (field_sizes d) ~group_by:[ 0 ] ~value:2 ~into:obj_max_field;
+  let obj_max_field = obj_max_field_rel d in
   (* MethHeapMaxField(meth, heap, max): a variable of [meth] points to
      [heap], whose largest field slot holds [max] heaps. *)
   let meth_heap_max = Relation.create ~name:"MethHeapMaxField" ~arity:3 in

@@ -3,8 +3,6 @@ module Int_sort = Ipa_support.Int_sort
 module Pair_tbl = Ipa_support.Pair_tbl
 module Dynarr = Ipa_support.Dynarr
 module Union_find = Ipa_support.Union_find
-module Tarjan = Ipa_support.Tarjan
-module Int_heap = Ipa_support.Int_heap
 module Writer = Ipa_support.Codec.Writer
 module Program = Ipa_ir.Program
 module Node = Solution.Node
@@ -109,27 +107,7 @@ let edge_spec e = e land filter_mask
    must fit in [cg_key_bits] bits (2 * 31 = 62 < Sys.int_size). *)
 let cg_key_bits = 31
 
-(* Topological worklist keys pack (rank, node) into one int: rank in the
-   high bits so the heap drains low ranks (copy-graph sources) first, node
-   id in the low bits as a deterministic tie-break. Node ids are pair ids
-   (< 2^31) times 4, so 33 bits; ranks are clamped below 2^28, keeping the
-   key within 61 bits. Nodes born after the last sweep carry the maximum
-   rank and drain last. *)
-let rank_bits = 33
-let unranked = (1 lsl 28) - 1
-let rank_cap = unranked - 1
-let heap_key ~rank ~node = (rank lsl rank_bits) lor node
-let heap_node key = key land ((1 lsl rank_bits) - 1)
-
-(* Sweep trigger: a Tarjan pass costs O(nodes + edges), so it runs at most
-   once per [sweep_min_attempts] insertion attempts, and only when the
-   attempt/gain ratio says propagation is mostly re-delivering known
-   objects — the signature of cycles and of a stale topological order. *)
-let sweep_min_attempts = 4096
-let sweep_ratio = 4
-
-(* Bound on nodes visited by the insertion-time cycle walk; cycles longer
-   than this are left for the next Tarjan sweep. *)
+(* Bound on nodes visited by the insertion-time cycle walk. *)
 let walk_visit_budget = 32
 
 type state = {
@@ -161,8 +139,7 @@ type state = {
   mutable edge_seen : Int_set.t option Dynarr.t;
   mutable pending : int Dynarr.t option Dynarr.t;
   mutable on_list : bool Dynarr.t;
-  heap : Int_heap.t; (* the worklist, keyed by [heap_key] *)
-  mutable rank : int Dynarr.t; (* reverse-postorder rank from the last sweep *)
+  worklist : int Queue.t; (* queued nodes, first in first out *)
   (* Cycle elimination. [member_count n] is the number of original nodes a
      representative stands for; [use_members n] lists merged-away var nodes
      whose base uses must fire on the representative's batches. *)
@@ -170,8 +147,6 @@ type state = {
   mutable member_count : int Dynarr.t;
   mutable use_members : int Dynarr.t option Dynarr.t;
   mutable in_merge : bool;
-  mutable attempts_since_sweep : int;
-  mutable gains_since_sweep : int;
   reach : Pair_tbl.t; (* (meth, ctx) *)
   cg : int Dynarr.t; (* flattened 4-tuples *)
   cg_caller : Pair_tbl.t; (* (invo, callerCtx) *)
@@ -271,14 +246,11 @@ let create ?base p cfg =
     edge_seen = Dynarr.create ~capacity:nodes ~dummy:None ();
     pending = Dynarr.create ~capacity:nodes ~dummy:None ();
     on_list = Dynarr.create ~capacity:nodes ~dummy:false ();
-    heap = Int_heap.create ~capacity:1024 ();
-    rank = Dynarr.create ~capacity:nodes ~dummy:unranked ();
+    worklist = Queue.create ();
     uf = Union_find.create ~capacity:1024 ();
     member_count = Dynarr.create ~capacity:nodes ~dummy:1 ();
     use_members = Dynarr.create ~capacity:nodes ~dummy:None ();
     in_merge = false;
-    attempts_since_sweep = 0;
-    gains_since_sweep = 0;
     reach = Pair_tbl.create ~capacity:(size (fun b -> Pair_tbl.count b.reach)) ();
     cg = Dynarr.create ~capacity:(4 * n_cg) ~dummy:0 ();
     cg_caller = Pair_tbl.create ~capacity:n_cg ();
@@ -306,7 +278,6 @@ let ensure_node st n =
     Dynarr.push st.edge_seen None;
     Dynarr.push st.pending None;
     Dynarr.push st.on_list false;
-    Dynarr.push st.rank unranked;
     Dynarr.push st.member_count 1;
     Dynarr.push st.use_members None
   done
@@ -378,7 +349,7 @@ let spend_n st n =
 let enqueue st n =
   if not (Dynarr.get st.on_list n) then begin
     Dynarr.set st.on_list n true;
-    Int_heap.push st.heap (heap_key ~rank:(Dynarr.get st.rank n) ~node:n)
+    Queue.push n st.worklist
   end
 
 let var_node st var ctx = Node.of_var_node (Pair_tbl.intern st.var_nodes var ctx)
@@ -439,7 +410,6 @@ exception Stale_baseline of string
    point they always did. *)
 let rec add_obj st node obj ~spec =
   let node = Union_find.find st.uf node in
-  st.attempts_since_sweep <- st.attempts_since_sweep + 1;
   if Filters.passes st.filters st.p spec (heap_class st (Pair_tbl.fst st.objs obj)) then begin
     let s = node_pts st node in
     let fresh =
@@ -449,7 +419,6 @@ let rec add_obj st node obj ~spec =
     in
     if fresh then begin
       if st.installing then raise (Stale_baseline "stale baseline: new object");
-      st.gains_since_sweep <- st.gains_since_sweep + 1;
       let k = Dynarr.get st.member_count node in
       spend_n st k;
       st.repropagations_avoided <- st.repropagations_avoided + k - 1;
@@ -496,8 +465,7 @@ and add_edge st ~src ~dst ~spec =
          arrive later sit in pending batches and cross it when [src] is
          processed. Installed cycles are not collapsed: their members hold
          equal sets, so only what the edit adds goes round them, unless a
-         counted edge closes one again ([try_collapse]) or the periodic
-         sweep fires. *)
+         counted edge closes one again ([try_collapse]). *)
       if not st.installing then begin
         (match Dynarr.get st.pts src with
         | None -> ()
@@ -511,7 +479,9 @@ and add_edge st ~src ~dst ~spec =
 (* The new unfiltered edge [src -> dst] closes a cycle iff [src] is
    reachable from [dst] over unfiltered edges. Walk a bounded DFS from
    [dst]; on a hit, merge the discovered path (it is a cycle together with
-   the new edge). Longer cycles are left for the periodic Tarjan sweep. *)
+   the new edge). This walk is the only cycle detector: a cycle it does not
+   reach within [walk_visit_budget] stays uncollapsed and converges like
+   any other part of the graph. *)
 and try_collapse st ~src ~dst =
   let visited = Int_set.create ~capacity:16 () in
   ignore (Int_set.add visited dst);
@@ -563,7 +533,7 @@ and try_collapse st ~src ~dst =
 (* Merge a set of mutually-cycle-connected representatives into one class,
    keyed by the minimum node id (deterministic regardless of discovery
    order). Re-entrant cycle detection is suppressed for the duration: the
-   edges a merge itself inserts are picked up by later walks and sweeps. *)
+   edges a merge itself inserts are walked only by later insertions' walks. *)
 and merge_group st members =
   let members = List.sort_uniq compare (List.map (Union_find.find st.uf) members) in
   match members with
@@ -845,77 +815,12 @@ let process_node st n =
   Dynarr.drop_prefix pending n_batch
 
 (* ------------------------------------------------------------------ *)
-(* Periodic sweep: Tarjan SCC collapse over the unfiltered copy graph,
-   then a reverse-postorder re-ranking of the full copy graph for the
-   topological worklist. Triggered by the re-propagation ratio. *)
-
-let should_sweep st =
-  st.attempts_since_sweep >= sweep_min_attempts
-  && st.attempts_since_sweep > sweep_ratio * max 1 st.gains_since_sweep
-
-(* Tarjan over the representatives' resolved, non-self copy edges that
-   [keep] accepts. Deterministic: roots ascend, edge lists scan in order. *)
-let copy_components st ~keep ?finish emit =
-  let n_nodes = Dynarr.length st.edges in
-  Tarjan.components ~n:n_nodes
-    ~root:(fun v -> Union_find.find st.uf v = v)
-    ~degree:(fun v -> match Dynarr.get st.edges v with None -> 0 | Some es -> Dynarr.length es)
-    ~succ:(fun v i ->
-      match Dynarr.get st.edges v with
-      | None -> -1
-      | Some es ->
-        let packed = Dynarr.get es i in
-        if not (keep packed) then -1
-        else
-          let d = Union_find.find st.uf (edge_dst packed) in
-          if d = v || d >= n_nodes then -1 else d)
-    ?finish emit
-
-(* The components of size >= 2 of the unfiltered copy graph, in close
-   order. *)
-let find_sccs st =
-  let sccs = ref [] in
-  copy_components st
-    ~keep:(fun packed -> edge_spec packed = Filters.none)
-    (function [] | [ _ ] -> () | comp -> sccs := comp :: !sccs);
-  List.rev !sccs
-
-(* Re-rank every representative by reverse postorder of the full copy graph
-   (filtered edges included — they are scheduling topology even though they
-   never merge), then rebuild the priority heap so queued nodes adopt their
-   new ranks. *)
-let recompute_ranks st =
-  let n_nodes = Dynarr.length st.edges in
-  let order = Array.make (max 1 n_nodes) 0 and n_order = ref 0 in
-  copy_components st
-    ~keep:(fun _ -> true)
-    ~finish:(fun v ->
-      order.(!n_order) <- v;
-      incr n_order)
-    ignore;
-  for i = 0 to !n_order - 1 do
-    Dynarr.set st.rank order.(i) (min rank_cap (!n_order - 1 - i))
-  done;
-  Int_heap.clear st.heap;
-  for v = 0 to n_nodes - 1 do
-    if Union_find.find st.uf v = v && Dynarr.get st.on_list v then
-      Int_heap.push st.heap (heap_key ~rank:(Dynarr.get st.rank v) ~node:v)
-  done
-
-let sweep st =
-  List.iter (fun comp -> merge_group st comp) (find_sccs st);
-  recompute_ranks st;
-  st.attempts_since_sweep <- 0;
-  st.gains_since_sweep <- 0
-
-(* ------------------------------------------------------------------ *)
 (* A kept state between solves. Each state a warm result keeps alive is
    memory the whole process carries, so between solves it holds only what
    resuming needs: its fixpoint's sets, edges, tables and merge structure.
    The other per-node arrays are dropped and rebuilt when it resumes: at a
    fixpoint no node is queued or has a pending batch, the dedup indexes
-   are rebuilt on demand, ranks only order the worklist (a warm drain
-   starts unranked anyway), a node borrows exactly when it holds a
+   are rebuilt on demand, a node borrows exactly when it holds a
    non-empty set (the kept sets are the solution's), and member counts
    and use members follow from the union-find: a representative's use
    members are the merged-away variable nodes of its class whose variable
@@ -927,7 +832,6 @@ let shed st =
   st.edge_seen <- Dynarr.create ~capacity:1 ~dummy:None ();
   st.pending <- Dynarr.create ~capacity:1 ~dummy:None ();
   st.on_list <- Dynarr.create ~capacity:1 ~dummy:false ();
-  st.rank <- Dynarr.create ~capacity:1 ~dummy:unranked ();
   st.member_count <- Dynarr.create ~capacity:1 ~dummy:1 ();
   st.use_members <- Dynarr.create ~capacity:1 ~dummy:None ()
 
@@ -944,7 +848,6 @@ let restore st =
   st.edge_seen <- filled None;
   st.pending <- filled None;
   st.on_list <- filled false;
-  st.rank <- filled unranked;
   st.member_count <- filled 1;
   st.use_members <- filled None;
   for i = 0 to n - 1 do
@@ -1197,18 +1100,13 @@ let materialize ?gen st outcome ~set_promotions =
     caller_sites_cache = None;
   }
 
-(* Process worklist entries, lowest rank first, until the fixpoint. An
+(* Process worklist entries, first in first out, until the fixpoint. An
    entry may be stale: the node may have been merged away (or its
    representative already drained) since it was queued. *)
 let drain st =
-  let exhausted = ref false in
-  while not !exhausted do
-    match Int_heap.pop_min st.heap with
-    | None -> exhausted := true
-    | Some key ->
-      let r = Union_find.find st.uf (heap_node key) in
-      if Dynarr.get st.on_list r then process_node st r;
-      if should_sweep st then sweep st
+  while not (Queue.is_empty st.worklist) do
+    let r = Union_find.find st.uf (Queue.pop st.worklist) in
+    if Dynarr.get st.on_list r then process_node st r
   done
 
 type installed = { facts : int; edges : int }
@@ -1285,20 +1183,12 @@ let install st (base : Solution.t) =
 (* Every solve ends the same way: [start] (a resume's counted work), the
    entry points, the drain, then materialize. A warm result carries a
    handle to [st] issued with generation [gen]. *)
-let complete ?gen st ~cold start =
+let complete ?gen st start =
   let promotions_before = Int_set.promotion_count () in
   let outcome =
     try
       start ();
       List.iter (fun m -> ignore (ensure_reachable st m Ctx.empty)) (Program.entries st.p);
-      (* A cold solve ranks the graph (and collapses its static cycles)
-         before the first pop, so the heap starts in topological order. A
-         warm solve does not: its state is already a fixpoint whose cycles
-         hold equal sets, and re-finding them and re-ranking the whole
-         graph would cost more than a drain that touches the few nodes the
-         edit reaches. Its nodes drain in id order; the periodic sweep
-         still fires if propagation turns out to be mostly re-delivery. *)
-      if cold then sweep st;
       drain st;
       Solution.Complete
     with Out_of_budget -> Solution.Budget_exceeded
@@ -1307,7 +1197,7 @@ let complete ?gen st ~cold start =
   let gen = if outcome = Solution.Complete then gen else None in
   materialize ?gen st outcome ~set_promotions
 
-let run p cfg = complete (create p cfg) ~cold:true ignore
+let run p cfg = complete (create p cfg) ignore
 
 (* ------------------------------------------------------------------ *)
 (* Resuming. A warm result's state is the fixpoint of its program under
@@ -1346,11 +1236,9 @@ let resume_state st ~gen ~changed p cfg =
   st.cycles_collapsed <- 0;
   st.nodes_merged <- 0;
   st.repropagations_avoided <- 0;
-  st.attempts_since_sweep <- 0;
-  st.gains_since_sweep <- 0;
   restore st;
   let sol =
-    complete ~gen:(gen + 1) st ~cold:false (fun () ->
+    complete ~gen:(gen + 1) st (fun () ->
         (* The reachable instances of changed methods, before the edit's
            work makes more reachable (those process their whole body). *)
         let instances = Dynarr.create ~capacity:64 ~dummy:0 () in

@@ -12,19 +12,21 @@
     [SiteToRefine] relations. Every allocation consults [refine_object]; every
     call-graph edge consults [refine_site] with the dispatch target.
 
-    {b Worklist.} A priority queue keyed by reverse postorder of the current
-    copy graph, recomputed on sweeps, so sources drain before sinks.
+    {b Worklist.} A first-in first-out queue of nodes with pending objects.
+    A node is queued at most once at a time (an on-list flag); an entry
+    whose node has since been merged away is resolved to its representative
+    as it is drained. A complete solve's solution and [derivations] do not
+    depend on the drain order; its propagation counters do, and so does
+    what a budget-truncated solve holds.
 
     {b Online cycle elimination.} Nodes on a cycle of {e unfiltered} copy
     edges (filtered edges never merge — their endpoints are not
     pointer-equivalent) are collapsed onto a single representative via a
     union-find: one points-to set, one spliced edge list, one pending batch.
-    Cycles are detected by a bounded walk on edge insertion plus periodic
-    sweeps triggered by a re-propagation-ratio heuristic. A sweep is two
-    passes of the shared Tarjan ({!Ipa_support.Tarjan.components}): one
-    over the unfiltered copy graph collapses its cycles, one over the full
-    copy graph (filtered edges included) ranks every node by its reverse
-    finish order. Collapse is
+    Cycles have one detector: when an unfiltered edge [src -> dst] is
+    inserted, a depth-first walk from [dst], bounded to 32 visited nodes,
+    looks for [src] and merges the path it finds. A cycle the walk does not
+    reach stays uncollapsed and converges by ordinary propagation. Collapse is
     invisible above the solver: materialization expands representatives
     back to the original nodes and renumbers all tables canonically, so the
     returned {!Solution.t} is a pure function of the semantic fixpoint (the

@@ -1,4 +1,4 @@
-let components ~n ~root ~degree ~succ ?(finish = ignore) emit =
+let components ~n ~root ~degree ~succ emit =
   (* [index.(v)] is -1 until [v] is discovered and [max_int] once its
      component is emitted, so [index.(w) < lowlink.(v)] holds only of a
      [w] still on the stack. *)
@@ -42,7 +42,6 @@ let components ~n ~root ~degree ~succ ?(finish = ignore) emit =
           (* [v] is exhausted: pop it, pass its lowlink to its parent, and
              close its component if it is the component's first node. *)
           fp := top;
-          finish v;
           (if top > 0 then
              let parent = f.(top - 3) in
              if lowlink.(v) < lowlink.(parent) then lowlink.(parent) <- lowlink.(v));

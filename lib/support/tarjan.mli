@@ -12,14 +12,11 @@ val components :
   root:(int -> bool) ->
   degree:(int -> int) ->
   succ:(int -> int -> int) ->
-  ?finish:(int -> unit) ->
   (int list -> unit) ->
   unit
-(** [components ~n ~root ~degree ~succ ?finish emit] calls [emit] on every
+(** [components ~n ~root ~degree ~succ emit] calls [emit] on every
     component reachable from a node [v] with [root v], singletons included,
     in the order the components close: a component is emitted after every
     component it reaches. A component's members are listed in the order
-    the search discovered them. [finish v] is called as the search leaves
-    [v], before its component (if [v] closes one) is emitted, so the
-    [finish] calls give the search's postorder. [succ] must return a node
+    the search discovered them. [succ] must return a node
     below [n] or a negative number. *)

@@ -101,6 +101,97 @@ let random_program ?(n_classes = 6) seed : Program.t =
   List.iter fill_body !methods;
   B.finish b
 
+(* A program rich in what [random_program] seldom yields: instance-field
+   points-to and copy cycles. Every class has two or three fields, most
+   instructions are loads and stores, [main] stores two allocations into
+   two distinct fields of one object, and every body ends with a cycle of
+   moves over two or three of its variables and a store-load round trip
+   through a field (a cycle through field nodes), both short enough for
+   the solver's insertion-time walk to collapse. *)
+let field_heavy_program seed : Program.t =
+  let rng = Splitmix.create seed in
+  let b = B.create () in
+  let object_cls = B.add_class b "Object" in
+  let classes = Array.make 3 object_cls in
+  for i = 0 to Array.length classes - 1 do
+    let super = if i = 0 || Splitmix.bool rng then object_cls else classes.(Splitmix.int rng i) in
+    classes.(i) <- B.add_class b ~super (Printf.sprintf "C%d" i)
+  done;
+  let fields = ref [] in
+  Array.iteri
+    (fun i cls ->
+      for f = 0 to 1 + Splitmix.int rng 2 do
+        fields := B.add_field b ~owner:cls (Printf.sprintf "f%d_%d" i f) :: !fields
+      done)
+    classes;
+  let fields = Array.of_list (List.rev !fields) in
+  let field () = Splitmix.choose rng fields in
+  let sig_pool = [| ("get", 0); ("put", 1) |] in
+  let methods = ref [] in
+  let declare cls name ~static ~arity =
+    let params = List.init arity (Printf.sprintf "p%d") in
+    let m = B.add_method b ~owner:cls ~name ~static ~params () in
+    let initial = (if static then [] else [ B.this b m ]) @ List.init arity (B.formal b m) in
+    methods := (m, initial) :: !methods;
+    m
+  in
+  Array.iter
+    (fun cls ->
+      Array.iter
+        (fun (name, arity) ->
+          if Splitmix.chance rng 0.6 then ignore (declare cls name ~static:false ~arity))
+        sig_pool)
+    classes;
+  let main_cls = B.add_class b ~super:object_cls "Main" in
+  let main = declare main_cls "main" ~static:true ~arity:0 in
+  B.add_entry b main;
+  let helper = declare main_cls "helper" ~static:true ~arity:1 in
+  let fill_body (m, initial) =
+    let n_locals = 3 + Splitmix.int rng 2 in
+    let locals = List.init n_locals (fun v -> B.add_var b m (Printf.sprintf "v%d" v)) in
+    let all_vars = Array.of_list (initial @ locals) in
+    let var () = Splitmix.choose rng all_vars in
+    let alloc target = ignore (B.alloc b m ~target ~cls:(Splitmix.choose rng classes)) in
+    if m = main then begin
+      let o = all_vars.(0) and x = all_vars.(1) and y = all_vars.(2) in
+      alloc o;
+      alloc x;
+      alloc y;
+      let f = field () in
+      let g = Splitmix.choose rng (Array.of_list (List.filter (( <> ) f) (Array.to_list fields))) in
+      B.store b m ~base:o ~field:f ~source:x;
+      B.store b m ~base:o ~field:g ~source:y
+    end;
+    for _ = 1 to 4 + Splitmix.int rng 6 do
+      match Splitmix.int rng 10 with
+      | 0 -> alloc (var ())
+      | 1 | 2 | 3 -> B.store b m ~base:(var ()) ~field:(field ()) ~source:(var ())
+      | 4 | 5 | 6 -> B.load b m ~target:(var ()) ~base:(var ()) ~field:(field ())
+      | 7 ->
+        let name, arity = Splitmix.choose rng sig_pool in
+        let actuals = List.init arity (fun _ -> var ()) in
+        ignore (B.vcall b m ~base:(var ()) ~name ~actuals ~recv:(var ()) ())
+      | 8 when m <> helper ->
+        ignore (B.scall b m ~callee:helper ~actuals:[ var () ] ~recv:(var ()) ())
+      | 8 -> B.move b m ~target:(var ()) ~source:(var ())
+      | _ -> B.return_ b m (var ())
+    done;
+    let n = Array.length all_vars in
+    let start = Splitmix.int rng n in
+    let len = 2 + Splitmix.int rng 2 in
+    let cycle k = all_vars.((start + (k mod len)) mod n) in
+    for k = 0 to len - 1 do
+      B.move b m ~target:(cycle (k + 1)) ~source:(cycle k)
+    done;
+    let base = var () in
+    let v = var () in
+    let f = field () in
+    B.store b m ~base ~field:f ~source:v;
+    B.load b m ~target:v ~base ~field:f
+  in
+  List.iter fill_body (List.rev !methods);
+  B.finish b
+
 (* ---------- canonical result rendering ---------- *)
 
 (* Tuples are rendered by entity *names*, not ids, so results compare

@@ -240,10 +240,10 @@ entry Main::main/0;
 |}
 
 let test_datalog_metric_queries () =
-  (* Execute §3's in-flow query (and the volume, total field, max
-     var-field and pointed-by-vars analogues) on the Datalog engine over the
-     reference backend's result, and compare with the native Introspection
-     computation. *)
+  (* Execute §3's in-flow query (and the analogues of the other five
+     metrics, both variants of volume and field points-to) on the Datalog
+     engine over the reference backend's result, and compare with the
+     native Introspection computation. *)
   let two_fields = ref 0 in
   List.iter
     (fun p ->
@@ -261,9 +261,12 @@ let test_datalog_metric_queries () =
       in
       agree "in-flow" Ipa_core.Datalog_metrics.in_flow native.in_flow;
       agree "volume" Ipa_core.Datalog_metrics.meth_total_volume native.meth_total_volume;
+      agree "max var" Ipa_core.Datalog_metrics.meth_max_var native.meth_max_var;
       agree "total field" Ipa_core.Datalog_metrics.obj_total_field native.obj_total_field;
+      agree "max field" Ipa_core.Datalog_metrics.obj_max_field native.obj_max_field;
       agree "max var-field" Ipa_core.Datalog_metrics.meth_max_var_field native.meth_max_var_field;
       agree "pbv" Ipa_core.Datalog_metrics.pointed_by_vars native.pointed_by_vars;
+      agree "pbo" Ipa_core.Datalog_metrics.pointed_by_objs native.pointed_by_objs;
       Array.iteri
         (fun h total -> if total > native.obj_max_field.(h) then incr two_fields)
         native.obj_total_field)

@@ -5,8 +5,10 @@
    - catch-chain routing against its first-match specification;
    - context-table algebra;
    - facts-dump diffing;
-   - solver determinism and budget monotonicity;
-   - the native solver against the Datalog oracle;
+   - solver determinism and budget monotonicity, and budget-truncated
+     solves against the complete fixpoint;
+   - the native solver against the Datalog oracle, on random and on
+     field-heavy programs;
    - parser robustness on truncated inputs. *)
 
 module P = Ipa_ir.Program
@@ -333,11 +335,12 @@ let against_oracle p (config : Ipa_core.Solver.config) =
   in
   (native, verdict)
 
-let prop_oracle =
+(* Every production configuration of the program a seed generates
+   against the oracle. *)
+let oracle_property ~count ~name seeds program =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:40 ~name:"Solver.run agrees with the Datalog oracle"
-       ~print:string_of_int (QCheck2.Gen.int_range 700 899) (fun seed ->
-         let p = Ipa_testlib.random_program seed in
+    (QCheck2.Test.make ~count ~name ~print:string_of_int seeds (fun seed ->
+         let p = program seed in
          List.iter
            (fun (name, config) ->
              match snd (against_oracle p config) with
@@ -345,6 +348,16 @@ let prop_oracle =
              | Some err -> QCheck2.Test.fail_reportf "seed %d %s: %s" seed name err)
            (production_configs p);
          true))
+
+let prop_oracle =
+  oracle_property ~count:40 ~name:"Solver.run agrees with the Datalog oracle"
+    (QCheck2.Gen.int_range 700 899) Ipa_testlib.random_program
+
+(* Field points-to and merged copy cycles, which [random_program] seldom
+   yields. *)
+let prop_oracle_field_heavy =
+  oracle_property ~count:30 ~name:"Solver.run agrees with the Datalog oracle, field-heavy"
+    (QCheck2.Gen.int_range 0 9999) Ipa_testlib.field_heavy_program
 
 (* Every production configuration of [p] against the oracle; returns the
    native solutions by configuration name. *)
@@ -408,6 +421,65 @@ let test_oracle_cycles () =
       check Alcotest.bool (name ^ " merges the copy cycle") true
         (native.counters.nodes_merged > 0))
     (all_against_oracle "copy cycles" (Ipa_testlib.parse_exn cycle_src))
+
+(* The field-heavy generator yields what [random_program] seldom does:
+   objects with two non-empty fields, and solves that merge copy cycles. *)
+let test_field_heavy_coverage () =
+  let two_fields = ref 0 and merged = ref 0 in
+  for seed = 0 to 19 do
+    let p = Ipa_testlib.field_heavy_program seed in
+    let base = Ipa_core.Analysis.run_plain p Ipa_core.Flavors.Insensitive in
+    let metrics = Ipa_core.Introspection.compute base.solution in
+    Array.iteri
+      (fun h total -> if total > metrics.obj_max_field.(h) then incr two_fields)
+      metrics.obj_total_field;
+    List.iter
+      (fun (_, config) ->
+        if (Ipa_core.Solver.run p config).counters.nodes_merged > 0 then incr merged)
+      (production_configs p)
+  done;
+  check Alcotest.bool "objects with two non-empty fields" true (!two_fields > 0);
+  check Alcotest.bool "solves that merge nodes" true (!merged > 0)
+
+(* The first tuple of sorted, duplicate-free [sub] that [sup] lacks. *)
+let rec first_extra sub sup =
+  match (sub, sup) with
+  | [], _ -> None
+  | t :: _, [] -> Some t
+  | a :: sub', b :: sup' ->
+    let c = compare a b in
+    if c = 0 then first_extra sub' sup' else if c > 0 then first_extra sub sup' else Some a
+
+(* Where a budget stops a solve depends on the order the worklist drains,
+   but whatever it derived by then is sound: every tuple of a truncated
+   solve belongs to the complete fixpoint. Compared by entity names, since
+   the two solves intern different contexts and objects. *)
+let prop_truncated_subset =
+  qtest ~count:40 "a budget-truncated solve holds only fixpoint facts"
+    QCheck2.Gen.(int_range 0 9999)
+    (fun seed ->
+      let p =
+        if seed mod 2 = 0 then Ipa_testlib.random_program seed
+        else Ipa_testlib.field_heavy_program seed
+      in
+      let rng = Splitmix.create seed in
+      List.iter
+        (fun (name, (config : Ipa_core.Solver.config)) ->
+          let full = Ipa_core.Solver.run p config in
+          if full.derivations > 1 then begin
+            let budget = 1 + Splitmix.int rng (full.derivations - 1) in
+            let cut = Ipa_core.Solver.run p { config with budget } in
+            if cut.outcome <> Ipa_core.Solution.Budget_exceeded then
+              QCheck2.Test.fail_reportf "seed %d %s: budget %d of %d did not truncate" seed name
+                budget full.derivations;
+            match first_extra (Ipa_testlib.canon_native cut) (Ipa_testlib.canon_native full) with
+            | None -> ()
+            | Some t ->
+              QCheck2.Test.fail_reportf "seed %d %s, budget %d: %s is no fixpoint fact" seed name
+                budget t
+          end)
+        (production_configs p);
+      true)
 
 let config_with p flavor ~field_sensitive : Ipa_core.Solver.config =
   { (Ipa_core.Solver.plain p (Ipa_core.Flavors.strategy p flavor)) with field_sensitive }
@@ -555,7 +627,11 @@ let () =
       ( "solver",
         [
           Alcotest.test_case "budget determinism" `Quick test_budget_monotone;
+          prop_truncated_subset;
           prop_oracle;
+          prop_oracle_field_heavy;
+          Alcotest.test_case "field-heavy programs cover fields and merges" `Quick
+            test_field_heavy_coverage;
           Alcotest.test_case "Datalog oracle, jython" `Quick test_oracle_jython;
           Alcotest.test_case "Datalog oracle, chart" `Quick test_oracle_chart;
           Alcotest.test_case "Datalog oracle, merged copy cycles" `Quick test_oracle_cycles;

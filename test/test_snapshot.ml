@@ -638,10 +638,10 @@ let golden_cases =
       "f75456a0559709490d3c7d99923cbca8",
       "2be1c8f64dd7dd0953b74b32475ef3a8" );
     ( "boxes 2objH budget 5", boxes, obj2, None, 5,
-      "fc2ad6e7380cc6b1e58ee67e9e8ca4f3",
+      "eb2228c99314c7529cf4995caea2c62e",
       "b62b26fe1905751295198f5225e09bff" );
     ( "bloat insens", bloat, Flavors.Insensitive, None, 0,
-      "c1699b00d83a766f3a7977fe792a3d91",
+      "68b2c05f864eff41370deec49c71777f",
       "50091f6ab8b36da8a69e47aeb65e64b7" );
     ( "bloat 2objH", bloat, obj2, None, 0,
       "c7f3a62c716d9672c53eab2f45b3c4c9",
@@ -654,7 +654,7 @@ let golden_cases =
       call2,
       Some Heuristics.default_b,
       100_000,
-      "b2fe80a8a3be2c95f5134182c53c4766",
+      "e06205192a7363c96182f2ee645e3073",
       "bca8500112cf6026f991268b6ce00723" );
   ]
 

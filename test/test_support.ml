@@ -533,30 +533,15 @@ let random_digraph seed =
   in
   (n, edges, Array.init n (fun _ -> Splitmix.bool rng))
 
-(* The components in close order, and the nodes in finish order. *)
+(* The components in close order. *)
 let tarjan_order (n, edges, roots) =
-  let comps = ref [] and finished = ref [] in
+  let comps = ref [] in
   Tarjan.components ~n
     ~root:(fun v -> roots.(v))
     ~degree:(fun v -> Array.length edges.(v))
     ~succ:(fun v i -> edges.(v).(i))
-    ~finish:(fun v -> finished := v :: !finished)
     (fun comp -> comps := comp :: !comps);
-  (List.rev !comps, List.rev !finished)
-
-(* The postorder of a recursive depth-first search: roots ascending, edges
-   in index order, discovered nodes and skipped edges passed over. *)
-let naive_postorder (n, edges, roots) =
-  let seen = Array.make n false and post = ref [] in
-  let rec go v =
-    seen.(v) <- true;
-    Array.iter (fun w -> if w >= 0 && not seen.(w) then go w) edges.(v);
-    post := v :: !post
-  in
-  for r = 0 to n - 1 do
-    if roots.(r) && not seen.(r) then go r
-  done;
-  List.rev !post
+  List.rev !comps
 
 let prop_tarjan_vs_naive =
   qtest ~count:300 "components = mutual reachability, in close order"
@@ -577,9 +562,7 @@ let prop_tarjan_vs_naive =
             seen)
       in
       let visited w = List.exists (fun r -> roots.(r) && reach.(r).(w)) (List.init n Fun.id) in
-      let comps, finished = tarjan_order g in
-      if finished <> naive_postorder g then
-        QCheck2.Test.fail_reportf "finish order differs from a recursive search's postorder";
+      let comps = tarjan_order g in
       let pos = Array.make n (-1) in
       List.iteri
         (fun k comp ->
@@ -603,35 +586,7 @@ let prop_tarjan_vs_naive =
           end
         done
       done;
-      (comps, finished) = tarjan_order g)
-
-(* ---------- int_heap ---------- *)
-
-module Int_heap = Ipa_support.Int_heap
-
-let test_int_heap_basic () =
-  let h = Int_heap.create () in
-  check Alcotest.bool "empty" true (Int_heap.is_empty h);
-  check (Alcotest.option Alcotest.int) "pop empty" None (Int_heap.pop_min h);
-  List.iter (Int_heap.push h) [ 5; 1; 4; 1; 3 ];
-  check Alcotest.int "length" 5 (Int_heap.length h);
-  let drained = List.init 5 (fun _ -> Option.get (Int_heap.pop_min h)) in
-  check (Alcotest.list Alcotest.int) "sorted drain" [ 1; 1; 3; 4; 5 ] drained;
-  Int_heap.push h 9;
-  Int_heap.clear h;
-  check Alcotest.bool "cleared" true (Int_heap.is_empty h)
-
-let prop_int_heap_sorts =
-  qtest ~count:100 "heap drains in sorted order"
-    QCheck2.Gen.(list_size (int_range 0 200) (int_range 0 1_000_000))
-    (fun xs ->
-      let h = Int_heap.create () in
-      List.iter (Int_heap.push h) xs;
-      let rec drain acc = match Int_heap.pop_min h with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
+      comps = tarjan_order g)
 
 let test_ascii_table () =
   let out = Ascii_table.render ~header:[ "name"; "n" ] [ [ "a"; "10" ]; [ "bcd"; "5" ] ] in
@@ -733,8 +688,6 @@ let () =
           prop_union_find_vs_naive;
         ] );
       ("tarjan", [ prop_tarjan_vs_naive ]);
-      ( "int_heap",
-        [ Alcotest.test_case "basic" `Quick test_int_heap_basic; prop_int_heap_sorts ] );
       ( "ascii_table",
         [
           Alcotest.test_case "render" `Quick test_ascii_table;
