@@ -261,7 +261,6 @@ let devirt_cmd =
   let report json =
     Ok
       (fun _ s ->
-        let summary = Ipa_clients.Devirtualize.summarize s in
         (* Threshold 2 = every polymorphic site, as the old report showed. *)
         let ds =
           List.sort_uniq Ipa_ir.Diagnostic.compare
@@ -269,8 +268,11 @@ let devirt_cmd =
         in
         if json then print_string (Ipa_lint.Report.jsonl ds)
         else begin
-          Printf.printf "monomorphic %d   polymorphic %d   unreachable %d\n\n" summary.monomorphic
-            summary.polymorphic summary.unreachable;
+          let vcalls = Ipa_core.Precision.vcalls s in
+          let count pred = List.length (List.filter pred vcalls) in
+          let targets n (v : Ipa_core.Precision.vcall) = List.compare_length_with v.targets n = 0 in
+          Printf.printf "monomorphic %d   polymorphic %d   unreachable %d\n\n" (count (targets 1))
+            (count Ipa_core.Precision.polymorphic) (count (targets 0));
           print_string (Ipa_lint.Report.human ds)
         end)
   in

@@ -72,34 +72,18 @@ entry Host::main/0;
 |}
 
 module Program = Ipa_ir.Program
-module Int_set = Ipa_support.Int_set
 
 (* List every reachable cast and whether the analysis proves it safe. *)
 let report_casts (r : Ipa_core.Analysis.result) =
   let p = r.solution.program in
-  let vpt = Ipa_core.Solution.collapsed_var_pts r.solution in
-  let reachable = Ipa_core.Solution.reachable_meths r.solution in
   Printf.printf "--- %s (%.3fs) ---\n" r.label r.seconds;
-  Int_set.iter
-    (fun m ->
-      Array.iter
-        (fun (instr : Program.instr) ->
-          match instr with
-          | Cast { source; cast_to; _ } ->
-            let may_fail =
-              Int_set.exists
-                (fun h ->
-                  not (Program.subtype p ~sub:(Program.heap_info p h).heap_class ~super:cast_to))
-                vpt.(source)
-            in
-            Printf.printf "  %-24s (%s) %s : %s\n" (Program.meth_full_name p m)
-              (Program.class_name p cast_to)
-              (Program.var_info p source).var_name
-              (if may_fail then "MAY FAIL" else "safe")
-          | Alloc _ | Move _ | Load _ | Store _ | Load_static _ | Store_static _ | Call _
-          | Return _ | Throw _ -> ())
-        (Program.meth_info p m).body)
-    reachable;
+  List.iter
+    (fun (c : Ipa_core.Precision.cast) ->
+      Printf.printf "  %-24s (%s) %s : %s\n" (Program.meth_full_name p c.meth)
+        (Program.class_name p c.target_type)
+        (Program.var_info p c.source).var_name
+        (if Ipa_core.Precision.may_fail c then "MAY FAIL" else "safe"))
+    (Ipa_core.Precision.casts r.solution);
   print_newline ()
 
 let () =

@@ -9,8 +9,8 @@
    Run with: dune exec examples/devirtualize.exe *)
 
 module Program = Ipa_ir.Program
-module Int_set = Ipa_support.Int_set
 module Flavors = Ipa_core.Flavors
+module Precision = Ipa_core.Precision
 
 type verdict = { mono : int; poly : int; dead : int }
 
@@ -18,21 +18,10 @@ type verdict = { mono : int; poly : int; dead : int }
    result: monomorphic (one target — devirtualizable), polymorphic, or
    unreachable. *)
 let classify (r : Ipa_core.Analysis.result) =
-  let p = r.solution.program in
-  let targets = Ipa_core.Solution.call_targets r.solution in
-  let verdict = ref { mono = 0; poly = 0; dead = 0 } in
-  for invo = 0 to Program.n_invos p - 1 do
-    match (Program.invo_info p invo).call with
-    | Static _ -> ()
-    | Virtual _ ->
-      let v = !verdict in
-      verdict :=
-        (match Hashtbl.find_opt targets invo with
-        | None -> { v with dead = v.dead + 1 }
-        | Some ms when Int_set.cardinal ms = 1 -> { v with mono = v.mono + 1 }
-        | Some _ -> { v with poly = v.poly + 1 })
-  done;
-  !verdict
+  let vcalls = Precision.vcalls r.solution in
+  let count pred = List.length (List.filter pred vcalls) in
+  let targets n (v : Precision.vcall) = List.compare_length_with v.targets n = 0 in
+  { mono = count (targets 1); poly = count Precision.polymorphic; dead = count (targets 0) }
 
 let report (r : Ipa_core.Analysis.result) =
   if r.timed_out then Printf.printf "%-14s exceeded its budget\n" r.label

@@ -1,6 +1,7 @@
 module Program = Ipa_ir.Program
 module Int_set = Ipa_support.Int_set
 module Solution = Ipa_core.Solution
+module Precision = Ipa_core.Precision
 
 type delta = {
   casts_proven_safe : (Program.meth_id * Program.class_id) list;
@@ -13,11 +14,11 @@ type delta = {
 let diff (coarse : Solution.t) (fine : Solution.t) =
   if not (coarse.program == fine.program) then
     invalid_arg "Compare.diff: solutions analyze different programs";
-  let key (c : Cast_check.t) = (c.meth, c.source, c.target_type) in
   let unsafe s =
     List.filter_map
-      (fun (c : Cast_check.t) -> if c.witnesses <> [] then Some (key c) else None)
-      (Cast_check.analyze s)
+      (fun (c : Precision.cast) ->
+        if Precision.may_fail c then Some (c.meth, c.source, c.target_type) else None)
+      (Precision.casts s)
   in
   let coarse_unsafe = unsafe coarse and fine_unsafe = unsafe fine in
   let strip = List.map (fun (m, _, ty) -> (m, ty)) in
@@ -29,9 +30,8 @@ let diff (coarse : Solution.t) (fine : Solution.t) =
   in
   let poly s =
     List.filter_map
-      (fun (d : Devirtualize.t) ->
-        match d.verdict with Polymorphic _ -> Some d.site | _ -> None)
-      (Devirtualize.analyze s)
+      (fun (v : Precision.vcall) -> if Precision.polymorphic v then Some v.site else None)
+      (Precision.vcalls s)
   in
   let fine_poly = poly fine in
   let devirtualized = List.filter (fun site -> not (List.mem site fine_poly)) (poly coarse) in
@@ -44,8 +44,8 @@ let diff (coarse : Solution.t) (fine : Solution.t) =
   in
   let uncaught s =
     List.fold_left
-      (fun acc (u : Exception_report.uncaught) -> acc + List.length u.objects)
-      0 (Exception_report.uncaught s)
+      (fun acc (u : Precision.uncaught) -> acc + List.length u.objects)
+      0 (Precision.uncaught s)
   in
   {
     casts_proven_safe;

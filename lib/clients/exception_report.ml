@@ -1,33 +1,7 @@
 module Program = Ipa_ir.Program
 module Int_set = Ipa_support.Int_set
 module Solution = Ipa_core.Solution
-
-type uncaught = {
-  entry : Program.meth_id;
-  objects : Program.heap_id list;
-}
-
-let uncaught (s : Solution.t) =
-  let entries = Program.entries s.program in
-  let per_entry = Hashtbl.create 4 in
-  Solution.iter_exc_pts s (fun ~meth ~ctx:_ ~heap ~hctx:_ ->
-      if List.mem meth entries then begin
-        let set =
-          match Hashtbl.find_opt per_entry meth with
-          | Some set -> set
-          | None ->
-            let set = Int_set.create () in
-            Hashtbl.add per_entry meth set;
-            set
-        in
-        ignore (Int_set.add set heap)
-      end);
-  List.filter_map
-    (fun entry ->
-      match Hashtbl.find_opt per_entry entry with
-      | Some set -> Some { entry; objects = Int_set.to_sorted_list set }
-      | None -> None)
-    entries
+module Precision = Ipa_core.Precision
 
 type handler = {
   meth : Program.meth_id;
@@ -60,11 +34,11 @@ let handlers (s : Solution.t) =
 let print (s : Solution.t) =
   let p = s.program in
   let heaps hs = String.concat ", " (List.map (Program.heap_full_name p) hs) in
-  (match uncaught s with
+  (match Precision.uncaught s with
   | [] -> print_endline "no exceptions escape the entry points"
   | us ->
     List.iter
-      (fun { entry; objects } ->
+      (fun ({ entry; objects } : Precision.uncaught) ->
         Printf.printf "UNCAUGHT at %s: {%s}\n" (Program.meth_full_name p entry) (heaps objects))
       us);
   List.iter

@@ -1,16 +1,9 @@
 (** Exception-flow client: what escapes, and what does each handler see?
 
     Built on the analysis's escaping-exception relation: reports the
-    exception objects that may reach an entry point uncaught, and the
-    contents of every catch variable (collapsed over contexts). *)
-
-type uncaught = {
-  entry : Ipa_ir.Program.meth_id;
-  objects : Ipa_ir.Program.heap_id list;
-}
-
-val uncaught : Ipa_core.Solution.t -> uncaught list
-(** Per entry point with a non-empty escape set. *)
+    exception objects that may reach an entry point uncaught
+    ({!Ipa_core.Precision.uncaught}), and the contents of every catch
+    variable (collapsed over contexts). *)
 
 type handler = {
   meth : Ipa_ir.Program.meth_id;

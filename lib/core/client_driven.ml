@@ -169,16 +169,4 @@ let selection_size (s : Solution.t) refine =
   (stats.sites_total - stats.sites_skipped, stats.objects_total - stats.objects_skipped)
 
 let cast_queries (s : Solution.t) =
-  let p = s.program in
-  let reachable = Solution.reachable_meths s in
-  let out = ref [] in
-  Int_set.iter
-    (fun m ->
-      Array.iter
-        (fun (instr : Program.instr) ->
-          match instr with
-          | Cast { source; cast_to; _ } -> out := (source, cast_to) :: !out
-          | _ -> ())
-        (Program.meth_info p m).body)
-    reachable;
-  !out
+  List.map (fun (c : Precision.cast) -> (c.source, c.target_type)) (Precision.casts s)

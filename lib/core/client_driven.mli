@@ -31,5 +31,6 @@ val selection_size : Solution.t -> Refine.t -> int * int
     the same candidate universes as {!Heuristics.selection_stats}. *)
 
 val cast_queries : Solution.t -> (Ipa_ir.Program.var_id * Ipa_ir.Program.class_id) list
-(** Convenience: the source variable and target type of every cast in a
-    reachable method — the standard cast-safety client's query set. *)
+(** Convenience: the source variable and target type of every cast of
+    {!Precision.casts}, in its order — the standard cast-safety client's
+    query set. *)

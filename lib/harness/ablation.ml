@@ -208,18 +208,7 @@ let client_driven (cfg : Config.t) =
         let queries = Ipa_core.Client_driven.cast_queries base.solution in
         let unsafe_of (r : Analysis.result) =
           if r.timed_out then "-"
-          else
-            string_of_int
-              (List.length
-                 (List.filter
-                    (fun (src, ty) ->
-                      Ipa_support.Int_set.exists
-                        (fun h ->
-                          not
-                            (Ipa_ir.Program.subtype p
-                               ~sub:(Ipa_ir.Program.heap_info p h).heap_class ~super:ty))
-                        (Ipa_core.Solution.collapsed_var_pts r.solution).(src))
-                    queries))
+          else string_of_int (Precision.compute r.solution).may_fail_casts
         in
         row "insens" (cell_of_result base) (string_of_int base.solution.derivations) "0" "0"
           (unsafe_of base);

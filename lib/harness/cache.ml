@@ -3,7 +3,6 @@ module Analysis = Ipa_core.Analysis
 module Introspection = Ipa_core.Introspection
 module Flavors = Ipa_core.Flavors
 module Solver = Ipa_core.Solver
-module Timer = Ipa_support.Timer
 
 type entry = {
   bytes : string;
@@ -298,11 +297,11 @@ let find_bytes t ~key =
 
 (* ---------- solve-through ---------- *)
 
-let of_snapshot ~label (snap : Snapshot.t) ~seconds =
+let of_snapshot ~label (snap : Snapshot.t) =
   {
     Analysis.label;
     solution = snap.solution;
-    seconds;
+    seconds = snap.seconds;
     timed_out = snap.solution.Ipa_core.Solution.outcome = Budget_exceeded;
   }
 
@@ -317,11 +316,11 @@ let solve t p ~label config =
     match mem_find t key with
     | None -> None
     | Some bytes -> (
-      match Timer.time (fun () -> decode bytes) with
-      | Ok snap, seconds ->
+      match decode bytes with
+      | Ok snap ->
         Atomic.incr t.mem_hits;
-        Some (of_snapshot ~label snap ~seconds, metrics_of snap)
-      | Error _, _ ->
+        Some (of_snapshot ~label snap, metrics_of snap)
+      | Error _ ->
         (* memory holds only bytes this process encoded; a decode failure
            here is a bug, but stay on the never-wrong side: recompute *)
         Atomic.incr t.stale;
@@ -331,12 +330,12 @@ let solve t p ~label config =
     match disk_read t key with
     | None -> None
     | Some bytes -> (
-      match Timer.time (fun () -> decode bytes) with
-      | Ok snap, seconds ->
+      match decode bytes with
+      | Ok snap ->
         Atomic.incr t.disk_hits;
         mem_store t key bytes;
-        Some (of_snapshot ~label snap ~seconds, metrics_of snap)
-      | Error _, _ ->
+        Some (of_snapshot ~label snap, metrics_of snap)
+      | Error _ ->
         Atomic.incr t.stale;
         disk_drop t key;
         None)

@@ -119,8 +119,10 @@ val solve :
 (** [solve t p ~label config] returns the solution of [config] on [p] and
     the introspection metrics over it, from the cache when possible. On a
     miss the solve runs, metrics are computed, and the snapshot is stored
-    (memory, then disk). On a hit the returned [seconds] is the decode
-    time. The result is content-identical either way. *)
+    (memory, then disk). On a hit the returned [seconds] is the solve
+    time the snapshot recorded, so a cached row reports what the solve
+    cost, not what the decode cost. The result is content-identical
+    either way. *)
 
 val base_pass :
   t -> budget:int -> Ipa_ir.Program.t -> Ipa_core.Analysis.result * Ipa_core.Introspection.t

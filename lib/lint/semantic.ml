@@ -1,5 +1,7 @@
-(* Solution-backed lint rules: findings grounded in a points-to solution,
-   reusing the analysis clients. Rule ids IPA-P001 … IPA-P006.
+(* Solution-backed lint rules: findings grounded in a points-to solution.
+   Rule ids IPA-P001 … IPA-P006. P001, P002 and P004 report the verdicts
+   of Ipa_core.Precision (the casts and virtual calls behind the paper's
+   metrics) site by site; P005 reuses the taint client.
 
    Monotonicity: rules P001 (may-fail cast), P004 (megamorphic call) and
    P005 (taint flow) report over-approximation artifacts, so their finding
@@ -14,8 +16,7 @@ module Diagnostic = Ipa_ir.Diagnostic
 module Int_set = Ipa_support.Int_set
 module Solution = Ipa_core.Solution
 module Value_flow = Ipa_core.Value_flow
-module Cast_check = Ipa_clients.Cast_check
-module Devirtualize = Ipa_clients.Devirtualize
+module Precision = Ipa_core.Precision
 module Taint = Ipa_clients.Taint
 
 let span_of p get =
@@ -27,7 +28,7 @@ let instr_span p m k = span_of p (fun sl -> Srcloc.instr_pos sl m k)
 let invo_span p i = span_of p (fun sl -> Srcloc.invo_pos sl i)
 let meth_span p m = span_of p (fun sl -> Srcloc.meth_pos sl m)
 
-let cast_entity p (c : Cast_check.t) = Printf.sprintf "%s#%d" (Program.meth_full_name p c.meth) c.index
+let cast_entity p (c : Precision.cast) = Printf.sprintf "%s#%d" (Program.meth_full_name p c.meth) c.index
 
 (* IPA-P001: casts the analysis cannot prove safe — at least one witness
    object fails the cast. The paper's "casts that may fail" metric as
@@ -35,9 +36,8 @@ let cast_entity p (c : Cast_check.t) = Printf.sprintf "%s#%d" (Program.meth_full
 let may_fail_cast (s : Solution.t) =
   let p = s.program in
   List.filter_map
-    (fun (c : Cast_check.t) ->
-      if c.witnesses = [] then None
-      else
+    (fun (c : Precision.cast) ->
+      if Precision.may_fail c then
         Some
           (Diagnostic.make ~rule:"IPA-P001" ~severity:Warning ~span:(instr_span p c.meth c.index)
              ~entity:(cast_entity p c)
@@ -46,8 +46,9 @@ let may_fail_cast (s : Solution.t) =
                 (Program.meth_full_name p c.meth)
                 (Program.var_info p c.source).var_name
                 (Program.class_name p c.target_type)
-                (List.length c.witnesses) c.total)))
-    (Cast_check.analyze s)
+                (List.length c.witnesses) c.total))
+      else None)
+    (Precision.casts s)
 
 (* IPA-P002: casts guaranteed to fail — the points-to set is non-empty and
    every object in it fails. Non-monotone: a finer analysis can shrink a
@@ -55,7 +56,7 @@ let may_fail_cast (s : Solution.t) =
 let failing_cast (s : Solution.t) =
   let p = s.program in
   List.filter_map
-    (fun (c : Cast_check.t) ->
+    (fun (c : Precision.cast) ->
       if c.total > 0 && List.length c.witnesses = c.total then
         Some
           (Diagnostic.make ~rule:"IPA-P002" ~severity:Error ~span:(instr_span p c.meth c.index)
@@ -67,7 +68,7 @@ let failing_cast (s : Solution.t) =
                 (Program.class_name p c.target_type)
                 c.total))
       else None)
-    (Cast_check.analyze s)
+    (Precision.casts s)
 
 (* IPA-P003: dereferences (field load/store, virtual-call receiver) whose
    base has an empty points-to set in a reachable method: under the
@@ -112,17 +113,16 @@ let empty_deref (s : Solution.t) =
 let megamorphic_call ~threshold (s : Solution.t) =
   let p = s.program in
   List.filter_map
-    (fun (d : Devirtualize.t) ->
-      match d.verdict with
-      | Polymorphic ms when List.length ms >= threshold ->
+    (fun (v : Precision.vcall) ->
+      if Precision.polymorphic v && List.compare_length_with v.targets threshold >= 0 then
         Some
-          (Diagnostic.make ~rule:"IPA-P004" ~severity:Info ~span:(invo_span p d.site)
-             ~entity:(Program.invo_info p d.site).invo_name
-             ~witnesses:(List.map (Program.meth_full_name p) ms)
+          (Diagnostic.make ~rule:"IPA-P004" ~severity:Info ~span:(invo_span p v.site)
+             ~entity:(Program.invo_info p v.site).invo_name
+             ~witnesses:(List.map (Program.meth_full_name p) v.targets)
              (Printf.sprintf "%s: megamorphic call with %d targets"
-                (Program.invo_info p d.site).invo_name (List.length ms)))
-      | _ -> None)
-    (Devirtualize.analyze s)
+                (Program.invo_info p v.site).invo_name (List.length v.targets)))
+      else None)
+    (Precision.vcalls s)
 
 (* IPA-P005: taint-spec violations — a tainted value reaches a sink
    argument, witnessed by a value-flow path. Monotone (documented by the

@@ -76,5 +76,5 @@ val render_error : json:bool -> q:string -> string -> string
 (** An error record for a line that did not parse ([q] is the raw line). *)
 
 val json_string : string -> string
-(** JSON-escaped, double-quoted string literal (exposed for the server's
-    own records). *)
+(** {!Ipa_support.Json.escape} in double quotes: a JSON string literal
+    (exposed for the server's own records). *)

@@ -3,8 +3,7 @@
 module P = Ipa_ir.Program
 module Analysis = Ipa_core.Analysis
 module Flavors = Ipa_core.Flavors
-module Devirt = Ipa_clients.Devirtualize
-module Casts = Ipa_clients.Cast_check
+module Precision = Ipa_core.Precision
 module Exns = Ipa_clients.Exception_report
 module Cg = Ipa_clients.Callgraph_export
 module Diag = Ipa_core.Diagnostics
@@ -37,26 +36,30 @@ class Main {
 entry Main::main/0;
 |}
 
-let test_devirt () =
+let test_vcalls () =
   let r = Analysis.run_plain (parse poly_src) insens in
-  let s = Devirt.summarize r.solution in
+  let vcalls = Precision.vcalls r.solution in
+  let count n =
+    List.length
+      (List.filter (fun (v : Precision.vcall) -> List.compare_length_with v.targets n = 0) vcalls)
+  in
   (* x.go is polymorphic; a.go monomorphic; dead_code's call unreachable *)
-  check Alcotest.int "mono" 1 s.monomorphic;
-  check Alcotest.int "poly" 1 s.polymorphic;
-  check Alcotest.int "dead" 1 s.unreachable;
-  let reports = Devirt.analyze r.solution in
-  check Alcotest.int "one report per virtual site" 3 (List.length reports);
+  check Alcotest.int "mono" 1 (count 1);
+  check Alcotest.int "poly" 1 (List.length (List.filter Precision.polymorphic vcalls));
+  check Alcotest.int "dead" 1 (count 0);
+  check Alcotest.int "one report per virtual site" 3 (List.length vcalls);
   let poly_targets =
     List.concat_map
-      (fun (d : Devirt.t) -> match d.verdict with Polymorphic ms -> ms | _ -> [])
-      reports
+      (fun (v : Precision.vcall) -> if Precision.polymorphic v then v.targets else [])
+      vcalls
   in
   check Alcotest.int "two targets" 2 (List.length poly_targets)
 
 let test_casts () =
+  let unsafe_count s = List.length (List.filter Precision.may_fail (Precision.casts s)) in
   let r = Analysis.run_plain (parse Ipa_testlib.boxes_src) insens in
-  check Alcotest.int "one unsafe" 1 (Casts.unsafe_count r.solution);
-  let reports = Casts.analyze r.solution in
+  check Alcotest.int "one unsafe" 1 (unsafe_count r.solution);
+  let reports = Precision.casts r.solution in
   check Alcotest.int "one cast total" 1 (List.length reports);
   let c = List.hd reports in
   check Alcotest.int "one witness" 1 (List.length c.witnesses);
@@ -64,8 +67,28 @@ let test_casts () =
   check Alcotest.string "witness object" "Main::main/new A#2"
     (P.heap_full_name r.solution.program (List.hd c.witnesses));
   let precise = Analysis.run_plain (parse Ipa_testlib.boxes_src) obj2 in
-  check Alcotest.int "precise finds none" 0 (Casts.unsafe_count precise.solution);
-  check Alcotest.int "cast still reported" 1 (List.length (Casts.analyze precise.solution))
+  check Alcotest.int "precise finds none" 0 (unsafe_count precise.solution);
+  check Alcotest.int "cast still reported" 1 (List.length (Precision.casts precise.solution));
+  (* program order: methods ascending, then body index ascending *)
+  let order_src = {|
+class Object { }
+class A extends Object { }
+class Main {
+  static method first/0 () { var x, a, o; x = new A; a = (A) x; o = (Object) x; }
+  static method main/0 () { var y, b; Main::first(); y = new Object; b = (A) y; }
+}
+entry Main::main/0;
+|} in
+  let ordered = Analysis.run_plain (parse order_src) insens in
+  let p = ordered.solution.program in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "program order"
+    [ ("Main::first/0", "A"); ("Main::first/0", "Object"); ("Main::main/0", "A") ]
+    (List.map
+       (fun (c : Precision.cast) -> (P.meth_full_name p c.meth, P.class_name p c.target_type))
+       (Precision.casts ordered.solution));
+  check Alcotest.int "only the Object-to-A cast may fail" 1 (unsafe_count ordered.solution)
 
 let exn_src = {|
 class Object { }
@@ -86,7 +109,7 @@ entry Main::main/0;
 
 let test_exception_report () =
   let r = Analysis.run_plain (parse exn_src) insens in
-  let uncaught = Exns.uncaught r.solution in
+  let uncaught = Precision.uncaught r.solution in
   check Alcotest.int "one entry with escapes" 1 (List.length uncaught);
   let u = List.hd uncaught in
   check Alcotest.int "one escaped object" 1 (List.length u.objects);
@@ -539,9 +562,11 @@ let test_dl_export_matches_native () =
 let () =
   Alcotest.run "clients"
     [
-      ( "devirtualize",
-        [ Alcotest.test_case "verdicts" `Quick test_devirt ] );
-      ("cast_check", [ Alcotest.test_case "witnesses" `Quick test_casts ]);
+      ( "precision verdicts",
+        [
+          Alcotest.test_case "vcalls" `Quick test_vcalls;
+          Alcotest.test_case "casts" `Quick test_casts;
+        ] );
       ( "exceptions",
         [
           Alcotest.test_case "uncaught and handlers" `Quick test_exception_report;

@@ -489,13 +489,12 @@ let test_client_driven_answers_query () =
   let base = Analysis.run_plain p insens in
   let queries = Ipa_core.Client_driven.cast_queries base.solution in
   check Alcotest.int "one cast query" 1 (List.length queries);
-  let src, ty = List.hd queries in
+  let src, _ = List.hd queries in
   let cd = Analysis.run_client_driven p obj2 [ src ] in
-  let vpt = Solution.collapsed_var_pts cd.cd_second.solution in
   let may_fail =
-    Int_set.exists
-      (fun h -> not (P.subtype p ~sub:(P.heap_info p h).heap_class ~super:ty))
-      vpt.(src)
+    List.exists
+      (fun (c : Ipa_core.Precision.cast) -> c.source = src && Ipa_core.Precision.may_fail c)
+      (Ipa_core.Precision.casts cd.cd_second.solution)
   in
   check Alcotest.bool "query cast proven safe" false may_fail;
   let sites, objs = Ipa_core.Client_driven.selection_size base.solution cd.cd_refine in

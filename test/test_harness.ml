@@ -186,6 +186,28 @@ let test_cache_find_bytes_counts () =
   check Alcotest.int "miss counted" 1 s.misses;
   check Alcotest.int "no disk errors" 0 s.disk_errors
 
+(* A hit reports the solve time its snapshot recorded, not its decode
+   time: the miss, a memory hit and a disk hit through a second cache over
+   the same directory all return the same bits. *)
+let test_cache_hit_reports_solve_time () =
+  Ipa_testlib.with_temp_dir (fun dir ->
+      let p = Ipa_testlib.parse_exn Ipa_testlib.boxes_src in
+      let config = Ipa_core.Solver.plain p (Flavors.strategy p Flavors.Insensitive) in
+      let seconds cache =
+        let r, _ = Ipa_harness.Cache.solve cache p ~label:"insens" config in
+        Int64.bits_of_float r.seconds
+      in
+      let cache = Ipa_harness.Cache.create ~dir () in
+      let miss = seconds cache in
+      let mem_hit = seconds cache in
+      let second = Ipa_harness.Cache.create ~dir () in
+      let disk_hit = seconds second in
+      check Alcotest.int "memory hit" 1 (Ipa_harness.Cache.stats cache).mem_hits;
+      check Alcotest.int "disk hit" 1 (Ipa_harness.Cache.stats second).disk_hits;
+      check Alcotest.int64 "memory hit time" miss mem_hit;
+      check Alcotest.int64 "disk hit time" miss disk_hit;
+      ignore (Ipa_harness.Cache.clear ~dir ()))
+
 (* ---------- in-memory LRU budget ----------
 
    [find_bytes] serves raw snapshot bytes without decoding them, so the
@@ -466,6 +488,11 @@ let () =
             test_cache_dir_beneath_a_file;
           Alcotest.test_case "missing cache dir is created" `Quick test_cache_missing_dir_created;
           Alcotest.test_case "find_bytes counts misses" `Quick test_cache_find_bytes_counts;
+        ] );
+      ( "cache-hits",
+        [
+          Alcotest.test_case "a hit reports the solve time" `Quick
+            test_cache_hit_reports_solve_time;
         ] );
       ( "cache-lru",
         [
